@@ -427,7 +427,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"wrote {path}")
     if not report.all_satisfied:
         raise NumericalError(
-            f"{len(report.failures)} bound checks failed; see {path}")
+            f"{len(report.failures())} bound checks failed; see {path}")
     return 0
 
 
@@ -532,7 +532,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         f"{DEFAULT_DENSE_GUARD}, or {DENSE_GUARD_ENV})")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for grid sweeps "
-                        "(default: available cores)")
+                        "(default: serial)")
     parser.add_argument("--config", default=None,
                         help="JSON file with default flag values "
                         "(explicit flags win)")

@@ -32,10 +32,6 @@ class NoTransitionError(NumericalError):
     """No overlap crossing was found inside the allowed coupling range."""
 
 
-class KrylovConvergenceError(NumericalError):
-    """The Krylov propagator exhausted its step budget before converging."""
-
-
 class DenseSizeWarning(UserWarning):
     """A constructed object exceeds the dense guard; solves on it will fail
     unless the guard is raised."""

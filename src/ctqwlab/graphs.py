@@ -36,6 +36,9 @@ from .errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
 
 NodeId = int
 
+# Edges formatted per string-format call in :meth:`Graph.to_edge_list`.
+_EXPORT_CHUNK = 1 << 16
+
 
 class Family(str, Enum):
     COMPLETE = "complete"
@@ -307,7 +310,7 @@ class Graph:
         return a.indices[a.indptr[node]:a.indptr[node + 1]].astype(np.int64)
 
     def bfs_distances(self, source: NodeId) -> np.ndarray:
-        dist = csgraph.shortest_path(self.adjacency, method="BF", unweighted=True,
+        dist = csgraph.shortest_path(self.adjacency, method="D", unweighted=True,
                                      indices=source)
         return dist.astype(np.int64)
 
@@ -328,9 +331,14 @@ class Graph:
     def to_edge_list(self) -> str:
         """Plain text export: a ``# N=<n>`` header then one ``u v`` line per
         edge with u < v, sorted."""
-        lines = [f"# N={self.n}"]
-        lines.extend(f"{u} {v}" for u, v in self.edge_array())
-        return "\n".join(lines) + "\n"
+        edges = self.edge_array()
+        parts = [f"# N={self.n}\n"]
+        # One %-format per chunk of edges; chunking bounds the peak memory
+        # of the flattened Python ints.
+        for start in range(0, len(edges), _EXPORT_CHUNK):
+            chunk = edges[start:start + _EXPORT_CHUNK]
+            parts.append(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+        return "".join(parts)
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
@@ -346,33 +354,34 @@ class Graph:
             parts = ln.split()
             if len(parts) != 2:
                 raise ConfigError(f"malformed edge line: {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ConfigError(f"non-integer node in edge line: {ln!r}") from exc
         return cls.from_edges(n, edges)
 
 
 # -- builders ----------------------------------------------------------------
 
 
-def _complete_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _complete_edges(n: int) -> np.ndarray:
+    return np.column_stack(np.triu_indices(n, k=1)).astype(np.int64)
 
 
-def _lattice_edges(L: int, d: int, periodic: bool) -> list[tuple[int, int]]:
-    shape = (L,) * d
-    idx = np.arange(L**d).reshape(shape)
-    pairs: set[tuple[int, int]] = set()
+def _lattice_edges(L: int, d: int, periodic: bool) -> np.ndarray:
+    """Row-major lattice: along each axis, node x links to x + stride for
+    every site but the last, and the wrap edge links the first site to the
+    last.  At L=2 the wrap edge repeats the forward one, so it is left out."""
+    idx = np.arange(L**d, dtype=np.int64).reshape((L,) * d)
+    parts = []
     for axis in range(d):
-        nxt = np.roll(idx, -1, axis=axis)
-        if periodic:
-            a, b = idx.ravel(), nxt.ravel()
-        else:
-            sl = [slice(None)] * d
-            sl[axis] = slice(0, L - 1)
-            a, b = idx[tuple(sl)].ravel(), nxt[tuple(sl)].ravel()
-        for u, v in zip(a.tolist(), b.tolist()):
-            if u != v:
-                pairs.add((min(u, v), max(u, v)))
-    return sorted(pairs)
+        stride = L ** (d - 1 - axis)
+        lo = idx.take(np.arange(L - 1), axis=axis).ravel()
+        parts.append(np.column_stack([lo, lo + stride]))
+        if periodic and L > 2:
+            first = idx.take(0, axis=axis).ravel()
+            parts.append(np.column_stack([first, first + (L - 1) * stride]))
+    return np.concatenate(parts)
 
 
 def _dsg_edges(g: int) -> tuple[int, list[tuple[int, int]], tuple[int, int, int]]:
@@ -528,7 +537,7 @@ def default_target(spec: GraphSpec) -> NodeId:
     torus).  Fractal/tree families use a peripheral node: the apex corner
     for dsg, the lowest-index deepest leaf for tfractal, the first leaf of
     the outer shell for cayleytree.  Products pair the first factor's
-    target with node 0 of the second factor.
+    target with node 0 of the second factor.  No graph is built.
     """
     fam = spec.family
     if fam in (Family.COMPLETE, Family.CHAIN, Family.TORUS):
@@ -536,16 +545,11 @@ def default_target(spec: GraphSpec) -> NodeId:
     if fam is Family.DSG:
         # The apex corner persists as node 0 through every generation.
         return 0
-    if fam is Family.TFRACTAL:
-        graph = build(spec)
-        dist = graph.bfs_distances(0)
-        deepest = int(dist.max())
-        assert deepest == 2 ** (spec.g - 1)  # type: ignore[operator]
-        return int(np.nonzero(dist == deepest)[0][0])
-    if fam is Family.CAYLEY_TREE:
-        graph = build(spec)
-        leaves = np.nonzero(graph.degrees == 1)[0]
-        return int(leaves[0])
+    if fam in (Family.TFRACTAL, Family.CAYLEY_TREE):
+        # Both trees are numbered breadth-first from the center, so the
+        # outer shell, 3 * 2^(g-1) leaves at depth 2^(g-1) (tfractal) or g
+        # (cayleytree), comes last.
+        return spec.node_count - 3 * 2 ** (spec.g - 1)  # type: ignore[operator]
     a, b = spec.factors  # type: ignore[misc]
     return default_target(a) * b.node_count + 0
 

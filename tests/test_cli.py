@@ -200,6 +200,21 @@ def test_exit_code_3_when_no_crossing(tmp_path, capsys):
     assert err["error"] == "NoTransitionError"
 
 
+def test_exit_code_3_when_verify_fails(tmp_path, capsys):
+    # At gamma=1e9 the dense eigensolve loses E0 to roundoff and the
+    # resolvent identities fail.
+    code = run("verify", "--family", "dsg", "--g", "3", "--gammas", "1e9",
+               "--out", tmp_path)
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "NumericalError"
+    assert payload["exit_code"] == 3
+    assert "bound checks failed" in payload["message"]
+    assert (tmp_path / "bounds_dsg_g3.json").exists()
+
+
 def test_exit_code_4_dense_guard_flag(tmp_path, capsys):
     code = run("spectrum", "--family", "complete", "--n", "64",
                "--dense-guard", "10", "--out", tmp_path)

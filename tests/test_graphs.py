@@ -1,6 +1,7 @@
 """Graph construction, serialization, and target-placement tests."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -198,6 +199,60 @@ def test_edge_list_round_trip(spec):
     assert np.array_equal(back.edge_array(), graph.edge_array())
 
 
+@pytest.mark.parametrize("spec", [
+    GraphSpec(Family.COMPLETE, n=7),
+    # more edges than one export chunk
+    GraphSpec(Family.COMPLETE, n=400),
+    GraphSpec(Family.CHAIN, L=5, periodic=False),
+    GraphSpec(Family.TORUS, L=3, d=2),
+    GraphSpec(Family.DSG, g=3),
+    GraphSpec(Family.TFRACTAL, g=3),
+    GraphSpec(Family.CAYLEY_TREE, g=3),
+    GraphSpec(Family.PRODUCT, factors=(
+        GraphSpec(Family.DSG, g=2), GraphSpec(Family.CHAIN, L=4))),
+], ids=lambda spec: spec.label)
+def test_edge_list_matches_per_edge_reference(spec):
+    graph = build(spec)
+    lines = [f"# N={graph.n}"]
+    lines.extend(f"{u} {v}" for u, v in graph.edge_array().tolist())
+    assert graph.to_edge_list() == "\n".join(lines) + "\n"
+
+
+def test_from_edge_list_rejects_non_integer_nodes():
+    with pytest.raises(ConfigError):
+        Graph.from_edge_list("# N=3\n0 x\n")
+    with pytest.raises(ConfigError):
+        Graph.from_edge_list("# N=3\n0 1\n1 2.0\n")
+
+
+def _brute_force_lattice_edges(L, d, periodic):
+    coords = np.array(np.unravel_index(np.arange(L**d), (L,) * d)).T
+    edges = []
+    for u in range(L**d):
+        for v in range(u + 1, L**d):
+            diff = np.abs(coords[u] - coords[v])
+            steps = (diff == 1) | (periodic & (diff == L - 1))
+            if np.count_nonzero(diff) == 1 and steps.any():
+                edges.append((u, v))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [2, 3])
+def test_lattice_builder_matches_brute_force(L, d, periodic):
+    graph = build(GraphSpec(Family.TORUS, L=L, d=d, periodic=periodic))
+    assert np.array_equal(graph.edge_array(),
+                          _brute_force_lattice_edges(L, d, periodic))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_complete_builder_matches_brute_force(n):
+    ref = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = build(GraphSpec(Family.COMPLETE, n=n))
+    assert graph.edge_array().tolist() == [list(e) for e in ref]
+
+
 def test_labels_are_stable():
     assert GraphSpec(Family.DSG, g=4).label == "dsg_g4"
     assert GraphSpec(Family.TORUS, L=8, d=2).label == "torus_d2_L8"
@@ -244,18 +299,33 @@ def test_default_targets():
     assert default_target(GraphSpec(Family.COMPLETE, n=9)) == 0
     assert default_target(GraphSpec(Family.TORUS, L=4, d=2)) == 0
     assert default_target(GraphSpec(Family.DSG, g=3)) == 0
-    for g in (2, 3, 4, 5):
-        spec = GraphSpec(Family.TFRACTAL, g=g)
-        graph = build(spec)
-        target = default_target(spec)
-        dist = graph.bfs_distances(0)
-        assert dist[target] == 2 ** (g - 1) == dist.max()
-        assert graph.degrees[target] == 1
-    for g in (1, 2, 3, 4):
-        spec = GraphSpec(Family.CAYLEY_TREE, g=g)
-        target = default_target(spec)
-        assert target == 3 * 2 ** (g - 1) - 2
-        assert build(spec).degrees[target] == 1
+
+
+def _plain_bfs(graph, source):
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    dist = np.full(graph.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in indices[indptr[u]:indptr[u + 1]].tolist():
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@pytest.mark.parametrize("g", range(1, 10))
+@pytest.mark.parametrize("family", [Family.TFRACTAL, Family.CAYLEY_TREE])
+def test_tree_default_target_is_first_deepest_node(family, g):
+    spec = GraphSpec(family, g=g)
+    graph = build(spec)
+    dist = _plain_bfs(graph, 0)
+    assert np.array_equal(graph.bfs_distances(0), dist)
+    target = default_target(spec)
+    assert target == int(np.flatnonzero(dist == dist.max())[0])
+    assert dist[target] == (2 ** (g - 1) if family is Family.TFRACTAL else g)
+    assert graph.degrees[target] == 1
 
 
 def test_product_default_target():
