@@ -57,14 +57,6 @@ from .spectra import fit_alpha, laplacian_decomposition, spectral_sums, spectrum
 
 __all__ = ["main"]
 
-_ORACLE_CHECKS = (
-    "complete-vs-engine",
-    "dsg-spectrum",
-    "dsg-zeta",
-    "decimation",
-    "krylov-vs-spectral",
-)
-
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -106,23 +98,13 @@ def _parse_int_range(text: str, name: str) -> list[int]:
         ) from None
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _parse_list(text: str, name: str, kind: type) -> list:
+    """Parse a comma list, converting each entry with ``kind``."""
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{name} must be comma-separated numbers, "
-                          f"got {text!r}") from None
-    if not vals:
-        raise ConfigError(f"{name} is empty")
-    return vals
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{name} must be comma-separated integers, "
-                          f"got {text!r}") from None
+        raise ConfigError(f"{name} must be comma-separated {kind.__name__} "
+                          f"values, got {text!r}") from None
     if not vals:
         raise ConfigError(f"{name} is empty")
     return vals
@@ -248,7 +230,7 @@ def _sweep_specs(args: argparse.Namespace) -> tuple[list[GraphSpec],
     if sizes is None:
         raise ConfigError(f"--sizes (comma list) is required for "
                           f"{family.value}")
-    values = _parse_int_list(sizes, "--sizes")
+    values = _parse_list(sizes, "--sizes", int)
     if family is Family.COMPLETE:
         return [GraphSpec(family, n=v) for v in values], [float(v) for v in values]
     if family is Family.TORUS:
@@ -416,7 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     target = _resolve_target(spec, graph, args)
     gammas = None
     if args.gammas is not None:
-        gammas = _parse_float_list(args.gammas, "--gammas")
+        gammas = _parse_list(args.gammas, "--gammas", float)
     report = verify_bounds(graph, target, gammas=gammas, dense_guard=guard)
     path = _write_atomic(Path(args.out) / f"bounds_{spec.label}.json",
                          json.dumps(report.to_dict(), indent=2) + "\n")
@@ -486,15 +468,18 @@ def _oracle_krylov(args: argparse.Namespace) -> tuple[float, float, dict]:
     return worst, 1e-8, {"g": g, "gamma": gamma}
 
 
+# Each runner returns (max error, tolerance, details).
+_ORACLES = {
+    "complete-vs-engine": _oracle_complete,
+    "dsg-spectrum": _oracle_dsg_spectrum,
+    "dsg-zeta": _oracle_dsg_zeta,
+    "decimation": _oracle_decimation,
+    "krylov-vs-spectral": _oracle_krylov,
+}
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
-    runners = {
-        "complete-vs-engine": _oracle_complete,
-        "dsg-spectrum": _oracle_dsg_spectrum,
-        "dsg-zeta": _oracle_dsg_zeta,
-        "decimation": _oracle_decimation,
-        "krylov-vs-spectral": _oracle_krylov,
-    }
-    worst, tol, details = runners[args.check](args)
+    worst, tol, details = _ORACLES[args.check](args)
     passed = worst <= tol
     report = {"check": args.check, "passed": passed,
               "max_error": worst, "tolerance": tol, "details": details}
@@ -584,16 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "success-probability grids, exported as plain files.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    submap: dict[str, argparse.ArgumentParser] = {}
-    parser.subcommand_parsers = submap  # type: ignore[attr-defined]
-    _orig_add = sub.add_parser
-
-    def add_parser(name: str, **kwargs):
-        child = _orig_add(name, **kwargs)
-        submap[name] = child
-        return child
-
-    sub.add_parser = add_parser  # type: ignore[method-assign]
 
     p = sub.add_parser("generate", help="write an edge-list file")
     _add_spec_flags(p)
@@ -655,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="run a closed-form cross-check")
-    p.add_argument("--check", choices=_ORACLE_CHECKS, required=True)
+    p.add_argument("--check", choices=_ORACLES, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
     _add_common_flags(p)
@@ -680,11 +655,14 @@ def _apply_config(parser: argparse.ArgumentParser,
     unknown = sorted(set(conf) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    fresh = build_parser()
     # Defaults must land on the chosen subcommand's parser: subparsers
     # parse into their own namespace, so top-level defaults are ignored.
-    fresh.subcommand_parsers[args.command].set_defaults(**conf)
-    return fresh.parse_args(argv)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    sub.choices[args.command].set_defaults(**conf)
+    # Parse again: argparse converts string defaults such as {"g": "3"}
+    # with the flag's type only while it parses.
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

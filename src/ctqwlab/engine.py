@@ -32,6 +32,7 @@ from .spectra import (
     SpectralDecomposition,
     SpectralSums,
     eigh,
+    group_labels,
     laplacian_decomposition,
     spectral_sums,
 )
@@ -113,12 +114,6 @@ class OverlapRecord:
     e1_multiplicity: int
 
 
-def _group_labels(values: np.ndarray, tol: float) -> np.ndarray:
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([[0], np.cumsum(np.diff(values) > tol)]).astype(np.int64)
-
-
 def _clip_prob(value: float, what: str) -> float:
     if value < -_PROB_SLACK or value > 1.0 + _PROB_SLACK:
         raise NumericalError(f"{what} = {value!r} outside [0, 1]")
@@ -148,11 +143,11 @@ def overlaps(problem: SearchProblem, *,
         while True:
             values, vectors = sla.eigh(h, subset_by_index=(0, k - 1),
                                        driver="evr")
-            labels = _group_labels(values, tol)
+            labels = group_labels(values, tol)
             if k == n or labels[-1] >= 2:
                 break
             k = min(n, k * 4)
-    labels = _group_labels(values, tol)
+    labels = group_labels(values, tol)
     if int(np.sum(labels == 0)) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
@@ -410,14 +405,9 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
     check_dense_guard(graph.n, dense_guard, "success grid")
-    lap = graph.laplacian()
 
     def row(gamma: float) -> np.ndarray:
-        h = gamma * lap
-        h[target, target] -= 1.0
-        dec = eigh(h, dense_guard=dense_guard)
-        problem = SearchProblem(graph, target, gamma)
-        return success_probability(problem, t_arr, dec=dec,
+        return success_probability(SearchProblem(graph, target, gamma), t_arr,
                                    dense_guard=dense_guard)
 
     if threads is not None and threads > 1:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import log
@@ -89,6 +88,12 @@ class GraphSpec:
             if not cond:
                 raise ConfigError(f"{fam.value}: {msg}")
 
+        def size(name: str, least: int) -> None:
+            value = getattr(self, name)
+            # bool is an int subclass; a JSON true is not a size.
+            require(isinstance(value, int) and not isinstance(value, bool)
+                    and value >= least, f"needs integer {name} >= {least}")
+
         def forbid(names: tuple[str, ...]) -> None:
             for name in names:
                 if getattr(self, name) is not None:
@@ -96,19 +101,21 @@ class GraphSpec:
                         f"{fam.value}: parameter {name!r} is not accepted"
                     )
 
+        require(isinstance(self.periodic, bool), "periodic must be true or false")
         if fam is Family.COMPLETE:
-            require(isinstance(self.n, int) and self.n >= 2, "needs integer n >= 2")
+            size("n", 2)
             forbid(("g", "L", "d", "factors"))
         elif fam is Family.CHAIN:
-            require(isinstance(self.L, int) and self.L >= 2, "needs integer L >= 2")
-            require(self.d in (None, 1), "d must be 1 (or omitted)")
+            size("L", 2)
+            require(self.d is None or type(self.d) is int and self.d == 1,
+                    "d must be 1 (or omitted)")
             forbid(("n", "g", "factors"))
         elif fam is Family.TORUS:
-            require(isinstance(self.L, int) and self.L >= 2, "needs integer L >= 2")
-            require(isinstance(self.d, int) and self.d >= 1, "needs integer d >= 1")
+            size("L", 2)
+            size("d", 1)
             forbid(("n", "g", "factors"))
         elif fam in _GENERATIONAL:
-            require(isinstance(self.g, int) and self.g >= 1, "needs integer g >= 1")
+            size("g", 1)
             forbid(("n", "L", "d", "factors"))
         elif fam is Family.PRODUCT:
             require(
@@ -273,16 +280,15 @@ class Graph:
             raise ConfigError("edge endpoint out of range")
         if np.any(arr[:, 0] == arr[:, 1]):
             raise ConfigError("self-loops are not allowed")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        if lo.size > 1 and np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
-            raise ConfigError("duplicate edges are not allowed")
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
+        rows = np.concatenate([arr[:, 0], arr[:, 1]])
+        cols = np.concatenate([arr[:, 1], arr[:, 0]])
         data = np.ones(rows.size, dtype=np.float64)
+        # The conversion sums repeated entries, so a duplicate edge, in
+        # either orientation, leaves fewer than two entries per edge.  The
+        # result is canonical: row-major with sorted columns.
         adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        if adj.nnz != rows.size:
+            raise ConfigError("duplicate edges are not allowed")
         ncomp = csgraph.connected_components(adj, directed=False, return_labels=False)
         if ncomp != 1:
             raise ConfigError(f"graph is disconnected ({ncomp} components)")
@@ -299,11 +305,10 @@ class Graph:
         return int(self.adjacency.nnz // 2)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int array with u < v, sorted lexicographically."""
+        """Edges as an (E, 2) int array with u < v, sorted lexicographically
+        (the order of the canonical CSR adjacency's upper triangle)."""
         coo = sp.triu(self.adjacency, k=1).tocoo()
-        pairs = np.column_stack([coo.row, coo.col]).astype(np.int64)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        return np.column_stack([coo.row, coo.col]).astype(np.int64)
 
     def neighbors(self, node: NodeId) -> np.ndarray:
         a = self.adjacency
@@ -411,33 +416,7 @@ def _dsg_edges(g: int) -> tuple[int, list[tuple[int, int]], tuple[int, int, int]
     return n, edges, corners
 
 
-def _bfs_renumber(n: int, edges: list[tuple[int, int]], root: int
-                  ) -> list[tuple[int, int]]:
-    """Relabel nodes in breadth-first order from ``root``; within a shell,
-    neighbors are visited in ascending old-index order."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    new_id = np.full(n, -1, dtype=np.int64)
-    new_id[root] = 0
-    queue = deque([root])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if new_id[v] < 0:
-                new_id[v] = count
-                count += 1
-                queue.append(v)
-    if count != n:
-        raise ConfigError("cannot renumber a disconnected edge set")
-    return [(int(new_id[u]), int(new_id[v])) for u, v in edges]
-
-
-def _tfractal_edges(g: int) -> tuple[int, list[tuple[int, int]]]:
+def _tfractal_edges(g: int) -> tuple[int, np.ndarray]:
     """Edge-splitting construction, renumbered so the branching center is 0.
 
     Start from a single edge; at every step replace each edge (u, v) by a
@@ -456,23 +435,22 @@ def _tfractal_edges(g: int) -> tuple[int, list[tuple[int, int]]]:
             if step == 0:
                 center = mid
         edges = grown
-    return n, _bfs_renumber(n, edges, center)
+    # Breadth-first from the center.  The canonical CSR's sorted columns
+    # make each node's unseen neighbors come in ascending old index.
+    order = csgraph.breadth_first_order(Graph.from_edges(n, edges).adjacency,
+                                        center, return_predecessors=False)
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    return n, new_id[np.asarray(edges)]
 
 
-def _cayley_tree_edges(g: int) -> tuple[int, list[tuple[int, int]]]:
-    edges: list[tuple[int, int]] = []
-    frontier = [0]
-    next_id = 1
-    for shell in range(1, g + 1):
-        width = 3 if shell == 1 else 2
-        grown: list[int] = []
-        for parent in frontier:
-            for _ in range(width):
-                edges.append((parent, next_id))
-                grown.append(next_id)
-                next_id += 1
-        frontier = grown
-    return next_id, edges
+def _cayley_tree_edges(g: int) -> tuple[int, np.ndarray]:
+    """Shell by shell, children numbered after their parents: nodes 1-3
+    hang off the root and node k > 3 off node (k - 2) // 2."""
+    n = 3 * 2**g - 2
+    child = np.arange(1, n, dtype=np.int64)
+    parent = np.where(child <= 3, 0, (child - 2) // 2)
+    return n, np.column_stack([parent, child])
 
 
 def build(spec: GraphSpec) -> Graph:

@@ -84,14 +84,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_labels(values: np.ndarray, tol: float) -> np.ndarray:
+    """Degeneracy-group label of each ascending eigenvalue: a new group
+    starts wherever the gap to the previous value exceeds ``tol``."""
+    labels = np.zeros(values.size, dtype=np.int64)
+    labels[1:] = np.cumsum(np.diff(values) > tol)
+    return labels
+
+
 def _group_eigenvalues(values: np.ndarray) -> tuple[np.ndarray, float]:
     spread = float(values[-1] - values[0]) if values.size else 0.0
     tol = DEGENERACY_RTOL * spread
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64), tol
-    gaps = np.diff(values)
-    labels = np.concatenate([[0], np.cumsum(gaps > tol)]).astype(np.int64)
-    return labels, tol
+    return group_labels(values, tol), tol
 
 
 def eigh(matrix: np.ndarray, *,

@@ -183,6 +183,10 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
         ("overlaps", "--family", "complete", "--n", "8",
          "--target", "99", "--gamma", "0.1"),
         ("generate", "--spec", "{}", "--spec-file", "x.json"),
+        ("generate", "--spec", '{"family": "dsg", "g": true}'),
+        ("generate", "--spec",
+         '{"family": "torus", "L": 4, "d": 2, "periodic": "no"}'),
+        ("oracle", "--check", "nope"),
     ]
     for argv in cases:
         code = run(*argv, "--out", tmp_path)
@@ -235,7 +239,7 @@ def test_dense_guard_env_var(tmp_path, capsys, monkeypatch):
                "--dense-guard", "100", "--out", tmp_path) == 0
 
 
-def test_config_file_defaults_and_override(tmp_path, capsys):
+def test_config_file_defaults_and_override(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"family": "dsg", "g": "3",
                                 "out": str(tmp_path)}))
@@ -245,6 +249,14 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     # flags win over config values
     assert run("generate", "--config", conf, "--g", "2") == 0
     assert (tmp_path / "edges_dsg_g2.txt").exists()
+    # a later run in the same process sees none of the config's defaults
+    later = tmp_path / "later"
+    later.mkdir()
+    monkeypatch.chdir(later)
+    assert run("generate") == 2                     # no family
+    assert run("generate", "--family", "dsg") == 2  # no g
+    assert run("generate", "--family", "dsg", "--g", "1") == 0
+    assert (later / "edges_dsg_g1.txt").exists()    # no out
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Graph construction, serialization, and target-placement tests."""
 
+import hashlib
 import math
 from collections import deque
 
@@ -197,6 +198,31 @@ def test_edge_list_round_trip(spec):
     back = Graph.from_edge_list(graph.to_edge_list())
     assert back.n == graph.n
     assert np.array_equal(back.edge_array(), graph.edge_array())
+    # No sort is applied: the order comes from the CSR layout.
+    u, v = graph.edge_array().T
+    assert (u < v).all()
+    assert ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all()
+
+
+# sha256 of to_edge_list(), recorded before the recursive builders were
+# vectorized; they pin each builder's node numbering.
+@pytest.mark.parametrize("spec,digest", [
+    (GraphSpec(Family.DSG, g=5),
+     "a8f7cbf6151d1280868f157e8b59b70bfd4e8ed7a72326ee6f830b79c2b840aa"),
+    (GraphSpec(Family.TFRACTAL, g=5),
+     "67a7764fe201a9b1bbf59ea64d251e4cd58b4518e753895643167fd0cb9f1af5"),
+    (GraphSpec(Family.TFRACTAL, g=6),
+     "e9c1374803d1aa3a220a9a17db90d740334f336761ba6c248aa067facd5e65f0"),
+    (GraphSpec(Family.CAYLEY_TREE, g=6),
+     "6458b3b1dc4d45329e624d72125dd1eaaca53c7be2100348f2750fc9d3c54214"),
+    (GraphSpec(Family.PRODUCT, factors=(
+        GraphSpec(Family.DSG, g=3), GraphSpec(Family.CHAIN, L=4,
+                                              periodic=False))),
+     "885b117336e65dc3c54e714e5ff7608641c58a8bcaaede17736ab8b234d53419"),
+], ids=lambda x: x.label if isinstance(x, GraphSpec) else "")
+def test_recursive_builder_numbering_is_pinned(spec, digest):
+    text = build(spec).to_edge_list()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec", [
@@ -275,6 +301,9 @@ def test_labels_are_stable():
     dict(family=Family.CHAIN, L=1),
     dict(family=Family.PRODUCT),
     dict(family=Family.DSG, g=2, factors=(GraphSpec(Family.DSG, g=1),)),
+    dict(family=Family.DSG, g=True),
+    dict(family=Family.CHAIN, L=4, d=True),
+    dict(family=Family.TORUS, L=4, d=2, periodic="no"),
 ])
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
