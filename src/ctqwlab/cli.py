@@ -4,8 +4,7 @@ Subcommands build graphs and export spectra, overlap sweeps, critical
 couplings, success-probability grids, scaling fits, bound reports, and
 closed-form cross-checks as plain files (CSV/JSON/edge lists) for
 external plotting.  All commands are non-interactive and deterministic:
-identical invocations produce byte-identical files, regardless of the
-thread count used for grid sweeps.
+identical invocations produce byte-identical files.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical failure
 (including failed bound checks and failed oracle checks); 4 dense-size
@@ -15,13 +14,14 @@ guard exceeded.  Failures emit a one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -163,16 +163,10 @@ def _resolve_target(spec: GraphSpec, graph: Graph,
     return int(override)
 
 
-def _default_gamma_window(spec: GraphSpec, target: int,
-                          guard: int | None) -> tuple[float, float]:
-    """Log window around the inverse-spectral-sum coupling scale."""
-    dec = laplacian_decomposition(spec.build(), dense_guard=guard)
-    xi1 = spectral_sums(dec, target).xi1
-    return xi1 / 8.0, xi1 * 8.0
-
-
-def _gamma_grid(args: argparse.Namespace, spec: GraphSpec, target: int,
-                guard: int | None) -> np.ndarray:
+def _gamma_grid(args: argparse.Namespace,
+                xi1: Callable[[], float]) -> np.ndarray:
+    """Coupling grid from the flags; ``xi1`` (the inverse-spectral-sum
+    coupling scale) is called only for the default window around it."""
     single = getattr(args, "gamma", None)
     lo, hi = getattr(args, "gamma_min", None), getattr(args, "gamma_max", None)
     if single is not None:
@@ -185,7 +179,8 @@ def _gamma_grid(args: argparse.Namespace, spec: GraphSpec, target: int,
     if (lo is None) != (hi is None):
         raise ConfigError("--gamma-min and --gamma-max go together")
     if lo is None:
-        lo, hi = _default_gamma_window(spec, target, guard)
+        scale = xi1()
+        lo, hi = scale / 8.0, scale * 8.0
     if not (0 < lo < hi):
         raise ConfigError(f"need 0 < gamma-min < gamma-max, got "
                           f"[{lo}, {hi}]")
@@ -300,7 +295,8 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, graph, args)
-    gammas = _gamma_grid(args, spec, target, guard)
+    gammas = _gamma_grid(args, lambda: spectral_sums(
+        laplacian_decomposition(graph, dense_guard=guard), target).xi1)
     records = overlap_sweep(graph, target, gammas, dense_guard=guard)
     path = _write_atomic(Path(args.out) / f"overlaps_{spec.label}.csv",
                          overlap_sweep_csv(records))
@@ -336,10 +332,12 @@ def cmd_success(args: argparse.Namespace) -> int:
     guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, graph, args)
-    gammas = _gamma_grid(args, spec, target, guard)
+    measure = functools.cache(lambda: spectral_sums(
+        laplacian_decomposition(graph, dense_guard=guard), target))
+    gammas = _gamma_grid(args, lambda: measure().xi1)
     times = _time_grid(args, graph.n)
-    grid = success_grid(graph, target, gammas, times,
-                        threads=args.threads, dense_guard=guard)
+    grid = success_grid(graph, target, gammas, times, sums=measure(),
+                        dense_guard=guard)
     base = Path(args.out)
     p1 = _write_atomic(base / f"success_{spec.label}_matrix.csv",
                        grid.to_matrix_csv())
@@ -374,7 +372,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if model is ScalingModel.POWER and specs[0].spectral_dimension is not None:
         alpha_used = args.alpha
         if alpha_used is None:
-            alpha_used = fit_alpha(specs).alpha
+            alpha_used = fit_alpha(specs, dense_guard=guard).alpha
         prediction = exponent_prediction(specs[0], alpha_used)
     fit = fit_scaling(points, model, label=family.value,
                       prediction=prediction, alpha_used=alpha_used)
@@ -515,9 +513,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dense-guard", type=int, default=None,
                         help="dense-size limit; 0 disables (default: "
                         f"{DEFAULT_DENSE_GUARD}, or {DENSE_GUARD_ENV})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for grid sweeps "
-                        "(default: serial)")
     parser.add_argument("--config", default=None,
                         help="JSON file with default flag values "
                         "(explicit flags win)")

@@ -1,16 +1,15 @@
 """Search-Hamiltonian engine: H = gamma * L - |w><w|.
 
-Everything observable is derived from dense eigendecompositions of H,
-except time evolution past the dense guard: :func:`propagate_krylov`
-applies exp(-i H dt) to the state with scipy's ``expm_multiply`` on the
-sparse H and never forms a dense matrix.  The two lowest levels of H and
-their overlaps with the uniform state drive the localization transition;
-the full spectrum drives success probabilities over time.
+Overlaps and critical couplings come from dense eigensolves of H.
+Success probabilities come from the target's Laplacian measure
+(:class:`SpectralSums`), on which H is a K x K matrix, K the number of
+distinct Laplacian eigenvalues.  Past the dense guard,
+:func:`propagate_krylov` applies exp(-i H dt) to the state with scipy's
+``expm_multiply`` on the sparse H and never forms a dense matrix.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +39,10 @@ from .spectra import (
 # Success probabilities are clipped into [0, 1] only after passing this
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
+# Relative bracket width that ends the crossing bisection, and the largest
+# overlap difference accepted at the returned coupling.
+_BISECT_RTOL = 1e-9
+_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -212,8 +215,6 @@ class CriticalGamma:
 def critical_gamma(graph: Graph, target: NodeId, *,
                    gamma_floor: float = 1e-6,
                    gamma_ceiling: float = 1e6,
-                   rel_width: float = 1e-9,
-                   residual_tol: float = 1e-6,
                    sums: SpectralSums | None = None,
                    dense_guard: int | None = DEFAULT_DENSE_GUARD
                    ) -> CriticalGamma:
@@ -270,7 +271,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             if f_hi > 0.0:
                 break
             lo, f_lo = hi, f_hi
-    while hi - lo > rel_width * hi:
+    while hi - lo > _BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -281,9 +282,9 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             lo, f_lo = mid, f_mid
     gamma = 0.5 * (lo + hi)
     residual = abs(f(gamma))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise NumericalError(
-            f"crossing residual {residual:.3e} exceeds {residual_tol:.0e}; "
+            f"crossing residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
     return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
@@ -334,19 +335,30 @@ def evolve_state(problem: SearchProblem, t: float, *,
 
 
 def success_probability(problem: SearchProblem, t, *,
-                        dec: SpectralDecomposition | None = None,
+                        sums: SpectralSums | None = None,
                         dense_guard: int | None = DEFAULT_DENSE_GUARD):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
 
-    One eigendecomposition serves every requested time.
+    With one basis vector per Laplacian group of ``sums`` (eigenvalue
+    lam_k, target weight a_k), H acts as gamma*diag(lam) - z z^T with
+    z_k = sqrt(a_k), and |s> is the zero-mode vector; the levels outside
+    that span are invisible to |w> and |s>, so the result is exact.  One
+    K x K eigensolve serves every requested time.
     """
-    if dec is None:
-        dec = hamiltonian_decomposition(problem, dense_guard=dense_guard)
+    graph, target = problem.graph, problem.target
+    if sums is None:
+        sums = spectral_sums(
+            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+    elif ((sums.n, sums.target) != (graph.n, target)
+          or abs(sums.multiplicities @ sums.group_eigenvalues
+                 - graph.degrees.sum()) > 1e-9 * graph.degrees.sum()):
+        raise ConfigError("spectral sums belong to another graph or target")
+    z = np.sqrt(sums.group_amp_sq)
+    dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
+               - np.outer(z, z), dense_guard=dense_guard)
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    coef = dec.eigenvectors[problem.target, :] * (
-        dec.eigenvectors.T @ _uniform_state(problem.n)
-    )
+    coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
     amps = np.exp(-1j * np.outer(t_arr, dec.eigenvalues)) @ coef.astype(complex)
     probs = np.abs(amps) ** 2
     bad_lo = float(probs.min())
@@ -361,8 +373,8 @@ def success_probability(problem: SearchProblem, t, *,
 
 @dataclass(frozen=True, eq=False)
 class SuccessGrid:
-    """Success probabilities over a (gamma, t) grid, one eigendecomposition
-    per coupling, rows independent and deterministic."""
+    """Success probabilities over a (gamma, t) grid, every row from one
+    Laplacian measure, rows independent and deterministic."""
 
     gammas: np.ndarray  # (G,)
     times: np.ndarray   # (T,)
@@ -388,14 +400,10 @@ class SuccessGrid:
 
 def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
                  times: Sequence[float], *,
-                 threads: int | None = None,
+                 sums: SpectralSums | None = None,
                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SuccessGrid:
-    """Sweep couplings; each row reuses one decomposition across all times.
-
-    Rows may be computed on a thread pool (``threads``); each row is an
-    independent deterministic computation placed by index, so results are
-    identical to the serial sweep and across pool sizes.
-    """
+    """Sweep couplings; every row works from one Laplacian measure
+    (``sums``, computed here when not given)."""
     gam = np.asarray([float(g) for g in gammas], dtype=np.float64)
     t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
     if gam.size == 0 or t_arr.size == 0:
@@ -404,18 +412,14 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
         raise ConfigError("couplings must be positive and finite")
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
-    check_dense_guard(graph.n, dense_guard, "success grid")
-
-    def row(gamma: float) -> np.ndarray:
-        return success_probability(SearchProblem(graph, target, gamma), t_arr,
-                                   dense_guard=dense_guard)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, gam.tolist()))
-    else:
-        rows = [row(g) for g in gam.tolist()]
-    probs = np.vstack(rows)
+    if sums is None:
+        sums = spectral_sums(
+            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+    probs = np.vstack([
+        success_probability(SearchProblem(graph, target, g), t_arr,
+                            sums=sums, dense_guard=dense_guard)
+        for g in gam.tolist()
+    ])
     best = np.argmax(probs, axis=1)
     grid = SuccessGrid(
         gammas=gam, times=t_arr, probabilities=probs,
@@ -472,7 +476,6 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
                      span: float = 10.0,
                      coarse: int = 64,
                      rel_tol: float = 1e-3,
-                     threads: int | None = None,
                      dense_guard: int | None = DEFAULT_DENSE_GUARD
                      ) -> GammaMaxResult:
     """Two-stage search for the best coupling over a fixed time horizon:
@@ -485,16 +488,16 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     if coarse < 3:
         raise ConfigError("coarse grid needs at least three points")
     grid = np.geomspace(gamma_center / span, gamma_center * span, coarse)
-    sweep = success_grid(graph, target, grid, times, threads=threads,
+    sums = spectral_sums(
+        laplacian_decomposition(graph, dense_guard=dense_guard), target)
+    sweep = success_grid(graph, target, grid, times, sums=sums,
                          dense_guard=dense_guard)
     best = int(np.argmax(sweep.pi_star))
 
-    def peak(gamma: float) -> float:
-        problem = SearchProblem(graph, target, gamma)
-        return float(
-            success_probability(problem, np.asarray(times),
-                                dense_guard=dense_guard).max()
-        )
+    def pi_row(gamma: float) -> np.ndarray:
+        return success_probability(SearchProblem(graph, target, gamma),
+                                   np.asarray(times), sums=sums,
+                                   dense_guard=dense_guard)
 
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, coarse - 1)]
@@ -502,20 +505,18 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = peak(math.exp(c)), peak(math.exp(d))
+    fc, fd = pi_row(math.exp(c)).max(), pi_row(math.exp(d)).max()
     while (b - a) > rel_tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = peak(math.exp(c))
+            fc = pi_row(math.exp(c)).max()
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = peak(math.exp(d))
+            fd = pi_row(math.exp(d)).max()
     gamma_best = math.exp(0.5 * (a + b))
-    problem = SearchProblem(graph, target, gamma_best)
-    probs = success_probability(problem, np.asarray(times),
-                                dense_guard=dense_guard)
+    probs = pi_row(gamma_best)
     k = int(np.argmax(probs))
     return GammaMaxResult(
         gamma=float(gamma_best), t_star=float(np.asarray(times)[k]),
@@ -681,15 +682,12 @@ def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
     picks its Taylor degree and substep count from norm estimates of
     -i H dt so that each step reaches double precision.
     """
+    SearchProblem(graph, target, gamma)  # validates target and gamma
     t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
     if t_arr.size == 0:
         raise ConfigError("no times requested")
     if np.any(np.diff(t_arr) < 0.0) or t_arr[0] < 0.0:
         raise ConfigError("time grid must be ascending and nonnegative")
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ConfigError("gamma must be positive and finite")
-    if not (0 <= target < graph.n):
-        raise ConfigError(f"target {target} out of range")
     e_w = np.zeros(graph.n)
     e_w[target] = 1.0
     minus_ih = (-1j * (gamma * graph.laplacian_sparse() - sp.diags(e_w))).tocsr()

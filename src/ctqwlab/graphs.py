@@ -249,9 +249,6 @@ class GraphSpec:
             raise ConfigError(f"invalid graph spec JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def build(self) -> "Graph":
-        return build(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:

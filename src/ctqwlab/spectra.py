@@ -128,7 +128,9 @@ def eigh(matrix: np.ndarray, *,
 def laplacian_decomposition(graph: Graph, *,
                             dense_guard: int | None = DEFAULT_DENSE_GUARD
                             ) -> SpectralDecomposition:
-    """Eigendecomposition of the graph Laplacian L = Z - A."""
+    """Eigendecomposition of the graph Laplacian L = Z - A; the guard is
+    checked on N before L is formed."""
+    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
     return eigh(graph.laplacian(), dense_guard=dense_guard)
 
 

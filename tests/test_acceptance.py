@@ -19,7 +19,6 @@ from ctqwlab.engine import (
     default_time_grid,
     evolve_state,
     gamma_max_search,
-    hamiltonian_decomposition,
     oscillation_period,
     propagate_krylov,
     success_probability,
@@ -109,12 +108,12 @@ def test_criterion_2_complete_graph_grover_points():
         prob = SearchProblem(graph=build(GraphSpec(family=Family.COMPLETE,
                                                    n=n)),
                              target=0, gamma=1.0 / n)
-        dec = hamiltonian_decomposition(prob)
+        sums = spectral_sums(laplacian_decomposition(prob.graph), 0)
         t_half = math.pi * math.sqrt(n) / 2.0
         peak, trough = success_probability(prob, [t_half, 2.0 * t_half],
-                                           dec=dec)
+                                           sums=sums)
         times = default_time_grid(n)
-        probs = success_probability(prob, times, dec=dec)
+        probs = success_probability(prob, times, sums=sums)
         period = oscillation_period(times, probs)
         elapsed = time.perf_counter() - start
         if n == 3125:

@@ -116,14 +116,12 @@ def test_success_single_gamma_reports_period(tmp_path, capsys):
     assert stated == pytest.approx(math.pi * math.sqrt(n), rel=0.02)
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    base = ["success", "--family", "complete", "--n", "12",
-            "--gamma-min", "0.05", "--gamma-max", "0.12",
+def test_success_rerun_is_byte_identical(tmp_path):
+    base = ["success", "--family", "dsg", "--g", "3",
             "--gamma-count", "4", "--tmax", "20", "--t-count", "9"]
-    assert run(*base, "--threads", "1", "--out", tmp_path / "a") == 0
-    assert run(*base, "--threads", "2", "--out", tmp_path / "b") == 0
-    for name in ("success_complete_n12_matrix.csv",
-                 "success_complete_n12_long.csv"):
+    assert run(*base, "--out", tmp_path / "a") == 0
+    assert run(*base, "--out", tmp_path / "b") == 0
+    for name in ("success_dsg_g3_matrix.csv", "success_dsg_g3_long.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
 
@@ -139,6 +137,24 @@ def test_fit_powerlaw_artifact(tmp_path, capsys):
     assert data["residual"] < 0.05
     assert len(data["points"]) == 4
     assert "beta" in capsys.readouterr().out
+
+
+def test_fit_passes_the_dense_guard_to_the_alpha_fit(tmp_path, monkeypatch):
+    import ctqwlab.cli as cli
+
+    real = cli.fit_alpha
+    seen = []
+
+    def spy(specs, targets=None, *, dense_guard):
+        seen.append(dense_guard)
+        return real(specs, targets, dense_guard=dense_guard)
+
+    monkeypatch.setattr(cli, "fit_alpha", spy)
+    argv = ("fit", "--family", "dsg", "--g", "2..4", "--out", tmp_path)
+    assert run(*argv, "--dense-guard", "0") == 0
+    monkeypatch.setenv("CTQW_DENSE_GUARD", "500")
+    assert run(*argv) == 0
+    assert seen == [None, 500]
 
 
 def test_fit_log_model_for_trees(tmp_path):
@@ -266,6 +282,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert run("generate", "--config", conf, "--out", tmp_path) == 2
     msg = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "grammar" in msg["message"]
+    # sweeps run serially; there is no thread-count key
+    conf.write_text(json.dumps({"family": "dsg", "g": "3", "threads": 2}))
+    assert run("success", "--config", conf, "--out", tmp_path) == 2
+    msg = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "threads" in msg["message"]
 
 
 def test_module_entry_point_subprocess(tmp_path):

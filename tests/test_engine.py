@@ -14,6 +14,7 @@ from ctqwlab.engine import (
     default_time_grid,
     evolve_state,
     gamma_max_search,
+    hamiltonian_decomposition,
     overlap_sweep,
     overlap_sweep_csv,
     overlaps,
@@ -23,8 +24,15 @@ from ctqwlab.engine import (
     success_probability,
     verify_bounds,
 )
-from ctqwlab.errors import DenseGuardError, NoTransitionError
-from ctqwlab.graphs import Family, GraphSpec, build, default_target
+from ctqwlab.errors import ConfigError, DenseGuardError, NoTransitionError
+from ctqwlab.graphs import (
+    Family,
+    Graph,
+    GraphSpec,
+    build,
+    cartesian_product,
+    default_target,
+)
 from ctqwlab.oracles import complete_success
 from ctqwlab.spectra import laplacian_decomposition, spectral_sums
 
@@ -80,7 +88,6 @@ def test_complete_overlaps_against_two_level_block(n, gamma):
 def test_subset_and_full_paths_agree():
     g = _graph(Family.DSG, g=3)
     prob = SearchProblem(graph=g, target=0, gamma=0.8)
-    from ctqwlab.engine import hamiltonian_decomposition
     full = overlaps(prob, dec=hamiltonian_decomposition(prob))
     subset = overlaps(prob)
     for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq",
@@ -199,6 +206,18 @@ def test_krylov_matches_spectral_propagation():
     assert np.max(np.abs(spectral - krylov)) < 1e-8
 
 
+def test_krylov_rejects_bad_input():
+    g = _graph(Family.DSG, g=2)
+    times = np.linspace(0.0, 1.0, 3)
+    for target, gamma, t in ((-1, 1.0, times), (g.n, 1.0, times),
+                             (0, 0.0, times), (0, -1.0, times),
+                             (0, float("nan"), times), (0, math.inf, times),
+                             (0, 1.0, []), (0, 1.0, [0.0, 2.0, 1.0]),
+                             (0, 1.0, [-1.0, 0.0])):
+        with pytest.raises(ConfigError):
+            propagate_krylov(g, target, gamma, t)
+
+
 def test_krylov_long_horizon_accuracy():
     g = _graph(Family.DSG, g=4)
     times = np.linspace(0.0, 200.0, 81)
@@ -207,20 +226,84 @@ def test_krylov_long_horizon_accuracy():
     assert np.max(np.abs(spectral - krylov)) < 1e-8
 
 
-def test_success_grid_shape_and_threads():
+def test_success_grid_shape():
     g = _graph(Family.COMPLETE, n=20)
     gammas = [0.02, 0.05, 0.08]
     times = np.linspace(0.0, 40.0, 33)
-    serial = success_grid(g, 0, gammas, times)
-    threaded = success_grid(g, 0, gammas, times, threads=2)
-    assert serial.probabilities.shape == (3, 33)
-    assert np.array_equal(serial.probabilities, threaded.probabilities)
-    assert np.array_equal(serial.t_star, threaded.t_star)
-    assert np.array_equal(serial.pi_star, threaded.pi_star)
-    k = int(np.argmax(serial.pi_star))
-    row = serial.probabilities[k]
-    assert serial.pi_star[k] == row.max()
-    assert serial.t_star[k] == times[np.argmax(row)]
+    grid = success_grid(g, 0, gammas, times)
+    assert grid.probabilities.shape == (3, 33)
+    k = int(np.argmax(grid.pi_star))
+    row = grid.probabilities[k]
+    assert grid.pi_star[k] == row.max()
+    assert grid.t_star[k] == times[np.argmax(row)]
+
+
+def _random_graph(seed, n, p):
+    """Seeded connected graph: a random recursive tree (node i hangs from a
+    uniform earlier node) plus G(n, p) edges; p = 0 leaves the tree."""
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    extra = set(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return Graph.from_edges(n, sorted(tree | extra))
+
+
+def _family_case(**kw):
+    spec = GraphSpec(**kw)
+    return pytest.param(lambda: build(spec), default_target(spec),
+                        id=spec.label)
+
+
+MEASURE_CASES = [
+    _family_case(family=Family.COMPLETE, n=40),
+    _family_case(family=Family.CHAIN, L=31, periodic=False),
+    _family_case(family=Family.CHAIN, L=24),
+    _family_case(family=Family.TORUS, L=5, d=3),
+    _family_case(family=Family.DSG, g=4),
+    _family_case(family=Family.TFRACTAL, g=4),
+    _family_case(family=Family.CAYLEY_TREE, g=5),
+    pytest.param(lambda: cartesian_product(
+        _graph(Family.DSG, g=2), _graph(Family.CHAIN, L=4, periodic=False)),
+        5, id="product_dsg_g2_chain_L4_open"),
+    pytest.param(lambda: _random_graph(1, 60, 0.08), 3, id="gnp_60_seed1"),
+    pytest.param(lambda: _random_graph(2, 90, 0.05), 17, id="gnp_90_seed2"),
+    pytest.param(lambda: _random_graph(3, 120, 0.1), 0, id="gnp_120_seed3"),
+    pytest.param(lambda: _random_graph(4, 80, 0.0), 41, id="tree_80_seed4"),
+]
+
+
+@pytest.mark.parametrize("make_graph,target", MEASURE_CASES)
+def test_success_from_measure_matches_dense_hamiltonian(make_graph, target):
+    """pi(t) from the K x K Laplacian-measure matrix equals pi(t) from a
+    full eigendecomposition of H, at six couplings around xi1."""
+    graph = make_graph()
+    sums = spectral_sums(laplacian_decomposition(graph), target)
+    times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(graph.n), 257)
+    s = np.full(graph.n, 1.0 / math.sqrt(graph.n))
+    for gamma in np.geomspace(sums.xi1 / 8.0, 8.0 * sums.xi1, 6):
+        prob = SearchProblem(graph, target, float(gamma))
+        dec = hamiltonian_decomposition(prob)
+        coef = dec.eigenvectors[target] * (dec.eigenvectors.T @ s)
+        want = np.abs(np.exp(-1j * np.outer(times, dec.eigenvalues))
+                      @ coef) ** 2
+        got = success_probability(prob, times, sums=sums)
+        assert np.abs(got - want).max() <= 1e-12, gamma
+
+
+def test_success_rejects_sums_of_another_graph_or_target():
+    dsg = _graph(Family.DSG, g=2)
+    torus = _graph(Family.TORUS, L=3, d=2)  # also 9 nodes
+    sums = spectral_sums(laplacian_decomposition(dsg), 0)
+    times = np.linspace(0.0, 5.0, 6)
+    for graph, target in ((torus, 0), (dsg, 4), (_graph(Family.DSG, g=3), 0)):
+        with pytest.raises(ConfigError):
+            success_probability(SearchProblem(graph, target, 0.5), times,
+                                sums=sums)
+        with pytest.raises(ConfigError):
+            success_grid(graph, target, [0.5], times, sums=sums)
+    assert success_probability(SearchProblem(dsg, 0, 0.5), 0.0,
+                               sums=sums) == pytest.approx(1.0 / 9, abs=1e-12)
 
 
 def test_success_grid_csv_headers():

@@ -51,6 +51,27 @@ def test_eigh_dense_guard():
         eigh(m, dense_guard=10)
 
 
+def test_laplacian_guard_refuses_before_forming_l(monkeypatch):
+    from ctqwlab.engine import critical_gamma
+
+    formed = []
+    real = Graph.laplacian
+
+    def spy(self):
+        formed.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "laplacian", spy)
+    g = build(_spec(Family.DSG, g=3))
+    with pytest.raises(DenseGuardError):
+        laplacian_decomposition(g, dense_guard=10)
+    with pytest.raises(DenseGuardError):
+        critical_gamma(g, 0, dense_guard=10)
+    assert formed == []
+    laplacian_decomposition(g, dense_guard=27)
+    assert formed == [27]
+
+
 def test_complete_graph_groups():
     g = build(_spec(Family.COMPLETE, n=5))
     dec = laplacian_decomposition(g)
