@@ -14,7 +14,6 @@ guard exceeded.  Failures emit a one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -24,14 +23,15 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 
 from .analysis import ScalingModel, exponent_prediction, fit_scaling
 from .engine import (
     SearchProblem,
     critical_gamma,
     oscillation_period,
-    overlap_sweep,
     overlap_sweep_csv,
+    overlaps,
     propagate_krylov,
     success_grid,
     success_probability,
@@ -44,6 +44,7 @@ from .errors import (
     CtqwError,
     DenseGuardError,
     NumericalError,
+    check_dense_guard,
 )
 from .graphs import Family, Graph, GraphSpec, build, default_target
 from .oracles import (
@@ -53,7 +54,13 @@ from .oracles import (
     dsg_zeta_closed,
     dsg_zeta_direct,
 )
-from .spectra import fit_alpha, laplacian_decomposition, spectral_sums, spectrum_csv
+from .spectra import (
+    degeneracy_groups,
+    fit_alpha,
+    laplacian_decomposition,
+    spectrum_csv,
+    target_measure,
+)
 
 __all__ = ["main"]
 
@@ -254,6 +261,7 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
         target = default_target(spec)
         res = critical_gamma(graph, target, dense_guard=guard, **window)
         rows.append({
+            "measure": target_measure(graph, target, dense_guard=guard),
             "label": spec.label,
             "n": graph.n,
             "gamma_crit": res.gamma,
@@ -282,9 +290,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    guard = _dense_guard(args)
-    dec = laplacian_decomposition(build(spec), dense_guard=guard)
-    text = spectrum_csv(dec.eigenvalues, dec.group_index)
+    graph = build(spec)
+    check_dense_guard(graph.n, _dense_guard(args), "dense eigendecomposition")
+    values = sla.eigvalsh(graph.laplacian())
+    text = spectrum_csv(values, degeneracy_groups(values)[0])
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
     return 0
@@ -295,9 +304,10 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, graph, args)
-    gammas = _gamma_grid(args, lambda: spectral_sums(
-        laplacian_decomposition(graph, dense_guard=guard), target).xi1)
-    records = overlap_sweep(graph, target, gammas, dense_guard=guard)
+    gammas = _gamma_grid(
+        args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
+    records = [overlaps(SearchProblem(graph, target, float(g)),
+                        dense_guard=guard) for g in gammas]
     path = _write_atomic(Path(args.out) / f"overlaps_{spec.label}.csv",
                          overlap_sweep_csv(records))
     print(f"wrote {path}")
@@ -332,12 +342,10 @@ def cmd_success(args: argparse.Namespace) -> int:
     guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, graph, args)
-    measure = functools.cache(lambda: spectral_sums(
-        laplacian_decomposition(graph, dense_guard=guard), target))
-    gammas = _gamma_grid(args, lambda: measure().xi1)
+    gammas = _gamma_grid(
+        args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
     times = _time_grid(args, graph.n)
-    grid = success_grid(graph, target, gammas, times, sums=measure(),
-                        dense_guard=guard)
+    grid = success_grid(graph, target, gammas, times, dense_guard=guard)
     base = Path(args.out)
     p1 = _write_atomic(base / f"success_{spec.label}_matrix.csv",
                        grid.to_matrix_csv())
@@ -372,7 +380,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if model is ScalingModel.POWER and specs[0].spectral_dimension is not None:
         alpha_used = args.alpha
         if alpha_used is None:
-            alpha_used = fit_alpha(specs, dense_guard=guard).alpha
+            alpha_used = fit_alpha([row["measure"] for row in rows]).alpha
         prediction = exponent_prediction(specs[0], alpha_used)
     fit = fit_scaling(points, model, label=family.value,
                       prediction=prediction, alpha_used=alpha_used)

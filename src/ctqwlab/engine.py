@@ -3,7 +3,9 @@
 Overlaps and critical couplings come from dense eigensolves of H.
 Success probabilities come from the target's Laplacian measure
 (:class:`SpectralSums`), on which H is a K x K matrix, K the number of
-distinct Laplacian eigenvalues.  Past the dense guard,
+distinct Laplacian eigenvalues.  Every function here takes that measure
+from :func:`spectra.target_measure`, which decomposes L once per
+``Graph`` object and target.  Past the dense guard,
 :func:`propagate_krylov` applies exp(-i H dt) to the state with scipy's
 ``expm_multiply`` on the sparse H and never forms a dense matrix.
 """
@@ -32,8 +34,7 @@ from .spectra import (
     SpectralSums,
     eigh,
     group_labels,
-    laplacian_decomposition,
-    spectral_sums,
+    target_measure,
 )
 
 # Success probabilities are clipped into [0, 1] only after passing this
@@ -178,15 +179,6 @@ def overlaps(problem: SearchProblem, *,
     return rec
 
 
-def overlap_sweep(graph: Graph, target: NodeId, gammas: Sequence[float], *,
-                  dense_guard: int | None = DEFAULT_DENSE_GUARD
-                  ) -> list[OverlapRecord]:
-    return [
-        overlaps(SearchProblem(graph, target, float(g)), dense_guard=dense_guard)
-        for g in gammas
-    ]
-
-
 def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
     lines = ["gamma,sPsi0Sq,sPsi1Sq,wPsi0Sq,wPsi1Sq,E0,E1,degenerateE1"]
     for r in records:
@@ -215,7 +207,6 @@ class CriticalGamma:
 def critical_gamma(graph: Graph, target: NodeId, *,
                    gamma_floor: float = 1e-6,
                    gamma_ceiling: float = 1e6,
-                   sums: SpectralSums | None = None,
                    dense_guard: int | None = DEFAULT_DENSE_GUARD
                    ) -> CriticalGamma:
     """Locate the coupling where the uniform state moves from the first
@@ -227,10 +218,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     1e-9.  Raises :class:`NoTransitionError` when no sign change exists
     inside [gamma_floor, gamma_ceiling].
     """
-    if sums is None:
-        sums = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target
-        )
+    sums = target_measure(graph, target, dense_guard=dense_guard)
     evals = 0
 
     def f(gamma: float) -> float:
@@ -335,24 +323,17 @@ def evolve_state(problem: SearchProblem, t: float, *,
 
 
 def success_probability(problem: SearchProblem, t, *,
-                        sums: SpectralSums | None = None,
                         dense_guard: int | None = DEFAULT_DENSE_GUARD):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
 
-    With one basis vector per Laplacian group of ``sums`` (eigenvalue
-    lam_k, target weight a_k), H acts as gamma*diag(lam) - z z^T with
-    z_k = sqrt(a_k), and |s> is the zero-mode vector; the levels outside
-    that span are invisible to |w> and |s>, so the result is exact.  One
-    K x K eigensolve serves every requested time.
+    With one basis vector per group of the target's Laplacian measure
+    (eigenvalue lam_k, target weight a_k), H acts as
+    gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is the zero-mode
+    vector; the levels outside that span are invisible to |w> and |s>, so
+    the result is exact.  One K x K eigensolve serves every requested time.
     """
-    graph, target = problem.graph, problem.target
-    if sums is None:
-        sums = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target)
-    elif ((sums.n, sums.target) != (graph.n, target)
-          or abs(sums.multiplicities @ sums.group_eigenvalues
-                 - graph.degrees.sum()) > 1e-9 * graph.degrees.sum()):
-        raise ConfigError("spectral sums belong to another graph or target")
+    sums = target_measure(problem.graph, problem.target,
+                          dense_guard=dense_guard)
     z = np.sqrt(sums.group_amp_sq)
     dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
                - np.outer(z, z), dense_guard=dense_guard)
@@ -400,10 +381,9 @@ class SuccessGrid:
 
 def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
                  times: Sequence[float], *,
-                 sums: SpectralSums | None = None,
                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SuccessGrid:
-    """Sweep couplings; every row works from one Laplacian measure
-    (``sums``, computed here when not given)."""
+    """Sweep couplings; every row works from the target's one Laplacian
+    measure."""
     gam = np.asarray([float(g) for g in gammas], dtype=np.float64)
     t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
     if gam.size == 0 or t_arr.size == 0:
@@ -412,12 +392,9 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
         raise ConfigError("couplings must be positive and finite")
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
-    if sums is None:
-        sums = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target)
     probs = np.vstack([
         success_probability(SearchProblem(graph, target, g), t_arr,
-                            sums=sums, dense_guard=dense_guard)
+                            dense_guard=dense_guard)
         for g in gam.tolist()
     ])
     best = np.argmax(probs, axis=1)
@@ -488,15 +465,12 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     if coarse < 3:
         raise ConfigError("coarse grid needs at least three points")
     grid = np.geomspace(gamma_center / span, gamma_center * span, coarse)
-    sums = spectral_sums(
-        laplacian_decomposition(graph, dense_guard=dense_guard), target)
-    sweep = success_grid(graph, target, grid, times, sums=sums,
-                         dense_guard=dense_guard)
+    sweep = success_grid(graph, target, grid, times, dense_guard=dense_guard)
     best = int(np.argmax(sweep.pi_star))
 
     def pi_row(gamma: float) -> np.ndarray:
         return success_probability(SearchProblem(graph, target, gamma),
-                                   np.asarray(times), sums=sums,
+                                   np.asarray(times),
                                    dense_guard=dense_guard)
 
     lo = grid[max(best - 1, 0)]
@@ -586,7 +560,6 @@ def _resolvent_diagonal(sums: SpectralSums, gamma: float, energy: float) -> floa
 
 def verify_bounds(graph: Graph, target: NodeId,
                   gammas: Sequence[float] | None = None, *,
-                  sums: SpectralSums | None = None,
                   dense_guard: int | None = DEFAULT_DENSE_GUARD) -> BoundReport:
     """Check the perturbative overlap/energy bounds and the resolvent
     identities at several couplings.
@@ -599,10 +572,7 @@ def verify_bounds(graph: Graph, target: NodeId,
     F(E_a) = 1 and the residue relation |<s|psi_a>|^2 = R_a / (N E_a^2)
     are verified for the nondegenerate levels.
     """
-    if sums is None:
-        sums = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target
-        )
+    sums = target_measure(graph, target, dense_guard=dense_guard)
     xi1, xi2 = sums.xi1, sums.xi2
     n = graph.n
     if gammas is None:

@@ -1,13 +1,18 @@
 """Dense symmetric eigendecomposition with degeneracy bookkeeping, plus the
-inverse-eigenvalue sums that control the search transition.
+target's Laplacian spectral measure that controls the search transition.
 
 Degenerate subspaces deserve care: individual eigenvectors inside one are
 basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
 tolerance of 1e-8 times the spectral range.
+
+:func:`target_measure` hands the measure to the engine and the CLI: it
+decomposes L once per ``Graph`` object and target and keeps only the
+K-sized :class:`SpectralSums`, never the eigenvectors.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +25,7 @@ from .errors import (
     NumericalError,
     check_dense_guard,
 )
-from .graphs import Graph, GraphSpec, NodeId, build, default_target
+from .graphs import Graph, NodeId
 
 # Relative spacing below which adjacent eigenvalues are treated as one
 # degenerate group.
@@ -92,7 +97,9 @@ def group_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _group_eigenvalues(values: np.ndarray) -> tuple[np.ndarray, float]:
+def degeneracy_groups(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Group labels of an ascending spectrum under the relative tolerance
+    ``DEGENERACY_RTOL`` times its range, and that tolerance."""
     spread = float(values[-1] - values[0]) if values.size else 0.0
     tol = DEGENERACY_RTOL * spread
     return group_labels(values, tol), tol
@@ -118,7 +125,7 @@ def eigh(matrix: np.ndarray, *,
         )
     values, vectors = sla.eigh(m)
     vectors = _fix_signs(vectors)
-    labels, tol = _group_eigenvalues(values)
+    labels, tol = degeneracy_groups(values)
     return SpectralDecomposition(
         eigenvalues=values, eigenvectors=vectors, group_index=labels,
         group_tol=tol,
@@ -159,14 +166,16 @@ class SpectralSums:
     max_amp_sq: float
     group_eigenvalues: np.ndarray  # per group, ascending; first entry 0
     multiplicities: np.ndarray     # int64 per group
-    group_amp_sq: np.ndarray       # summed |a_k|^2 per group
+    group_amp_sq: np.ndarray       # summed |a_k|^2 per group; first 1/N
 
 
 def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     """Compute :class:`SpectralSums` from a Laplacian decomposition.
 
     The lowest eigenvalue must be the simple zero mode of a connected
-    graph; its amplitude must match the uniform value 1/N to 1e-10.
+    graph; its amplitude must match the uniform value 1/N to 1e-10.  Both
+    are then set to their exact values, 0 and 1/N (L 1 = 0 holds exactly),
+    so no eigensolver roundoff in the zero mode reaches gamma * lam_0.
     """
     n = dec.n
     if not (0 <= target < n):
@@ -187,6 +196,8 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
         raise NumericalError(
             f"zero-mode weight {group_amp_sq[0]:.3e} deviates from 1/N"
         )
+    group_vals[0] = 0.0
+    group_amp_sq[0] = uniform
     lam = dec.eigenvalues[slices[0].stop:]
     w_sq = amp_sq[slices[0].stop:]
     zeta1 = float(np.sum(1.0 / lam))
@@ -194,6 +205,9 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     xi1 = float(np.sum(w_sq / lam))
     xi2 = float(np.sum(w_sq / lam**2))
     per_mode = group_amp_sq[1:] / mults[1:]
+    # target_measure shares one instance among all its callers.
+    for arr in (group_vals, mults, group_amp_sq):
+        arr.flags.writeable = False
     return SpectralSums(
         n=n, target=target, zeta1=zeta1, zeta2=zeta2, xi1=xi1, xi2=xi2,
         max_amp_sq=float(per_mode.max()),
@@ -202,15 +216,24 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     )
 
 
-def spectral_sums_for(spec: GraphSpec, target: NodeId | None = None, *,
-                      dense_guard: int | None = DEFAULT_DENSE_GUARD
-                      ) -> SpectralSums:
-    """Convenience: build the graph, decompose its Laplacian, and sum."""
-    graph = build(spec)
-    if target is None:
-        target = default_target(spec)
-    return spectral_sums(laplacian_decomposition(graph, dense_guard=dense_guard),
-                         target)
+# Measures per Graph object and target.  Keyed by identity, so a rebuilt
+# graph computes its own; the entry goes when the graph is collected.
+_MEASURES: weakref.WeakKeyDictionary[Graph, dict[NodeId, SpectralSums]] = \
+    weakref.WeakKeyDictionary()
+
+
+def target_measure(graph: Graph, target: NodeId, *,
+                   dense_guard: int | None = DEFAULT_DENSE_GUARD
+                   ) -> SpectralSums:
+    """The target's Laplacian spectral measure, decomposed once per
+    ``Graph`` object and target.  The dense guard is checked on every
+    call, a cached one included."""
+    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    per_graph = _MEASURES.setdefault(graph, {})
+    if target not in per_graph:
+        per_graph[target] = spectral_sums(
+            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+    return per_graph[target]
 
 
 # -- amplitude scaling --------------------------------------------------------
@@ -245,27 +268,18 @@ def loglog_fit(x: Sequence[float], y: Sequence[float]
     return float(coef[0]), float(coef[1]), rms
 
 
-def fit_alpha(specs: Sequence[GraphSpec],
-              targets: Sequence[NodeId] | None = None, *,
-              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> AlphaFit:
-    """Fit the size scaling of the largest target amplitude over a family.
+def fit_alpha(measures: Sequence[SpectralSums]) -> AlphaFit:
+    """Fit the size scaling of the largest target amplitude over a family,
+    one target measure per graph size.
 
-    Needs at least three specs of increasing size.  The fit is flagged
+    Needs at least three measures of distinct sizes.  The fit is flagged
     (but still returned) when alpha leaves [-1, 0), the admissible window
     for the structures handled here.
     """
-    if len(specs) < 3:
+    if len(measures) < 3:
         raise ConfigError("alpha fit needs at least three graph sizes")
-    if targets is None:
-        targets = [default_target(s) for s in specs]
-    if len(targets) != len(specs):
-        raise ConfigError("one target per spec is required")
-    sizes: list[int] = []
-    values: list[float] = []
-    for spec, target in zip(specs, targets):
-        sums = spectral_sums_for(spec, target, dense_guard=dense_guard)
-        sizes.append(sums.n)
-        values.append(sums.max_amp_sq)
+    sizes = [m.n for m in measures]
+    values = [m.max_amp_sq for m in measures]
     if len(set(sizes)) < len(sizes):
         raise ConfigError("alpha fit needs distinct graph sizes")
     alpha, intercept, rms = loglog_fit(sizes, values)

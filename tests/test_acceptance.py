@@ -37,7 +37,7 @@ from ctqwlab.oracles import (
     dsg_zeta_closed,
     dsg_zeta_direct,
 )
-from ctqwlab.spectra import fit_alpha, laplacian_decomposition, spectral_sums
+from ctqwlab.spectra import fit_alpha, target_measure
 
 
 def _line(num, ok, detail):
@@ -108,12 +108,10 @@ def test_criterion_2_complete_graph_grover_points():
         prob = SearchProblem(graph=build(GraphSpec(family=Family.COMPLETE,
                                                    n=n)),
                              target=0, gamma=1.0 / n)
-        sums = spectral_sums(laplacian_decomposition(prob.graph), 0)
         t_half = math.pi * math.sqrt(n) / 2.0
-        peak, trough = success_probability(prob, [t_half, 2.0 * t_half],
-                                           sums=sums)
+        peak, trough = success_probability(prob, [t_half, 2.0 * t_half])
         times = default_time_grid(n)
-        probs = success_probability(prob, times, sums=sums)
+        probs = success_probability(prob, times)
         period = oscillation_period(times, probs)
         elapsed = time.perf_counter() - start
         if n == 3125:
@@ -235,15 +233,20 @@ def test_criterion_5_tfractal_exponent_stated_window(gamma_table):
 # --------------------------------------------------------------- criterion 6
 
 
+def _alpha_fit(specs):
+    return fit_alpha([target_measure(build(s), default_target(s))
+                      for s in specs])
+
+
 def test_criterion_6_amplitude_decay_exponents():
-    dsg = fit_alpha([GraphSpec(family=Family.DSG, g=g)
-                     for g in range(3, 8)])
-    tfr = fit_alpha([GraphSpec(family=Family.TFRACTAL, g=g)
-                     for g in range(3, 8)])
-    t1 = fit_alpha([GraphSpec(family=Family.TORUS, L=L, d=1)
-                    for L in (16, 32, 64, 128)])
-    t2 = fit_alpha([GraphSpec(family=Family.TORUS, L=L, d=2)
-                    for L in (6, 8, 12, 16)])
+    dsg = _alpha_fit([GraphSpec(family=Family.DSG, g=g)
+                      for g in range(3, 8)])
+    tfr = _alpha_fit([GraphSpec(family=Family.TFRACTAL, g=g)
+                      for g in range(3, 8)])
+    t1 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=1)
+                     for L in (16, 32, 64, 128)])
+    t2 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=2)
+                     for L in (6, 8, 12, 16)])
     ok = (abs(dsg.alpha + 0.9) <= 0.05 and abs(tfr.alpha + 0.9) <= 0.05
           and abs(t1.alpha + 1.0) <= 1e-9 and abs(t1.c - 1.0) <= 1e-9
           and abs(t2.alpha + 1.0) <= 1e-9 and abs(t2.c - 1.0) <= 1e-9)
@@ -374,8 +377,7 @@ def test_criterion_8_property_bundle():
                  GraphSpec(family=Family.TORUS, L=6, d=2)):
         graph = build(spec)
         w = default_target(spec)
-        sums = spectral_sums(laplacian_decomposition(graph), w)
-        report = verify_bounds(graph, w, sums=sums)
+        report = verify_bounds(graph, w)
         bounds_ok &= report.all_satisfied
     ok &= bounds_ok
     notes.append("two-level bounds + unit residues at 6 couplings x 4 graphs")

@@ -54,6 +54,28 @@ def test_spectrum_artifact_and_rerun_identical(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_spectrum_computes_no_eigenvectors(tmp_path, monkeypatch):
+    import ctqwlab.cli as cli
+    from ctqwlab import spectra
+    from ctqwlab.graphs import GraphSpec, build
+
+    ref = spectra.laplacian_decomposition(
+        build(GraphSpec(family="tfractal", g=4)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum ran a full eigendecomposition")
+
+    monkeypatch.setattr(spectra, "laplacian_decomposition", refuse)
+    monkeypatch.setattr(cli, "laplacian_decomposition", refuse)
+    assert run("spectrum", "--family", "tfractal", "--g", "4",
+               "--out", tmp_path) == 0
+    rows = (tmp_path / "spectrum_tfractal_g4.csv").read_text().splitlines()[1:]
+    values = np.array([float(r.split(",")[1]) for r in rows])
+    labels = [int(r.split(",")[2]) for r in rows]
+    assert np.abs(values - ref.eigenvalues).max() <= 1e-12
+    assert labels == ref.group_index.tolist()
+
+
 def test_overlaps_csv_values_round_trip(tmp_path):
     assert run("overlaps", "--family", "complete", "--n", "32",
                "--gamma-min", "0.01", "--gamma-max", "0.08",
@@ -139,22 +161,18 @@ def test_fit_powerlaw_artifact(tmp_path, capsys):
     assert "beta" in capsys.readouterr().out
 
 
-def test_fit_passes_the_dense_guard_to_the_alpha_fit(tmp_path, monkeypatch):
-    import ctqwlab.cli as cli
-
-    real = cli.fit_alpha
-    seen = []
-
-    def spy(specs, targets=None, *, dense_guard):
-        seen.append(dense_guard)
-        return real(specs, targets, dense_guard=dense_guard)
-
-    monkeypatch.setattr(cli, "fit_alpha", spy)
+def test_fit_decomposes_each_spec_once_with_the_resolved_guard(
+        tmp_path, monkeypatch, decompositions):
+    """The critical couplings and the alpha fit share one Laplacian measure
+    per spec, decomposed under the guard the flag or the environment set."""
     argv = ("fit", "--family", "dsg", "--g", "2..4", "--out", tmp_path)
     assert run(*argv, "--dense-guard", "0") == 0
+    assert decompositions == [None] * 3
     monkeypatch.setenv("CTQW_DENSE_GUARD", "500")
     assert run(*argv) == 0
-    assert seen == [None, 500]
+    assert decompositions == [None] * 3 + [500] * 3
+    data = json.loads((tmp_path / "fit_dsg_power.json").read_text())
+    assert data["alpha_used"] is not None
 
 
 def test_fit_log_model_for_trees(tmp_path):

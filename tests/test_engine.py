@@ -15,7 +15,6 @@ from ctqwlab.engine import (
     evolve_state,
     gamma_max_search,
     hamiltonian_decomposition,
-    overlap_sweep,
     overlap_sweep_csv,
     overlaps,
     oscillation_period,
@@ -24,7 +23,12 @@ from ctqwlab.engine import (
     success_probability,
     verify_bounds,
 )
-from ctqwlab.errors import ConfigError, DenseGuardError, NoTransitionError
+from ctqwlab.errors import (
+    DEFAULT_DENSE_GUARD,
+    ConfigError,
+    DenseGuardError,
+    NoTransitionError,
+)
 from ctqwlab.graphs import (
     Family,
     Graph,
@@ -34,7 +38,7 @@ from ctqwlab.graphs import (
     default_target,
 )
 from ctqwlab.oracles import complete_success
-from ctqwlab.spectra import laplacian_decomposition, spectral_sums
+from ctqwlab.spectra import target_measure
 
 
 def _graph(family, **kw):
@@ -112,7 +116,8 @@ def test_root_target_degenerate_first_excited(family):
 
 def test_overlap_sweep_csv_shape():
     g = _graph(Family.COMPLETE, n=8)
-    recs = overlap_sweep(g, 0, [0.05, 0.125, 0.3])
+    recs = [overlaps(SearchProblem(g, 0, gamma))
+            for gamma in (0.05, 0.125, 0.3)]
     text = overlap_sweep_csv(recs)
     lines = text.strip().splitlines()
     assert lines[0] == "gamma,sPsi0Sq,sPsi1Sq,wPsi0Sq,wPsi1Sq,E0,E1,degenerateE1"
@@ -141,10 +146,50 @@ def test_critical_gamma_complete():
 
 def test_critical_gamma_accepts_precomputed_sums():
     g = _graph(Family.DSG, g=2)
-    sums = spectral_sums(laplacian_decomposition(g), 0)
-    res = critical_gamma(g, 0, sums=sums)
+    sums = target_measure(g, 0)
+    res = critical_gamma(g, 0)
     assert res.xi1 == sums.xi1
     assert res.residual <= 1e-6
+
+
+def test_measure_is_decomposed_once_per_graph_and_target(decompositions):
+    g = _graph(Family.DSG, g=3)
+    times = np.linspace(0.0, 5.0, 6)
+    first = critical_gamma(g, 0)
+    assert len(decompositions) == 1
+    again = critical_gamma(g, 0)
+    verify_bounds(g, 0)
+    success_grid(g, 0, [0.5, 1.0], times)
+    success_probability(SearchProblem(g, 0, 0.7), times)
+    assert len(decompositions) == 1
+    assert (again.gamma, again.xi1) == (first.gamma, first.xi1)
+    # The memo is per Graph object: a rebuilt graph decomposes again.
+    target_measure(_graph(Family.DSG, g=3), 0)
+    assert len(decompositions) == 2
+
+
+def test_each_target_gets_its_own_measure(decompositions):
+    g = _graph(Family.DSG, g=3)
+    apex = target_measure(g, 0)
+    interior = target_measure(g, 4)
+    assert len(decompositions) == 2
+    assert apex.xi1 == pytest.approx(1.432099, abs=1e-6)
+    assert interior.xi1 == pytest.approx(0.744691, abs=1e-6)
+    assert target_measure(g, 0) is apex
+    with pytest.raises(ValueError):
+        apex.group_amp_sq[0] = 0.5  # shared, so read-only
+    assert critical_gamma(g, 4).xi1 == interior.xi1
+    assert len(decompositions) == 2
+
+
+def test_cached_measure_still_checks_the_dense_guard(decompositions):
+    g = _graph(Family.DSG, g=3)
+    target_measure(g, 0)
+    with pytest.raises(DenseGuardError):
+        target_measure(g, 0, dense_guard=10)
+    with pytest.raises(DenseGuardError):
+        success_probability(SearchProblem(g, 0, 0.5), 1.0, dense_guard=10)
+    assert decompositions == [DEFAULT_DENSE_GUARD]
 
 
 def test_critical_gamma_no_transition_window():
@@ -278,7 +323,7 @@ def test_success_from_measure_matches_dense_hamiltonian(make_graph, target):
     """pi(t) from the K x K Laplacian-measure matrix equals pi(t) from a
     full eigendecomposition of H, at six couplings around xi1."""
     graph = make_graph()
-    sums = spectral_sums(laplacian_decomposition(graph), target)
+    sums = target_measure(graph, target)
     times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(graph.n), 257)
     s = np.full(graph.n, 1.0 / math.sqrt(graph.n))
     for gamma in np.geomspace(sums.xi1 / 8.0, 8.0 * sums.xi1, 6):
@@ -287,23 +332,8 @@ def test_success_from_measure_matches_dense_hamiltonian(make_graph, target):
         coef = dec.eigenvectors[target] * (dec.eigenvectors.T @ s)
         want = np.abs(np.exp(-1j * np.outer(times, dec.eigenvalues))
                       @ coef) ** 2
-        got = success_probability(prob, times, sums=sums)
+        got = success_probability(prob, times)
         assert np.abs(got - want).max() <= 1e-12, gamma
-
-
-def test_success_rejects_sums_of_another_graph_or_target():
-    dsg = _graph(Family.DSG, g=2)
-    torus = _graph(Family.TORUS, L=3, d=2)  # also 9 nodes
-    sums = spectral_sums(laplacian_decomposition(dsg), 0)
-    times = np.linspace(0.0, 5.0, 6)
-    for graph, target in ((torus, 0), (dsg, 4), (_graph(Family.DSG, g=3), 0)):
-        with pytest.raises(ConfigError):
-            success_probability(SearchProblem(graph, target, 0.5), times,
-                                sums=sums)
-        with pytest.raises(ConfigError):
-            success_grid(graph, target, [0.5], times, sums=sums)
-    assert success_probability(SearchProblem(dsg, 0, 0.5), 0.0,
-                               sums=sums) == pytest.approx(1.0 / 9, abs=1e-12)
 
 
 def test_success_grid_csv_headers():
@@ -345,8 +375,7 @@ def test_gamma_max_search_complete_smoke():
 
 def test_verify_bounds_clean_on_generic_target():
     g = _graph(Family.DSG, g=3)
-    sums = spectral_sums(laplacian_decomposition(g), 0)
-    report = verify_bounds(g, 0, sums=sums)
+    report = verify_bounds(g, 0)
     assert report.all_satisfied
     assert not report.failures()
     names = {c.name for c in report.checks}
@@ -358,8 +387,7 @@ def test_verify_bounds_clean_on_generic_target():
 
 def test_verify_bounds_skips_floor_on_degenerate_axis():
     g = _graph(Family.CAYLEY_TREE, g=3)
-    sums = spectral_sums(laplacian_decomposition(g), 0)
-    report = verify_bounds(g, 0, sums=sums)
+    report = verify_bounds(g, 0)
     skipped = [c for c in report.checks if c.satisfied is None]
     assert skipped, "expected the two-level floor bound to be waived"
     assert all("degenerate" in c.note for c in skipped)

@@ -8,20 +8,31 @@ import pytest
 import scipy.sparse as sp
 
 from ctqwlab.errors import ConfigError, DenseGuardError
-from ctqwlab.graphs import Family, Graph, GraphSpec, build, cartesian_product
+from ctqwlab.graphs import (
+    Family,
+    Graph,
+    GraphSpec,
+    build,
+    cartesian_product,
+    default_target,
+)
 from ctqwlab.spectra import (
     eigh,
     fit_alpha,
     laplacian_decomposition,
     loglog_fit,
     spectral_sums,
-    spectral_sums_for,
     spectrum_csv,
+    target_measure,
 )
 
 
 def _spec(family, **kw):
     return GraphSpec(family=family, **kw)
+
+
+def _measures(specs):
+    return [target_measure(build(s), default_target(s)) for s in specs]
 
 
 def test_eigh_reconstructs_matrix():
@@ -172,7 +183,7 @@ def test_spectral_sums_rejects_bad_target():
 
 def test_fit_alpha_torus_exact():
     specs = [_spec(Family.TORUS, L=L, d=2) for L in (4, 6, 8, 10)]
-    fit = fit_alpha(specs)
+    fit = fit_alpha(_measures(specs))
     assert math.isclose(fit.alpha, -1.0, abs_tol=1e-9)
     assert math.isclose(fit.c, 1.0, rel_tol=1e-9)
     assert fit.residual < 1e-9
@@ -181,11 +192,9 @@ def test_fit_alpha_torus_exact():
 
 def test_fit_alpha_validation():
     with pytest.raises(ConfigError):
-        fit_alpha([_spec(Family.TORUS, L=4, d=2)])
+        fit_alpha(_measures([_spec(Family.TORUS, L=4, d=2)]))
     with pytest.raises(ConfigError):
-        fit_alpha([_spec(Family.TORUS, L=4, d=2),
-                   _spec(Family.TORUS, L=4, d=2),
-                   _spec(Family.TORUS, L=4, d=2)])
+        fit_alpha(_measures([_spec(Family.TORUS, L=4, d=2)] * 3))
 
 
 def test_loglog_fit_recovers_powerlaw():
@@ -215,9 +224,10 @@ def test_spectrum_csv_format():
         assert float(f"{float(val):.17g}") == float(val)
 
 
-def test_spectral_sums_for_uses_default_target():
-    spec = _spec(Family.DSG, g=2)
-    by_spec = spectral_sums_for(spec)
-    direct = spectral_sums(laplacian_decomposition(build(spec)), target=0)
-    assert by_spec.zeta1 == direct.zeta1
-    assert by_spec.max_amp_sq == direct.max_amp_sq
+def test_spectral_sums_pin_the_zero_mode():
+    """L 1 = 0 exactly, so the zero mode is stored as exactly 0 with weight
+    exactly 1/N, not as the eigensolver's roundoff."""
+    dec = laplacian_decomposition(build(_spec(Family.DSG, g=3)))
+    sums = spectral_sums(dec, 0)
+    assert sums.group_eigenvalues[0] == 0.0
+    assert sums.group_amp_sq[0] == 1.0 / 27
