@@ -1,6 +1,8 @@
 """Search-Hamiltonian engine: H = gamma * L - |w><w|.
 
-Overlaps and critical couplings come from dense eigensolves of H.
+Overlaps and critical couplings come from dense eigensolves of H; a
+critical coupling takes about seven of them, Brent's method on the overlap
+difference after a doubling search for a sign change.
 Success probabilities come from the target's Laplacian measure
 (:class:`SpectralSums`), on which H is a K x K matrix, K the number of
 distinct Laplacian eigenvalues.  Every function here takes that measure
@@ -40,9 +42,10 @@ from .spectra import (
 # Success probabilities are clipped into [0, 1] only after passing this
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
-# Relative bracket width that ends the crossing bisection, and the largest
-# overlap difference accepted at the returned coupling.
-_BISECT_RTOL = 1e-9
+# Relative width of the sign-change bracket that ends the crossing root
+# search, and the largest overlap difference accepted at the returned
+# coupling.
+_ROOT_RTOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 
 
@@ -214,9 +217,15 @@ def critical_gamma(graph: Graph, target: NodeId, *,
 
     The bracket search starts at xi1 (the weighted inverse-eigenvalue sum,
     which approximates the crossing) and expands geometrically by factors
-    of two; bisection then narrows the bracket to a relative width of
-    1e-9.  Raises :class:`NoTransitionError` when no sign change exists
-    inside [gamma_floor, gamma_ceiling].
+    of two; Brent's method (inverse-quadratic and secant steps, bisection
+    when a step is refused) then narrows the sign-change bracket to a
+    relative width of 1e-9, about five dense evaluations on a smooth
+    crossing.  ``gamma`` is the bracket end with the smaller overlap
+    difference, and ``residual`` that difference's magnitude.  Raises
+    :class:`NoTransitionError` when no sign change exists inside
+    [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
+    difference at the converged coupling is not small (a jump, not a
+    crossing).
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
     evals = 0
@@ -259,24 +268,50 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             if f_hi > 0.0:
                 break
             lo, f_lo = hi, f_hi
-    while hi - lo > _BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    # Brent's zeroin on the sign-change pair (b, c): b holds the smaller
+    # |f|, a the previous b.  An inverse-quadratic (or secant) step is taken
+    # when it lands well inside the bracket and shrinks faster than
+    # bisection would; otherwise the step bisects.  Steps are never shorter
+    # than tol, so the last one closes the bracket to tol across the root.
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * _ROOT_RTOL * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
             break
-        f_mid = f(mid)
-        if f_mid >= 0.0:
-            hi, f_hi = mid, f_mid
+        p = q = 0.0
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+        if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+            e, d = d, p / q
         else:
-            lo, f_lo = mid, f_mid
-    gamma = 0.5 * (lo + hi)
-    residual = abs(f(gamma))
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    gamma, residual = b, abs(fb)
     if residual > _RESIDUAL_TOL:
         raise NumericalError(
             f"crossing residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
-                         xi1=sums.xi1, evaluations=evals)
+    return CriticalGamma(gamma=gamma, bracket=(min(b, c), max(b, c)),
+                         residual=residual, xi1=sums.xi1, evaluations=evals)
 
 
 def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,

@@ -13,6 +13,18 @@ settings.register_profile(
 settings.load_profile("ctqwlab")
 
 
+def _replace_decomposition(monkeypatch, stand_in):
+    """Put ``stand_in`` in place of every ctqwlab module's binding of
+    ``laplacian_decomposition``."""
+    from ctqwlab import spectra
+
+    real = spectra.laplacian_decomposition
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ctqwlab") and \
+                getattr(module, "laplacian_decomposition", None) is real:
+            monkeypatch.setattr(module, "laplacian_decomposition", stand_in)
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """Record the dense guard of every Laplacian decomposition, through
@@ -26,8 +38,15 @@ def decompositions(monkeypatch):
         seen.append(kwargs.get("dense_guard"))
         return real(graph, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ctqwlab") and \
-                getattr(module, "laplacian_decomposition", None) is real:
-            monkeypatch.setattr(module, "laplacian_decomposition", spy)
+    _replace_decomposition(monkeypatch, spy)
     return seen
+
+
+@pytest.fixture
+def no_decompositions(monkeypatch):
+    """Make every Laplacian decomposition raise, whichever ctqwlab module's
+    binding of it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full Laplacian eigendecomposition ran")
+
+    _replace_decomposition(monkeypatch, refuse)

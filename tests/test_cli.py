@@ -54,19 +54,13 @@ def test_spectrum_artifact_and_rerun_identical(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_spectrum_computes_no_eigenvectors(tmp_path, monkeypatch):
-    import ctqwlab.cli as cli
+def test_spectrum_computes_no_eigenvectors(tmp_path, request):
     from ctqwlab import spectra
     from ctqwlab.graphs import GraphSpec, build
 
     ref = spectra.laplacian_decomposition(
         build(GraphSpec(family="tfractal", g=4)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("spectrum ran a full eigendecomposition")
-
-    monkeypatch.setattr(spectra, "laplacian_decomposition", refuse)
-    monkeypatch.setattr(cli, "laplacian_decomposition", refuse)
+    request.getfixturevalue("no_decompositions")
     assert run("spectrum", "--family", "tfractal", "--g", "4",
                "--out", tmp_path) == 0
     rows = (tmp_path / "spectrum_tfractal_g4.csv").read_text().splitlines()[1:]
@@ -209,6 +203,22 @@ def test_oracle_krylov_check(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_dsg_spectrum_oracle_computes_no_eigenvectors(capsys, request):
+    from ctqwlab import spectra
+    from ctqwlab.graphs import GraphSpec, build
+    from ctqwlab.oracles import dsg_exact_spectrum
+
+    dec = spectra.laplacian_decomposition(build(GraphSpec(family="dsg", g=4)))
+    before = float(np.abs(dec.eigenvalues - dsg_exact_spectrum(4).expand()).max())
+    request.getfixturevalue("no_decompositions")
+    assert run("oracle", "--check", "dsg-spectrum") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert abs(report["max_error"] - before) <= 1e-12
+    # N = 81 for g = 4, above a guard of 50: exit 4.
+    assert run("oracle", "--check", "dsg-spectrum", "--dense-guard", "50") == 4
+
+
 def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     cases = [
         ("generate", "--family", "moebius", "--n", "8"),
@@ -314,3 +324,15 @@ def test_module_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert (tmp_path / "edges_complete_n6.txt").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs about 0.1 s and 15 MB to import; no command
+    needs it, so importing the CLI must not load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctqwlab.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -28,6 +28,7 @@ from ctqwlab.errors import (
     ConfigError,
     DenseGuardError,
     NoTransitionError,
+    NumericalError,
 )
 from ctqwlab.graphs import (
     Family,
@@ -43,6 +44,23 @@ from ctqwlab.spectra import target_measure
 
 def _graph(family, **kw):
     return build(GraphSpec(family=family, **kw))
+
+
+def _random_graph(seed, n, p):
+    """Seeded connected graph: a random recursive tree (node i hangs from a
+    uniform earlier node) plus G(n, p) edges; p = 0 leaves the tree."""
+    rng = np.random.default_rng(seed)
+    tree = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    extra = set(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return Graph.from_edges(n, sorted(tree | extra))
+
+
+def _family_case(**kw):
+    spec = GraphSpec(**kw)
+    return pytest.param(lambda: build(spec), default_target(spec),
+                        id=spec.label)
 
 
 def test_hamiltonian_by_hand():
@@ -198,6 +216,97 @@ def test_critical_gamma_no_transition_window():
         critical_gamma(g, 0, gamma_floor=100.0, gamma_ceiling=1000.0)
 
 
+def _overlap_difference(graph, target, gamma):
+    rec = overlaps(SearchProblem(graph, target, gamma))
+    return rec.s_psi0_sq - rec.s_psi1_sq
+
+
+ROOT_CASES = [
+    *(_family_case(family=Family.COMPLETE, n=n) for n in (16, 32, 64)),
+    *(_family_case(family=Family.DSG, g=g) for g in (2, 3, 4, 5)),
+    *(_family_case(family=Family.TFRACTAL, g=g) for g in (3, 4, 5)),
+    *(_family_case(family=Family.CAYLEY_TREE, g=g) for g in range(3, 8)),
+    *(_family_case(family=Family.TORUS, L=L, d=2) for L in (8, 16)),
+    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
+    pytest.param(lambda: _random_graph(6, 80, 0.05), 26, id="gnp_80_seed6"),
+    pytest.param(lambda: _random_graph(7, 120, 0.03), 40, id="gnp_120_seed7"),
+]
+
+
+@pytest.mark.parametrize("make_graph,target", ROOT_CASES)
+def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
+    """Brent's method ends in a few evaluations on a bracket of relative
+    width 1e-9 holding gamma, and agrees with a plain bisection of the
+    overlap difference, run here from [gamma/2, 2 gamma] to width 1e-12."""
+    graph = make_graph()
+    res = critical_gamma(graph, target)
+    lo, hi = res.bracket
+    assert res.evaluations <= 10
+    assert lo <= res.gamma <= hi
+    assert hi - lo <= 1e-9 * res.gamma
+    a, b = res.gamma / 2.0, res.gamma * 2.0
+    assert _overlap_difference(graph, target, a) < 0.0
+    assert _overlap_difference(graph, target, b) > 0.0
+    while b - a > 1e-12 * b:
+        mid = 0.5 * (a + b)
+        if _overlap_difference(graph, target, mid) >= 0.0:
+            b = mid
+        else:
+            a = mid
+    assert res.gamma == pytest.approx(0.5 * (a + b), rel=1e-9, abs=0.0)
+
+
+@pytest.fixture
+def synthetic_difference(monkeypatch):
+    """Replace the dense overlaps with a difference chosen by the test;
+    returns the graph (dsg g2, target 0) and the list of couplings asked."""
+    from types import SimpleNamespace
+
+    from ctqwlab import engine
+
+    asked = []
+
+    def install(diff):
+        def fake(problem, **kwargs):
+            asked.append(problem.gamma)
+            return SimpleNamespace(s_psi0_sq=diff(problem.gamma), s_psi1_sq=0.0)
+        monkeypatch.setattr(engine, "overlaps", fake)
+        return _graph(Family.DSG, g=2), asked
+
+    return install
+
+
+@pytest.mark.parametrize("below,above", [(-1.0, 1.0), (-0.5, 1e-3)])
+def test_critical_gamma_refuses_a_step(synthetic_difference, below, above):
+    graph, asked = synthetic_difference(
+        lambda g: above if g >= 0.7 else below)
+    with pytest.raises(NumericalError, match="discontinuous"):
+        critical_gamma(graph, 0)
+    assert len(asked) <= 100
+    assert abs(asked[-1] - 0.7) <= 1e-9 * 0.7
+
+
+def test_critical_gamma_converges_fast_on_a_smooth_crossing(
+        synthetic_difference):
+    root = 0.8123
+    graph, asked = synthetic_difference(
+        lambda g: math.tanh((g - root) / (0.2 * root)))
+    res = critical_gamma(graph, 0)
+    assert res.evaluations == len(asked) <= 12
+    assert res.gamma == pytest.approx(root, rel=1e-9)
+    assert res.residual <= 1e-9
+
+
+def test_critical_gamma_returns_an_exact_zero_at_the_seed(
+        synthetic_difference):
+    graph, asked = synthetic_difference(lambda g: 0.0)
+    res = critical_gamma(graph, 0)
+    assert res.evaluations == len(asked) == 1
+    assert res.gamma == res.xi1 == asked[0]
+    assert res.bracket == (res.xi1, res.xi1)
+    assert res.residual == 0.0
+
+
 def test_crossing_scan_brackets_critical():
     g = _graph(Family.COMPLETE, n=32)
     res = critical_gamma(g, 0)
@@ -281,23 +390,6 @@ def test_success_grid_shape():
     row = grid.probabilities[k]
     assert grid.pi_star[k] == row.max()
     assert grid.t_star[k] == times[np.argmax(row)]
-
-
-def _random_graph(seed, n, p):
-    """Seeded connected graph: a random recursive tree (node i hangs from a
-    uniform earlier node) plus G(n, p) edges; p = 0 leaves the tree."""
-    rng = np.random.default_rng(seed)
-    tree = {(int(rng.integers(0, i)), i) for i in range(1, n)}
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < p
-    extra = set(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return Graph.from_edges(n, sorted(tree | extra))
-
-
-def _family_case(**kw):
-    spec = GraphSpec(**kw)
-    return pytest.param(lambda: build(spec), default_target(spec),
-                        id=spec.label)
 
 
 MEASURE_CASES = [
