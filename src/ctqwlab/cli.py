@@ -292,7 +292,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     graph = build(spec)
     check_dense_guard(graph.n, _dense_guard(args), "dense eigendecomposition")
     values = sla.eigvalsh(graph.laplacian())
-    text = spectrum_csv(values, degeneracy_groups(values)[0])
+    text = spectrum_csv(values, degeneracy_groups(values))
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
     return 0

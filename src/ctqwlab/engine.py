@@ -1,7 +1,8 @@
 """Search-Hamiltonian engine: H = gamma * L - |w><w|.
 
-Overlaps and critical couplings come from dense eigensolves of H; a
-critical coupling takes about seven of them, Brent's method on the overlap
+Overlaps and critical couplings come from a window of the lowest
+eigenpairs of the dense H, one subset eigensolve per coupling; a critical
+coupling takes about seven of them, Brent's method on the overlap
 difference after a doubling search for a sign change.
 Success probabilities come from the target's Laplacian measure
 (:class:`SpectralSums`), on which H is a K x K matrix, K the number of
@@ -91,12 +92,13 @@ def _uniform_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
 
-def _gershgorin_spread(h: np.ndarray) -> float:
-    """Upper bound on the spectral range of a symmetric matrix; used to set
-    the degeneracy tolerance when only a few eigenvalues are computed."""
-    diag = np.diag(h)
-    radii = np.abs(h).sum(axis=1) - np.abs(diag)
-    return float((diag + radii).max() - (diag - radii).min())
+def _gershgorin_spread(problem: SearchProblem) -> float:
+    """Width of H's Gershgorin range, which bounds its spectral range; sets
+    the degeneracy tolerance when only a few eigenvalues are computed.  Row
+    i has centre gamma*d_i - [i=w] and radius gamma*d_i."""
+    top = 2.0 * problem.gamma * problem.graph.degrees
+    top[problem.target] -= 1.0
+    return float(top.max()) + 1.0
 
 
 @dataclass(frozen=True)
@@ -128,33 +130,23 @@ def _clip_prob(value: float, what: str) -> float:
 
 
 def overlaps(problem: SearchProblem, *,
-             dec: SpectralDecomposition | None = None,
              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
     """Level overlaps at one coupling.
 
-    With ``dec`` given (a full decomposition of H) it is reused; otherwise
-    only the lowest few eigenpairs are computed, enlarging the window until
-    the E1 degeneracy group is fully enclosed.
+    Only the lowest few eigenpairs of the dense H are computed; the window
+    grows until the E1 degeneracy group is fully enclosed.
     """
     n = problem.n
-    w = problem.target
-    s = _uniform_state(n)
-    if dec is not None:
-        values = dec.eigenvalues
-        vectors = dec.eigenvectors
-        tol = dec.group_tol
-    else:
-        h = build_hamiltonian(problem, dense_guard=dense_guard)
-        tol = DEGENERACY_RTOL * _gershgorin_spread(h)
-        k = min(n, 8)
-        while True:
-            values, vectors = sla.eigh(h, subset_by_index=(0, k - 1),
-                                       driver="evr")
-            labels = group_labels(values, tol)
-            if k == n or labels[-1] >= 2:
-                break
-            k = min(n, k * 4)
-    labels = group_labels(values, tol)
+    h = build_hamiltonian(problem, dense_guard=dense_guard)
+    tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
+    k = min(n, 8)
+    while True:
+        values, vectors = sla.eigh(h, subset_by_index=(0, k - 1),
+                                   driver="evr")
+        labels = group_labels(values, tol)
+        if k == n or labels[-1] >= 2:
+            break
+        k = min(n, k * 4)
     if int(np.sum(labels == 0)) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
@@ -166,9 +158,9 @@ def overlaps(problem: SearchProblem, *,
     e1 = float(values[group1[0]])
     if e0 < -1.0 - 1e-9 or e0 >= 0.0:
         raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
-    s_amp = vectors.T @ s
-    w_amp = vectors[w, :]
-    rec = OverlapRecord(
+    s_amp = vectors.T @ _uniform_state(n)
+    w_amp = vectors[problem.target, :]
+    return OverlapRecord(
         gamma=problem.gamma,
         e0=e0,
         e1=e1,
@@ -179,7 +171,6 @@ def overlaps(problem: SearchProblem, *,
         degenerate_e1=group1.size > 1,
         e1_multiplicity=int(group1.size),
     )
-    return rec
 
 
 def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
@@ -347,11 +338,9 @@ def default_time_grid(n: int, count: int = 512) -> np.ndarray:
 
 
 def evolve_state(problem: SearchProblem, t: float, *,
-                 dec: SpectralDecomposition | None = None,
                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> np.ndarray:
-    """exp(-i H t) |s> via the spectral path."""
-    if dec is None:
-        dec = hamiltonian_decomposition(problem, dense_guard=dense_guard)
+    """exp(-i H t) |s> from a full dense decomposition of H."""
+    dec = hamiltonian_decomposition(problem, dense_guard=dense_guard)
     s_amp = dec.eigenvectors.T @ _uniform_state(problem.n)
     phases = np.exp(-1j * dec.eigenvalues * t)
     return dec.eigenvectors @ (phases * s_amp)

@@ -50,7 +50,6 @@ class Family(str, Enum):
 
 
 _GENERATIONAL = (Family.DSG, Family.TFRACTAL, Family.CAYLEY_TREE)
-_LATTICE = (Family.CHAIN, Family.TORUS)
 
 
 @dataclass(frozen=True)
@@ -320,10 +319,7 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian L = Z - A (float64)."""
-        dense = self.adjacency.toarray()
-        lap = -dense
-        np.fill_diagonal(lap, self.degrees.astype(np.float64))
-        return lap
+        return self.laplacian_sparse().toarray()
 
     def laplacian_sparse(self) -> sp.csr_matrix:
         return (sp.diags(self.degrees.astype(np.float64)) - self.adjacency).tocsr()
@@ -473,8 +469,7 @@ def build(spec: GraphSpec) -> Graph:
     return cartesian_product(build(a), build(b))
 
 
-def cartesian_product(a: Graph, b: Graph,
-                      dense_guard: int = DEFAULT_DENSE_GUARD) -> Graph:
+def cartesian_product(a: Graph, b: Graph) -> Graph:
     """Cartesian product with node (i, j) -> i * b.n + j.
 
     Degrees add across factors and the product Laplacian spectrum is the
@@ -483,10 +478,10 @@ def cartesian_product(a: Graph, b: Graph,
     size, not the graph itself.
     """
     n = a.n * b.n
-    if n > dense_guard:
+    if n > DEFAULT_DENSE_GUARD:
         warnings.warn(
-            f"product has {n} nodes, above the dense guard {dense_guard}; "
-            f"dense eigensolves on it will be refused",
+            f"product has {n} nodes, above the dense guard "
+            f"{DEFAULT_DENSE_GUARD}; dense eigensolves on it will be refused",
             DenseSizeWarning,
             stacklevel=2,
         )

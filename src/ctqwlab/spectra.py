@@ -1,10 +1,12 @@
-"""Dense symmetric eigendecomposition with degeneracy bookkeeping, plus the
+"""Dense symmetric eigendecomposition with degeneracy labels, plus the
 target's Laplacian spectral measure that controls the search transition.
 
 Degenerate subspaces deserve care: individual eigenvectors inside one are
 basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
-tolerance of 1e-8 times the spectral range.
+tolerance of 1e-8 times the spectral range.  Eigenvector signs are left
+as LAPACK returns them: every observable reads a column only through
+products of two of its own entries, so no output depends on them.
 
 :func:`target_measure` hands the measure to the engine and the CLI: it
 decomposes L once per ``Graph`` object and target and keeps only the
@@ -36,57 +38,16 @@ SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenpairs of a real symmetric matrix, ascending, sign-fixed.
+    """Eigenpairs of a real symmetric matrix, ascending, with eigenvector
+    signs as LAPACK returns them.
 
-    ``group_index[k]`` labels the degeneracy group of eigenvalue k; groups
-    are contiguous runs whose consecutive gaps stay within ``group_tol``.
+    ``group_index[k]`` labels the degeneracy group of eigenvalue k (see
+    :func:`degeneracy_groups`).
     """
 
     eigenvalues: np.ndarray   # (n,) float64, ascending
     eigenvectors: np.ndarray  # (n, n) float64, column k pairs with eigenvalue k
     group_index: np.ndarray   # (n,) int64
-    group_tol: float
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def group_count(self) -> int:
-        return int(self.group_index[-1]) + 1
-
-    def group_slices(self) -> list[slice]:
-        bounds = np.flatnonzero(np.diff(self.group_index)) + 1
-        starts = np.concatenate([[0], bounds])
-        stops = np.concatenate([bounds, [self.n]])
-        return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
-
-    def group_eigenvalues(self) -> np.ndarray:
-        """One representative eigenvalue per group (group mean)."""
-        return np.array([self.eigenvalues[s].mean() for s in self.group_slices()])
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([s.stop - s.start for s in self.group_slices()],
-                        dtype=np.int64)
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: make the first non-negligible component of each
-    column positive.
-
-    Flips are applied as one broadcast multiply over the whole matrix;
-    per-column in-place negation through strided views is deliberately
-    avoided (numpy 2.2 miscompiles that pattern for some stride/SIMD
-    combinations, silently reading the input contiguously).
-    """
-    out = np.array(vectors, dtype=np.float64, order="C", copy=True)
-    if out.size == 0:
-        return out
-    mag = np.abs(out)
-    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    lead_vals = out[lead, np.arange(out.shape[1])]
-    out *= np.where(lead_vals < 0.0, -1.0, 1.0)
-    return out
 
 
 def group_labels(values: np.ndarray, tol: float) -> np.ndarray:
@@ -97,12 +58,11 @@ def group_labels(values: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def degeneracy_groups(values: np.ndarray) -> tuple[np.ndarray, float]:
+def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     """Group labels of an ascending spectrum under the relative tolerance
-    ``DEGENERACY_RTOL`` times its range, and that tolerance."""
+    ``DEGENERACY_RTOL`` times its range."""
     spread = float(values[-1] - values[0]) if values.size else 0.0
-    tol = DEGENERACY_RTOL * spread
-    return group_labels(values, tol), tol
+    return group_labels(values, DEGENERACY_RTOL * spread)
 
 
 def eigh(matrix: np.ndarray, *,
@@ -124,12 +84,8 @@ def eigh(matrix: np.ndarray, *,
             f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
     values, vectors = sla.eigh(m)
-    vectors = _fix_signs(vectors)
-    labels, tol = degeneracy_groups(values)
-    return SpectralDecomposition(
-        eigenvalues=values, eigenvectors=vectors, group_index=labels,
-        group_tol=tol,
-    )
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
+                                 group_index=degeneracy_groups(values))
 
 
 def laplacian_decomposition(graph: Graph, *,
@@ -176,21 +132,24 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     graph; its amplitude must match the uniform value 1/N to 1e-10.  Both
     are then set to their exact values, 0 and 1/N (L 1 = 0 holds exactly),
     so no eigensolver roundoff in the zero mode reaches gamma * lam_0.
+    Group sums and means are taken in one pass over the contiguous runs
+    of ``dec.group_index``.
     """
-    n = dec.n
+    values = dec.eigenvalues
+    n = values.size
     if not (0 <= target < n):
         raise ConfigError(f"target {target} out of range for {n} nodes")
-    slices = dec.group_slices()
-    zero_scale = max(1.0, float(np.abs(dec.eigenvalues[-1])))
-    if abs(dec.eigenvalues[0]) > 1e-9 * zero_scale:
+    starts = np.flatnonzero(np.diff(dec.group_index, prepend=-1))
+    mults = np.diff(starts, append=n)
+    zero_scale = max(1.0, float(np.abs(values[-1])))
+    if abs(values[0]) > 1e-9 * zero_scale:
         raise ConfigError("lowest eigenvalue is not zero: not a Laplacian")
-    if slices[0].stop - slices[0].start != 1:
+    if mults[0] != 1:
         raise ConfigError("zero eigenvalue is degenerate: graph is disconnected")
     amps = dec.eigenvectors[target, :]
     amp_sq = amps * amps
-    group_amp_sq = np.array([amp_sq[s].sum() for s in slices])
-    mults = dec.multiplicities()
-    group_vals = dec.group_eigenvalues()
+    group_amp_sq = np.add.reduceat(amp_sq, starts)
+    group_vals = np.add.reduceat(values, starts) / mults
     uniform = 1.0 / n
     if abs(group_amp_sq[0] - uniform) > 1e-10:
         raise NumericalError(
@@ -198,8 +157,8 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
         )
     group_vals[0] = 0.0
     group_amp_sq[0] = uniform
-    lam = dec.eigenvalues[slices[0].stop:]
-    w_sq = amp_sq[slices[0].stop:]
+    lam = values[1:]
+    w_sq = amp_sq[1:]
     zeta1 = float(np.sum(1.0 / lam))
     zeta2 = float(np.sum(1.0 / lam**2))
     xi1 = float(np.sum(w_sq / lam))

@@ -249,9 +249,10 @@ def test_exit_code_3_when_no_crossing(tmp_path, capsys):
 
 
 def test_exit_code_3_when_verify_fails(tmp_path, capsys):
-    # At gamma=1e9 the dense eigensolve loses E0 to roundoff and the
-    # resolvent identities fail.
-    code = run("verify", "--family", "dsg", "--g", "3", "--gammas", "1e9",
+    # The default couplings include gamma = xi1/8 = 0.5453, where
+    # s_psi1_sq = 0.92224 misses the perturbative floor 0.92284: a genuine
+    # miss, not roundoff.
+    code = run("verify", "--family", "cayleytree", "--g", "5",
                "--out", tmp_path)
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
@@ -260,7 +261,9 @@ def test_exit_code_3_when_verify_fails(tmp_path, capsys):
     assert payload["error"] == "NumericalError"
     assert payload["exit_code"] == 3
     assert "bound checks failed" in payload["message"]
-    assert (tmp_path / "bounds_dsg_g3.json").exists()
+    report = json.loads((tmp_path / "bounds_cayleytree_g5.json").read_text())
+    assert [c["name"] for c in report["checks"]
+            if c["satisfied"] is False] == ["s_psi1_sq_above_floor"]
 
 
 def test_exit_code_4_dense_guard_flag(tmp_path, capsys):

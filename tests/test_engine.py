@@ -39,7 +39,11 @@ from ctqwlab.graphs import (
     default_target,
 )
 from ctqwlab.oracles import complete_success
-from ctqwlab.spectra import target_measure
+from ctqwlab.spectra import (
+    laplacian_decomposition,
+    spectral_sums,
+    target_measure,
+)
 
 
 def _graph(family, **kw):
@@ -110,14 +114,44 @@ def test_complete_overlaps_against_two_level_block(n, gamma):
 def test_subset_and_full_paths_agree():
     g = _graph(Family.DSG, g=3)
     prob = SearchProblem(graph=g, target=0, gamma=0.8)
-    full = overlaps(prob, dec=hamiltonian_decomposition(prob))
+    dec = hamiltonian_decomposition(prob)
+    group1 = np.flatnonzero(dec.group_index == 1)
+    s_amp = dec.eigenvectors.T @ np.full(g.n, 1.0 / math.sqrt(g.n))
+    w_amp = dec.eigenvectors[0, :]
+    full = {
+        "e0": dec.eigenvalues[0],
+        "e1": dec.eigenvalues[group1[0]],
+        "s_psi0_sq": s_amp[0] ** 2,
+        "s_psi1_sq": np.sum(s_amp[group1] ** 2),
+        "w_psi0_sq": w_amp[0] ** 2,
+        "w_psi1_sq": np.sum(w_amp[group1] ** 2),
+    }
     subset = overlaps(prob)
-    for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq",
-                  "w_psi0_sq", "w_psi1_sq"):
-        assert getattr(subset, field) == pytest.approx(
-            getattr(full, field), abs=1e-10)
-    assert subset.degenerate_e1 == full.degenerate_e1
-    assert subset.e1_multiplicity == full.e1_multiplicity
+    for field, want in full.items():
+        assert getattr(subset, field) == pytest.approx(want, abs=1e-10)
+    assert subset.degenerate_e1 == (group1.size > 1)
+    assert subset.e1_multiplicity == group1.size
+
+
+@pytest.mark.parametrize("make_graph", [
+    pytest.param(lambda: Graph.from_edges(9, [(0, k) for k in range(1, 9)]),
+                 id="star9_hub"),
+    pytest.param(lambda: _graph(Family.DSG, g=3), id="dsg3_corner"),
+    pytest.param(lambda: _graph(Family.COMPLETE, n=8), id="complete8"),
+])
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+def test_gershgorin_spread_from_degrees(make_graph, gamma):
+    """The degree form of the Gershgorin range equals the row-by-row range
+    of the dense H.  Target 0: the star's hub, whose row sets the maximum
+    at gamma >= 1 (the only case here), the dsg corner, a complete node."""
+    from ctqwlab.engine import _gershgorin_spread
+
+    prob = SearchProblem(make_graph(), 0, gamma)
+    h = build_hamiltonian(prob)
+    diag = np.diag(h)
+    radii = np.abs(h).sum(axis=1) - np.abs(diag)
+    dense = (diag + radii).max() - (diag - radii).min()
+    assert _gershgorin_spread(prob) == pytest.approx(dense, rel=1e-15)
 
 
 @pytest.mark.parametrize("family", [Family.CAYLEY_TREE, Family.TFRACTAL])
@@ -208,6 +242,35 @@ def test_cached_measure_still_checks_the_dense_guard(decompositions):
     with pytest.raises(DenseGuardError):
         success_probability(SearchProblem(g, 0, 0.5), 1.0, dense_guard=10)
     assert decompositions == [DEFAULT_DENSE_GUARD]
+
+
+@pytest.mark.parametrize("make_graph", [
+    pytest.param(lambda: _graph(Family.COMPLETE, n=9), id="complete9"),
+    pytest.param(lambda: _graph(Family.TORUS, L=4, d=2), id="torus4x4"),
+    pytest.param(lambda: _graph(Family.DSG, g=3), id="dsg3"),
+    pytest.param(lambda: _graph(Family.CAYLEY_TREE, g=4), id="tree4"),
+    pytest.param(lambda: _random_graph(11, 30, 0.1), id="gnp_30_seed11"),
+    pytest.param(lambda: _random_graph(12, 50, 0.05), id="gnp_50_seed12"),
+    pytest.param(lambda: _random_graph(13, 70, 0.0), id="tree_70_seed13"),
+])
+def test_measure_groups_match_a_per_group_loop(make_graph):
+    """The vectorized group pass of spectral_sums agrees with summing each
+    contiguous run of group labels on its own."""
+    dec = laplacian_decomposition(make_graph())
+    target = 1
+    groups = [np.flatnonzero(dec.group_index == label)
+              for label in range(dec.group_index[-1] + 1)]
+    amp_sq = dec.eigenvectors[target, :] ** 2
+    mults = [idx.size for idx in groups]
+    vals = [float(np.mean(dec.eigenvalues[idx])) for idx in groups]
+    weights = [float(np.sum(amp_sq[idx])) for idx in groups]
+    vals[0], weights[0] = 0.0, 1.0 / dec.eigenvalues.size
+    sums = spectral_sums(dec, target)
+    assert sums.multiplicities.tolist() == mults
+    assert np.allclose(sums.group_eigenvalues, vals, rtol=1e-15, atol=0)
+    assert np.allclose(sums.group_amp_sq, weights, rtol=0, atol=1e-15)
+    assert sums.max_amp_sq == pytest.approx(
+        max(w / m for w, m in zip(weights[1:], mults[1:])), rel=1e-15)
 
 
 def test_critical_gamma_no_transition_window():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctqwlab.errors import ConfigError, DenseSizeWarning
+from ctqwlab.errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
 from ctqwlab.graphs import (
     Family,
     Graph,
@@ -161,9 +161,10 @@ def test_product_spec_node_count():
 
 
 def test_product_guard_warning():
-    a = build(GraphSpec(Family.COMPLETE, n=20))
+    a = build(GraphSpec(Family.CHAIN, L=80, periodic=False))
     with pytest.warns(DenseSizeWarning):
-        cartesian_product(a, a, dense_guard=100)
+        prod = cartesian_product(a, a)
+    assert prod.n == 6400 > DEFAULT_DENSE_GUARD
 
 
 # ---------------------------------------------------------- serialization

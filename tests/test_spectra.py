@@ -43,11 +43,46 @@ def test_eigh_reconstructs_matrix():
     vals, vecs = dec.eigenvalues, dec.eigenvectors
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(12), atol=1e-12)
-    # deterministic gauge: first non-negligible component positive
-    for j in range(12):
-        col = vecs[:, j]
-        lead = int(np.argmax(np.abs(col) > 1e-12 * np.abs(col).max()))
-        assert col[lead] > 0
+
+
+@pytest.mark.parametrize("spec, target", [
+    (_spec(Family.DSG, g=4), 0),
+    (_spec(Family.TFRACTAL, g=4), 5),
+    (_spec(Family.TORUS, L=5, d=2), 0),
+])
+def test_observables_ignore_eigenvector_signs(monkeypatch, spec, target):
+    """Negating eigenvector columns leaves the target measure and pi(t)
+    bitwise unchanged: each reads a column only through products of two
+    of its own entries, and IEEE negation is exact."""
+    from ctqwlab import spectra
+    from ctqwlab.engine import SearchProblem, success_probability
+
+    times = np.linspace(0.0, 40.0, 64)
+
+    def observe():
+        graph = build(spec)  # a new Graph object, so nothing is memoized
+        return (target_measure(graph, target),
+                success_probability(SearchProblem(graph, target, 0.7), times))
+
+    ref_sums, ref_probs = observe()
+    rng = np.random.default_rng(5)
+    real = spectra.sla.eigh
+    flips = []
+
+    def flipping(*args, **kwargs):
+        values, vectors = real(*args, **kwargs)
+        signs = rng.choice([-1.0, 1.0], size=vectors.shape[1])
+        flips.append(int(np.sum(signs < 0)))
+        return values, vectors * signs
+
+    monkeypatch.setattr(spectra.sla, "eigh", flipping)
+    sums, probs = observe()
+    assert len(flips) == 2 and min(flips) > 0  # L and the K x K matrix
+    for name in ("xi1", "xi2", "max_amp_sq"):
+        assert getattr(sums, name) == getattr(ref_sums, name)
+    for name in ("group_eigenvalues", "multiplicities", "group_amp_sq"):
+        assert np.array_equal(getattr(sums, name), getattr(ref_sums, name))
+    assert np.array_equal(probs, ref_probs)
 
 
 def test_eigh_rejects_nonsymmetric():
@@ -85,10 +120,10 @@ def test_laplacian_guard_refuses_before_forming_l(monkeypatch):
 
 def test_complete_graph_groups():
     g = build(_spec(Family.COMPLETE, n=5))
-    dec = laplacian_decomposition(g)
-    assert list(dec.group_eigenvalues()) == pytest.approx([0.0, 5.0],
-                                                          abs=1e-12)
-    assert list(dec.multiplicities()) == [1, 4]
+    sums = spectral_sums(laplacian_decomposition(g), target=0)
+    assert list(sums.group_eigenvalues) == pytest.approx([0.0, 5.0],
+                                                         abs=1e-12)
+    assert list(sums.multiplicities) == [1, 4]
 
 
 @pytest.mark.parametrize("spec", [
