@@ -1,16 +1,18 @@
 """Search-Hamiltonian engine: H = gamma * L - |w><w|.
 
-Overlaps and critical couplings come from a window of the lowest
-eigenpairs of the dense H, one subset eigensolve per coupling; a critical
-coupling takes about seven of them, Brent's method on the overlap
-difference after a doubling search for a sign change.
-Success probabilities come from the target's Laplacian measure
-(:class:`SpectralSums`), on which H is a K x K matrix, K the number of
-distinct Laplacian eigenvalues.  Every function here takes that measure
-from :func:`spectra.target_measure`, which decomposes L once per
-``Graph`` object and target.  Past the dense guard,
-:func:`propagate_krylov` applies exp(-i H dt) to the state with scipy's
-``expm_multiply`` on the sparse H and never forms a dense matrix.
+Every function here takes the target's Laplacian measure
+(:class:`SpectralSums`) from :func:`spectra.target_measure`, which
+decomposes L once per ``Graph`` object and target.  On the span of the
+measure's groups H is a K x K matrix, K the number of distinct Laplacian
+eigenvalues, and every level that |s> or |w> can see is a level of it.
+Success probabilities come from that matrix alone.  A critical coupling
+is found on it too, by Brent's method on the overlap difference after a
+doubling search for a sign change, and then confirmed by two window
+eigensolves of the dense H on either side of the root.  Overlap windows
+and the bound audit still solve the dense H at each coupling.  Past the
+dense guard, :func:`propagate_krylov` applies exp(-i H dt) to the state
+with scipy's ``expm_multiply`` on the sparse H and never forms a dense
+matrix.
 """
 from __future__ import annotations
 
@@ -44,10 +46,11 @@ from .spectra import (
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
 # Relative width of the sign-change bracket that ends the crossing root
-# search, and the largest overlap difference accepted at the returned
-# coupling.
-_ROOT_RTOL = 1e-9
+# search on the measure, the largest overlap difference accepted at its
+# root, and the relative offset of the two dense confirmations from it.
+_ROOT_RTOL = 1e-12
 _RESIDUAL_TOL = 1e-6
+_CONFIRM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,11 @@ class SearchProblem:
 def build_hamiltonian(problem: SearchProblem, *,
                       dense_guard: int | None = DEFAULT_DENSE_GUARD
                       ) -> np.ndarray:
-    """Dense H = gamma * L - |w><w| (float64, symmetric)."""
+    """Dense H = gamma * L - |w><w| (float64, symmetric), formed in the
+    memory of a fresh L."""
     check_dense_guard(problem.n, dense_guard, "dense Hamiltonian")
-    h = problem.gamma * problem.graph.laplacian()
+    h = problem.graph.laplacian()
+    h *= problem.gamma
     h[problem.target, problem.target] -= 1.0
     return h
 
@@ -134,19 +139,23 @@ def overlaps(problem: SearchProblem, *,
     """Level overlaps at one coupling.
 
     Only the lowest few eigenpairs of the dense H are computed; the window
-    grows until the E1 degeneracy group is fully enclosed.
+    grows until the E1 degeneracy group is fully enclosed.  The eigensolve
+    overwrites H (its transpose is the Fortran-ordered view LAPACK works
+    in), so H is formed again only when the window grows.
     """
     n = problem.n
     h = build_hamiltonian(problem, dense_guard=dense_guard)
     tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
     k = min(n, 8)
     while True:
-        values, vectors = sla.eigh(h, subset_by_index=(0, k - 1),
-                                   driver="evr")
+        values, vectors = sla.eigh(h.T, subset_by_index=(0, k - 1),
+                                   driver="evr", overwrite_a=True,
+                                   check_finite=False)
         labels = group_labels(values, tol)
         if k == n or labels[-1] >= 2:
             break
         k = min(n, k * 4)
+        h = build_hamiltonian(problem, dense_guard=dense_guard)
     if int(np.sum(labels == 0)) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
@@ -189,7 +198,8 @@ def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
 
 @dataclass(frozen=True)
 class CriticalGamma:
-    """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma)."""
+    """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma).  ``evaluations`` counts
+    the dense evaluations of the difference."""
 
     gamma: float
     bracket: tuple[float, float]
@@ -198,41 +208,51 @@ class CriticalGamma:
     evaluations: int
 
 
-def critical_gamma(graph: Graph, target: NodeId, *,
-                   gamma_floor: float = 1e-6,
-                   gamma_ceiling: float = 1e6,
-                   dense_guard: int | None = DEFAULT_DENSE_GUARD
-                   ) -> CriticalGamma:
-    """Locate the coupling where the uniform state moves from the first
-    excited level to the ground level.
+def _measure_levels(sums: SpectralSums, gamma: float, *,
+                    dense_guard: int | None = DEFAULT_DENSE_GUARD
+                    ) -> tuple[SpectralDecomposition, np.ndarray]:
+    """H on the span of the measure's groups, and z.
 
-    The bracket search starts at xi1 (the weighted inverse-eigenvalue sum,
-    which approximates the crossing) and expands geometrically by factors
-    of two; Brent's method (inverse-quadratic and secant steps, bisection
-    when a step is refused) then narrows the sign-change bracket to a
-    relative width of 1e-9, about five dense evaluations on a smooth
-    crossing.  ``gamma`` is the bracket end with the smaller overlap
-    difference, and ``residual`` that difference's magnitude.  Raises
-    :class:`NoTransitionError` when no sign change exists inside
-    [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
-    difference at the converged coupling is not small (a jump, not a
-    crossing).
+    With one basis vector per group of the target's Laplacian measure
+    (eigenvalue lam_k, target weight a_k), H acts as the K x K matrix
+    gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is basis vector
+    0, the zero mode.  The levels outside that span are invisible to |w>
+    and |s>.
     """
-    sums = target_measure(graph, target, dense_guard=dense_guard)
-    evals = 0
+    z = np.sqrt(sums.group_amp_sq)
+    return eigh(gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z),
+                dense_guard=dense_guard), z
 
-    def f(gamma: float) -> float:
-        nonlocal evals
-        evals += 1
-        rec = overlaps(SearchProblem(graph, target, gamma),
-                       dense_guard=dense_guard)
-        return rec.s_psi0_sq - rec.s_psi1_sq
 
-    seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
+def _measure_difference(sums: SpectralSums, gamma: float, *,
+                        dense_guard: int | None = DEFAULT_DENSE_GUARD
+                        ) -> float:
+    """s_psi0_sq - s_psi1_sq from the measure: v_0[0]^2 minus v_a[0]^2
+    summed over the second level of the K x K matrix.
+
+    Equal to the dense difference.  Every level |w> cannot see sits at
+    some gamma*lam_k >= gamma*lam_1.  By interlacing the second visible
+    level lies below gamma*lam_1 when a_1 > 0; when a_1 = 0 the matrix
+    keeps gamma*lam_1 as a level with v[0] = 0, as the dense H does.
+    """
+    dec, _ = _measure_levels(sums, gamma, dense_guard=dense_guard)
+    s_sq = dec.eigenvectors[0, :] ** 2
+    return float(s_sq[0] - s_sq[dec.group_index == 1].sum())
+
+
+def _sign_change_root(f, seed: float, gamma_floor: float,
+                      gamma_ceiling: float) -> tuple[float, float, float]:
+    """Root of a function that is negative below it and positive above.
+
+    A doubling search from ``seed`` brackets a sign change inside
+    [gamma_floor, gamma_ceiling], and Brent's method (inverse-quadratic
+    and secant steps, bisection when a step is refused) narrows it to a
+    relative width of ``_ROOT_RTOL``.  Returns (b, f(b), c): b the bracket
+    end with the smaller |f|, c the other end.
+    """
     f_seed = f(seed)
     if f_seed == 0.0:
-        return CriticalGamma(gamma=seed, bracket=(seed, seed), residual=0.0,
-                             xi1=sums.xi1, evaluations=evals)
+        return seed, f_seed, seed
     if f_seed > 0.0:
         hi, f_hi = seed, f_seed
         lo = seed
@@ -277,7 +297,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         tol = 0.5 * _ROOT_RTOL * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
-            break
+            return b, fb, c
         p = q = 0.0
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
@@ -295,14 +315,55 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
-    gamma, residual = b, abs(fb)
-    if residual > _RESIDUAL_TOL:
+
+
+def critical_gamma(graph: Graph, target: NodeId, *,
+                   gamma_floor: float = 1e-6,
+                   gamma_ceiling: float = 1e6,
+                   dense_guard: int | None = DEFAULT_DENSE_GUARD
+                   ) -> CriticalGamma:
+    """Locate the coupling where the uniform state moves from the first
+    excited level to the ground level.
+
+    The root r is found on the target's Laplacian measure: a doubling
+    search from xi1 (the weighted inverse-eigenvalue sum, which
+    approximates the crossing) and Brent's method on the overlap
+    difference of the K x K matrix, to a relative width of 1e-12.  Two
+    dense window eigensolves of H at r*(1 -/+ 1e-10) then confirm the sign
+    change, so ``evaluations`` is 2.  ``bracket`` is that pair, ``gamma``
+    its end with the smaller dense difference, and ``residual`` that
+    difference's magnitude.  Raises :class:`NoTransitionError` when the
+    measure shows no sign change inside [gamma_floor, gamma_ceiling], and
+    :class:`NumericalError` when the measure's difference at its root is
+    not small (a jump, not a crossing) or the dense pair does not confirm
+    the root.
+    """
+    sums = target_measure(graph, target, dense_guard=dense_guard)
+
+    def dense(gamma: float) -> float:
+        rec = overlaps(SearchProblem(graph, target, gamma),
+                       dense_guard=dense_guard)
+        return rec.s_psi0_sq - rec.s_psi1_sq
+
+    seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
+    root, f_root, _ = _sign_change_root(
+        lambda g: _measure_difference(sums, g, dense_guard=dense_guard),
+        seed, gamma_floor, gamma_ceiling)
+    if abs(f_root) > _RESIDUAL_TOL:
         raise NumericalError(
-            f"crossing residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}; "
+            f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    return CriticalGamma(gamma=gamma, bracket=(min(b, c), max(b, c)),
-                         residual=residual, xi1=sums.xi1, evaluations=evals)
+    lo, hi = root * (1.0 - _CONFIRM_RTOL), root * (1.0 + _CONFIRM_RTOL)
+    f_lo, f_hi = dense(lo), dense(hi)
+    if not f_lo <= 0.0 <= f_hi:
+        raise NumericalError(
+            f"the measure route puts the crossing at gamma={root!r}, but the "
+            f"dense route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
+        )
+    gamma, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
+    return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
+                         xi1=sums.xi1, evaluations=2)
 
 
 def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,
@@ -350,17 +411,13 @@ def success_probability(problem: SearchProblem, t, *,
                         dense_guard: int | None = DEFAULT_DENSE_GUARD):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
 
-    With one basis vector per group of the target's Laplacian measure
-    (eigenvalue lam_k, target weight a_k), H acts as
-    gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is the zero-mode
-    vector; the levels outside that span are invisible to |w> and |s>, so
-    the result is exact.  One K x K eigensolve serves every requested time.
+    Exact from the K x K matrix of the target's Laplacian measure (see
+    :func:`_measure_levels`), whose levels are all those |w> and |s> see.
+    One K x K eigensolve serves every requested time.
     """
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
-    z = np.sqrt(sums.group_amp_sq)
-    dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
-               - np.outer(z, z), dense_guard=dense_guard)
+    dec, z = _measure_levels(sums, problem.gamma, dense_guard=dense_guard)
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]

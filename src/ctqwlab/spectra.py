@@ -6,7 +6,11 @@ basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
 tolerance of 1e-8 times the spectral range.  Eigenvector signs are left
 as LAPACK returns them: every observable reads a column only through
-products of two of its own entries, so no output depends on them.
+products of two of its own entries, so no output depends on them.  Every
+full decomposition uses LAPACK's divide-and-conquer driver ``evd``
+(Gu & Eisenstat, SIMAX 16, 172, 1995), which is several times faster than
+``evr`` on the clustered spectra of fractal Laplacians; the Laplacian is
+decomposed in its own memory.
 
 :func:`target_measure` hands the measure to the engine and the CLI: it
 decomposes L once per ``Graph`` object and target and keeps only the
@@ -83,7 +87,7 @@ def eigh(matrix: np.ndarray, *,
             f"matrix is not symmetric: max asymmetry {asym:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    values, vectors = sla.eigh(m)
+    values, vectors = sla.eigh(m, driver="evd")
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
                                  group_index=degeneracy_groups(values))
 
@@ -92,9 +96,17 @@ def laplacian_decomposition(graph: Graph, *,
                             dense_guard: int | None = DEFAULT_DENSE_GUARD
                             ) -> SpectralDecomposition:
     """Eigendecomposition of the graph Laplacian L = Z - A; the guard is
-    checked on N before L is formed."""
+    checked on N before L is formed.
+
+    L is formed here, exactly symmetric, and read by nothing else, so it is
+    handed to LAPACK as its Fortran-ordered transpose and the eigenvectors
+    overwrite it: no copy of L is made.
+    """
     check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
-    return eigh(graph.laplacian(), dense_guard=dense_guard)
+    values, vectors = sla.eigh(graph.laplacian().T, driver="evd",
+                               overwrite_a=True, check_finite=False)
+    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
+                                 group_index=degeneracy_groups(values))
 
 
 @dataclass(frozen=True, eq=False)

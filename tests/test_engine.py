@@ -40,6 +40,8 @@ from ctqwlab.graphs import (
 )
 from ctqwlab.oracles import complete_success
 from ctqwlab.spectra import (
+    SpectralDecomposition,
+    degeneracy_groups,
     laplacian_decomposition,
     spectral_sums,
     target_measure,
@@ -273,6 +275,62 @@ def test_measure_groups_match_a_per_group_loop(make_graph):
         max(w / m for w, m in zip(weights[1:], mults[1:])), rel=1e-15)
 
 
+ORACLE_CASES = [
+    _family_case(family=Family.COMPLETE, n=12),
+    _family_case(family=Family.CHAIN, L=15, periodic=False),
+    _family_case(family=Family.TORUS, L=6, d=2),
+    _family_case(family=Family.DSG, g=4),
+    _family_case(family=Family.TFRACTAL, g=4),
+    _family_case(family=Family.CAYLEY_TREE, g=5),
+    _family_case(family=Family.PRODUCT, factors=(
+        GraphSpec(family=Family.DSG, g=2),
+        GraphSpec(family=Family.CHAIN, L=4, periodic=False))),
+    pytest.param(lambda: _random_graph(21, 40, 0.1), 3, id="gnp_40_seed21"),
+    pytest.param(lambda: _random_graph(22, 60, 0.05), 7, id="gnp_60_seed22"),
+    pytest.param(lambda: _random_graph(23, 80, 0.0), 11, id="tree_80_seed23"),
+]
+
+
+@pytest.mark.parametrize("make_graph,target", ORACLE_CASES)
+def test_in_place_decomposition_matches_an_evr_oracle(make_graph, target):
+    """The divide-and-conquer decomposition of L in its own memory agrees
+    with LAPACK's evr driver on a copy: eigenvalues, degeneracy groups and
+    the target's measure."""
+    import scipy.linalg as sla
+
+    graph = make_graph()
+    lap = graph.laplacian()
+    values, vectors = sla.eigh(lap, driver="evr")
+    oracle = SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
+                                   group_index=degeneracy_groups(values))
+    dec = laplacian_decomposition(graph)
+    assert np.abs(dec.eigenvalues - values).max() <= \
+        1e-12 * np.linalg.norm(lap, 2)
+    assert np.array_equal(dec.group_index, oracle.group_index)
+    got, ref = spectral_sums(dec, target), spectral_sums(oracle, target)
+    assert got.xi1 == pytest.approx(ref.xi1, rel=1e-12)
+    assert got.xi2 == pytest.approx(ref.xi2, rel=1e-12)
+    assert np.array_equal(got.multiplicities, ref.multiplicities)
+    for name in ("group_eigenvalues", "group_amp_sq"):
+        assert np.allclose(getattr(got, name), getattr(ref, name),
+                           rtol=0.0, atol=1e-12), name
+
+
+def test_decompositions_and_overlaps_leave_the_laplacian_alone():
+    """Both solves overwrite the matrix they are handed; each forms its
+    own, so a later L is bitwise the earlier one.  The star's centre sees
+    a first excited level of multiplicity 10, so its overlap window grows
+    and H is formed twice."""
+    star = Graph.from_edges(12, [(0, i) for i in range(1, 12)])
+    assert overlaps(SearchProblem(star, 0, 0.5)).e1_multiplicity == 10
+    for graph in (_graph(Family.DSG, g=3), star):
+        before = graph.laplacian().tobytes()
+        laplacian_decomposition(graph)
+        assert graph.laplacian().tobytes() == before
+        overlaps(SearchProblem(graph, 0, 0.5))
+        assert graph.laplacian().tobytes() == before
+
+
 def test_critical_gamma_no_transition_window():
     g = _graph(Family.DSG, g=3)
     with pytest.raises(NoTransitionError):
@@ -298,13 +356,14 @@ ROOT_CASES = [
 
 @pytest.mark.parametrize("make_graph,target", ROOT_CASES)
 def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
-    """Brent's method ends in a few evaluations on a bracket of relative
-    width 1e-9 holding gamma, and agrees with a plain bisection of the
-    overlap difference, run here from [gamma/2, 2 gamma] to width 1e-12."""
+    """The root found on the measure is confirmed by two dense evaluations
+    on a bracket of relative width 2e-10 holding gamma, and agrees with a
+    plain bisection of the dense overlap difference, run here from
+    [gamma/2, 2 gamma] to width 1e-12."""
     graph = make_graph()
     res = critical_gamma(graph, target)
     lo, hi = res.bracket
-    assert res.evaluations <= 10
+    assert res.evaluations == 2
     assert lo <= res.gamma <= hi
     assert hi - lo <= 1e-9 * res.gamma
     a, b = res.gamma / 2.0, res.gamma * 2.0
@@ -321,27 +380,38 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
 
 @pytest.fixture
 def synthetic_difference(monkeypatch):
-    """Replace the dense overlaps with a difference chosen by the test;
-    returns the graph (dsg g2, target 0) and the list of couplings asked."""
+    """Replace the measure's overlap difference and the dense overlaps with
+    differences chosen by the test (the same one unless ``dense`` is
+    given); returns the graph (dsg g2, target 0), the list of couplings
+    asked on either route, and the list asked of the dense route."""
     from types import SimpleNamespace
 
     from ctqwlab import engine
 
-    asked = []
+    asked, dense_asked = [], []
 
-    def install(diff):
-        def fake(problem, **kwargs):
+    def install(diff, dense=None):
+        dense = diff if dense is None else dense
+
+        def fake_measure(sums, gamma, **kwargs):
+            asked.append(gamma)
+            return diff(gamma)
+
+        def fake_overlaps(problem, **kwargs):
             asked.append(problem.gamma)
-            return SimpleNamespace(s_psi0_sq=diff(problem.gamma), s_psi1_sq=0.0)
-        monkeypatch.setattr(engine, "overlaps", fake)
-        return _graph(Family.DSG, g=2), asked
+            dense_asked.append(problem.gamma)
+            return SimpleNamespace(s_psi0_sq=dense(problem.gamma),
+                                   s_psi1_sq=0.0)
+        monkeypatch.setattr(engine, "_measure_difference", fake_measure)
+        monkeypatch.setattr(engine, "overlaps", fake_overlaps)
+        return _graph(Family.DSG, g=2), asked, dense_asked
 
     return install
 
 
 @pytest.mark.parametrize("below,above", [(-1.0, 1.0), (-0.5, 1e-3)])
 def test_critical_gamma_refuses_a_step(synthetic_difference, below, above):
-    graph, asked = synthetic_difference(
+    graph, asked, _ = synthetic_difference(
         lambda g: above if g >= 0.7 else below)
     with pytest.raises(NumericalError, match="discontinuous"):
         critical_gamma(graph, 0)
@@ -352,22 +422,35 @@ def test_critical_gamma_refuses_a_step(synthetic_difference, below, above):
 def test_critical_gamma_converges_fast_on_a_smooth_crossing(
         synthetic_difference):
     root = 0.8123
-    graph, asked = synthetic_difference(
+    graph, _, dense_asked = synthetic_difference(
         lambda g: math.tanh((g - root) / (0.2 * root)))
     res = critical_gamma(graph, 0)
-    assert res.evaluations == len(asked) <= 12
+    assert res.evaluations == len(dense_asked) <= 12
     assert res.gamma == pytest.approx(root, rel=1e-9)
     assert res.residual <= 1e-9
 
 
 def test_critical_gamma_returns_an_exact_zero_at_the_seed(
         synthetic_difference):
-    graph, asked = synthetic_difference(lambda g: 0.0)
+    graph, asked, dense_asked = synthetic_difference(lambda g: 0.0)
     res = critical_gamma(graph, 0)
-    assert res.evaluations == len(asked) == 1
-    assert res.gamma == res.xi1 == asked[0]
-    assert res.bracket == (res.xi1, res.xi1)
+    assert asked[0] == res.xi1
+    assert res.evaluations == len(dense_asked) == 2
+    assert res.bracket == tuple(dense_asked)
+    assert res.gamma == pytest.approx(res.xi1, rel=1e-9)
     assert res.residual == 0.0
+
+
+def test_critical_gamma_refuses_a_measure_root_dense_h_does_not_confirm(
+        synthetic_difference):
+    """The two routes put the crossing at different couplings: the dense
+    pair around the measure's root shows no sign change."""
+    graph, _, dense_asked = synthetic_difference(
+        lambda g: math.tanh((g - 0.8123) / 0.2),
+        dense=lambda g: math.tanh((g - 0.9) / 0.2))
+    with pytest.raises(NumericalError, match="measure route.*dense route"):
+        critical_gamma(graph, 0)
+    assert len(dense_asked) == 2
 
 
 def test_crossing_scan_brackets_critical():
