@@ -5,10 +5,11 @@ Every function here takes the target's Laplacian measure
 decomposes L once per ``Graph`` object and target.  On the span of the
 measure's groups H is a K x K matrix, K the number of distinct Laplacian
 eigenvalues, and every level that |s> or |w> can see is a level of it.
-Success probabilities come from that matrix alone.  A critical coupling
-is found on it too, by Brent's method on the overlap difference after a
-doubling search for a sign change, and then confirmed by two window
-eigensolves of the dense H on either side of the root.  Overlap windows
+Success probabilities come from that matrix alone.  When K <= N/2 a
+critical coupling is found on it too, by Brent's method on the overlap
+difference after a doubling search for a sign change, and then confirmed
+by two window eigensolves of the dense H on either side of the root;
+when K > N/2 Brent's method runs on the dense H itself.  Overlap windows
 and the bound audit still solve the dense H at each coupling.  Past the
 dense guard, :func:`propagate_krylov` applies exp(-i H dt) to the state
 with scipy's ``expm_multiply`` on the sparse H and never forms a dense
@@ -46,9 +47,11 @@ from .spectra import (
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
 # Relative width of the sign-change bracket that ends the crossing root
-# search on the measure, the largest overlap difference accepted at its
-# root, and the relative offset of the two dense confirmations from it.
-_ROOT_RTOL = 1e-12
+# search on the measure and on the dense H, the largest overlap difference
+# accepted at a root, and the least relative offset of the two dense
+# confirmations from the measure's root.
+_MEASURE_RTOL = 1e-12
+_DENSE_RTOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _CONFIRM_RTOL = 1e-10
 
@@ -241,14 +244,15 @@ def _measure_difference(sums: SpectralSums, gamma: float, *,
 
 
 def _sign_change_root(f, seed: float, gamma_floor: float,
-                      gamma_ceiling: float) -> tuple[float, float, float]:
+                      gamma_ceiling: float, rtol: float
+                      ) -> tuple[float, float, float]:
     """Root of a function that is negative below it and positive above.
 
     A doubling search from ``seed`` brackets a sign change inside
     [gamma_floor, gamma_ceiling], and Brent's method (inverse-quadratic
     and secant steps, bisection when a step is refused) narrows it to a
-    relative width of ``_ROOT_RTOL``.  Returns (b, f(b), c): b the bracket
-    end with the smaller |f|, c the other end.
+    relative width of ``rtol``.  Returns (b, f(b), c): b the bracket end
+    with the smaller |f|, c the other end.
     """
     f_seed = f(seed)
     if f_seed == 0.0:
@@ -294,7 +298,7 @@ def _sign_change_root(f, seed: float, gamma_floor: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * _ROOT_RTOL * abs(b)
+        tol = 0.5 * rtol * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b, fb, c
@@ -325,36 +329,66 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     """Locate the coupling where the uniform state moves from the first
     excited level to the ground level.
 
-    The root r is found on the target's Laplacian measure: a doubling
-    search from xi1 (the weighted inverse-eigenvalue sum, which
-    approximates the crossing) and Brent's method on the overlap
-    difference of the K x K matrix, to a relative width of 1e-12.  Two
-    dense window eigensolves of H at r*(1 -/+ 1e-10) then confirm the sign
-    change, so ``evaluations`` is 2.  ``bracket`` is that pair, ``gamma``
-    its end with the smaller dense difference, and ``residual`` that
-    difference's magnitude.  Raises :class:`NoTransitionError` when the
-    measure shows no sign change inside [gamma_floor, gamma_ceiling], and
-    :class:`NumericalError` when the measure's difference at its root is
-    not small (a jump, not a crossing) or the dense pair does not confirm
-    the root.
+    A doubling search from xi1 (the weighted inverse-eigenvalue sum, which
+    approximates the crossing) brackets a sign change of the overlap
+    difference and Brent's method narrows it.  Which difference depends on
+    K, the number of distinct Laplacian eigenvalues:
+
+    * K <= N/2 (fractals, trees, tori, complete graphs): the root r is
+      found on the K x K matrix of the target's measure, to a relative
+      width of 1e-12.  Two dense window eigensolves of H at r*(1 -/+ d)
+      then confirm the sign change, so ``evaluations`` is 2.  d is 1e-10,
+      or eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
+      nonzero Laplacian eigenvalue lam_1 only to an absolute
+      eps*lam_max, and the measure's root moves with it.  ``bracket`` is
+      that pair and ``gamma`` its end with the smaller dense difference.
+    * K > N/2 (chains, generic graphs): the 8 to 12 full K x K solves of
+      the root search cost as much as the 5 dense evaluations they save,
+      or more (measured on chains), so Brent runs on the dense difference
+      itself, to a relative width of 1e-9.  ``bracket`` is its final
+      sign-change pair and ``gamma`` the end with the smaller difference.
+
+    ``evaluations`` counts dense evaluations and ``residual`` is the
+    magnitude of the dense difference at ``gamma``.  Raises
+    :class:`NoTransitionError` when there is no sign change inside
+    [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
+    difference at the root is not small (a jump, not a crossing) or the
+    dense pair does not confirm the measure's root.
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
+    lam = sums.group_eigenvalues
+    evaluations = 0
 
     def dense(gamma: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
         rec = overlaps(SearchProblem(graph, target, gamma),
                        dense_guard=dense_guard)
         return rec.s_psi0_sq - rec.s_psi1_sq
 
+    on_measure = 2 * lam.size <= graph.n
+    if on_measure:
+        rtol = _MEASURE_RTOL
+
+        def f(gamma: float) -> float:
+            return _measure_difference(sums, gamma, dense_guard=dense_guard)
+    else:
+        f, rtol = dense, _DENSE_RTOL
     seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
-    root, f_root, _ = _sign_change_root(
-        lambda g: _measure_difference(sums, g, dense_guard=dense_guard),
-        seed, gamma_floor, gamma_ceiling)
+    root, f_root, other = _sign_change_root(f, seed, gamma_floor,
+                                            gamma_ceiling, rtol)
     if abs(f_root) > _RESIDUAL_TOL:
         raise NumericalError(
             f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    lo, hi = root * (1.0 - _CONFIRM_RTOL), root * (1.0 + _CONFIRM_RTOL)
+    if not on_measure:
+        return CriticalGamma(gamma=root, bracket=(min(root, other),
+                                                  max(root, other)),
+                             residual=abs(f_root), xi1=sums.xi1,
+                             evaluations=evaluations)
+    offset = max(_CONFIRM_RTOL, np.finfo(float).eps * lam[-1] / lam[1])
+    lo, hi = root * (1.0 - offset), root * (1.0 + offset)
     f_lo, f_hi = dense(lo), dense(hi)
     if not f_lo <= 0.0 <= f_hi:
         raise NumericalError(
@@ -363,7 +397,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         )
     gamma, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
     return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
-                         xi1=sums.xi1, evaluations=2)
+                         xi1=sums.xi1, evaluations=evaluations)
 
 
 def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,

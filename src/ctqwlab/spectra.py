@@ -6,11 +6,11 @@ basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
 tolerance of 1e-8 times the spectral range.  Eigenvector signs are left
 as LAPACK returns them: every observable reads a column only through
-products of two of its own entries, so no output depends on them.  Every
-full decomposition uses LAPACK's divide-and-conquer driver ``evd``
-(Gu & Eisenstat, SIMAX 16, 172, 1995), which is several times faster than
-``evr`` on the clustered spectra of fractal Laplacians; the Laplacian is
-decomposed in its own memory.
+products of two of its own entries, so no output depends on them.  The
+Laplacian is decomposed in its own memory by LAPACK's divide-and-conquer
+driver ``evd`` (Gu & Eisenstat, SIMAX 16, 172, 1995), which is several
+times faster than scipy's default ``evr`` on the clustered spectra of
+fractal Laplacians.
 
 :func:`target_measure` hands the measure to the engine and the CLI: it
 decomposes L once per ``Graph`` object and target and keeps only the
@@ -87,7 +87,7 @@ def eigh(matrix: np.ndarray, *,
             f"matrix is not symmetric: max asymmetry {asym:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    values, vectors = sla.eigh(m, driver="evd")
+    values, vectors = sla.eigh(m)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
                                  group_index=degeneracy_groups(values))
 

@@ -351,19 +351,27 @@ ROOT_CASES = [
     pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
     pytest.param(lambda: _random_graph(6, 80, 0.05), 26, id="gnp_80_seed6"),
     pytest.param(lambda: _random_graph(7, 120, 0.03), 40, id="gnp_120_seed7"),
+    _family_case(family=Family.CHAIN, L=60, periodic=False),
+    _family_case(family=Family.CHAIN, L=60, periodic=True),
 ]
 
 
 @pytest.mark.parametrize("make_graph,target", ROOT_CASES)
 def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
-    """The root found on the measure is confirmed by two dense evaluations
-    on a bracket of relative width 2e-10 holding gamma, and agrees with a
-    plain bisection of the dense overlap difference, run here from
-    [gamma/2, 2 gamma] to width 1e-12."""
+    """With K <= N/2 the root found on the measure is confirmed by two
+    dense evaluations; with K > N/2 (the random graphs and chains) Brent
+    runs on the dense difference.  Either way gamma lies in a bracket of
+    relative width at most 1e-9 and agrees with a plain bisection of the
+    dense overlap difference, run here from [gamma/2, 2 gamma] to width
+    1e-12."""
     graph = make_graph()
     res = critical_gamma(graph, target)
     lo, hi = res.bracket
-    assert res.evaluations == 2
+    k = target_measure(graph, target).group_eigenvalues.size
+    if 2 * k <= graph.n:
+        assert res.evaluations == 2
+    else:
+        assert 2 < res.evaluations <= 10
     assert lo <= res.gamma <= hi
     assert hi - lo <= 1e-9 * res.gamma
     a, b = res.gamma / 2.0, res.gamma * 2.0
@@ -382,8 +390,9 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
 def synthetic_difference(monkeypatch):
     """Replace the measure's overlap difference and the dense overlaps with
     differences chosen by the test (the same one unless ``dense`` is
-    given); returns the graph (dsg g2, target 0), the list of couplings
-    asked on either route, and the list asked of the dense route."""
+    given); returns the graph (dsg g3, target 0, on the measure route),
+    the list of couplings asked on either route, and the list asked of
+    the dense route."""
     from types import SimpleNamespace
 
     from ctqwlab import engine
@@ -404,7 +413,7 @@ def synthetic_difference(monkeypatch):
                                    s_psi1_sq=0.0)
         monkeypatch.setattr(engine, "_measure_difference", fake_measure)
         monkeypatch.setattr(engine, "overlaps", fake_overlaps)
-        return _graph(Family.DSG, g=2), asked, dense_asked
+        return _graph(Family.DSG, g=3), asked, dense_asked
 
     return install
 
@@ -422,10 +431,11 @@ def test_critical_gamma_refuses_a_step(synthetic_difference, below, above):
 def test_critical_gamma_converges_fast_on_a_smooth_crossing(
         synthetic_difference):
     root = 0.8123
-    graph, _, dense_asked = synthetic_difference(
+    graph, asked, dense_asked = synthetic_difference(
         lambda g: math.tanh((g - root) / (0.2 * root)))
     res = critical_gamma(graph, 0)
-    assert res.evaluations == len(dense_asked) <= 12
+    assert res.evaluations == len(dense_asked) == 2
+    assert len(asked) - len(dense_asked) <= 12
     assert res.gamma == pytest.approx(root, rel=1e-9)
     assert res.residual <= 1e-9
 
@@ -451,6 +461,51 @@ def test_critical_gamma_refuses_a_measure_root_dense_h_does_not_confirm(
     with pytest.raises(NumericalError, match="measure route.*dense route"):
         critical_gamma(graph, 0)
     assert len(dense_asked) == 2
+
+
+def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
+        synthetic_difference, monkeypatch):
+    """LAPACK gives lam_1 only to an absolute eps*lam_max, so the dense
+    pair sits eps*lam_max/lam_1 from the measure's root once that exceeds
+    1e-10."""
+    from types import SimpleNamespace
+
+    from ctqwlab import engine
+
+    root = 0.8123
+    graph, _, dense_asked = synthetic_difference(
+        lambda g: math.tanh((g - root) / (0.2 * root)))
+    monkeypatch.setattr(engine, "target_measure", lambda *a, **k: (
+        SimpleNamespace(xi1=1.0, group_eigenvalues=np.array([0.0, 1e-8, 4.0]))))
+    res = critical_gamma(graph, 0)
+    offset = np.finfo(float).eps * 4.0 / 1e-8
+    lo, hi = dense_asked
+    assert lo == pytest.approx(root * (1.0 - offset), rel=1e-12)
+    assert hi == pytest.approx(root * (1.0 + offset), rel=1e-12)
+    assert res.bracket == (lo, hi) and res.evaluations == 2
+
+
+@pytest.mark.parametrize("spec,on_measure", [
+    (GraphSpec(Family.DSG, g=3), True),
+    (GraphSpec(Family.TFRACTAL, g=3), True),  # K = N/2
+    (GraphSpec(Family.CHAIN, L=40, periodic=True), False),  # K = N/2 + 1
+    (GraphSpec(Family.CHAIN, L=40, periodic=False), False),  # K = N
+], ids=lambda v: v.label if isinstance(v, GraphSpec) else None)
+def test_critical_gamma_picks_its_route_from_k(monkeypatch, spec, on_measure):
+    """The measure route runs when K <= N/2 and makes 2 dense
+    evaluations; above that no K x K solve runs."""
+    from ctqwlab import engine
+
+    measured = []
+    real = engine._measure_difference
+
+    def spy(sums, gamma, **kwargs):
+        measured.append(gamma)
+        return real(sums, gamma, **kwargs)
+    monkeypatch.setattr(engine, "_measure_difference", spy)
+    res = critical_gamma(build(spec), default_target(spec))
+    assert bool(measured) is on_measure
+    assert (res.evaluations == 2) is on_measure
 
 
 def test_crossing_scan_brackets_critical():
