@@ -29,9 +29,9 @@ from .analysis import ScalingModel, exponent_prediction, fit_scaling
 from .engine import (
     SearchProblem,
     critical_gamma,
+    measure_overlaps,
     oscillation_period,
     overlap_sweep_csv,
-    overlaps,
     propagate_krylov,
     success_grid,
     success_probability,
@@ -291,7 +291,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
     check_dense_guard(graph.n, _dense_guard(args), "dense eigendecomposition")
-    values = sla.eigvalsh(graph.laplacian())
+    # L is read by nothing else, so LAPACK works in its memory: no copy.
+    values = sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
+                          check_finite=False)
     text = spectrum_csv(values, degeneracy_groups(values))
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
@@ -305,8 +307,8 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     target = _resolve_target(spec, graph, args)
     gammas = _gamma_grid(
         args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
-    records = [overlaps(SearchProblem(graph, target, float(g)),
-                        dense_guard=guard) for g in gammas]
+    records = [measure_overlaps(SearchProblem(graph, target, float(g)),
+                                dense_guard=guard) for g in gammas]
     path = _write_atomic(Path(args.out) / f"overlaps_{spec.label}.csv",
                          overlap_sweep_csv(records))
     print(f"wrote {path}")

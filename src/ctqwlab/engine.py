@@ -1,19 +1,15 @@
 """Search-Hamiltonian engine: H = gamma * L - |w><w|.
 
-Every function here takes the target's Laplacian measure
-(:class:`SpectralSums`) from :func:`spectra.target_measure`, which
-decomposes L once per ``Graph`` object and target.  On the span of the
-measure's groups H is a K x K matrix, K the number of distinct Laplacian
-eigenvalues, and every level that |s> or |w> can see is a level of it.
-Success probabilities come from that matrix alone.  When K <= N/2 a
-critical coupling is found on it too, by Brent's method on the overlap
-difference after a doubling search for a sign change, and then confirmed
-by two window eigensolves of the dense H on either side of the root;
-when K > N/2 Brent's method runs on the dense H itself.  Overlap windows
-and the bound audit still solve the dense H at each coupling.  Past the
-dense guard, :func:`propagate_krylov` applies exp(-i H dt) to the state
-with scipy's ``expm_multiply`` on the sparse H and never forms a dense
-matrix.
+Every function here takes the target's Laplacian measure (group
+eigenvalues lam_k, target weights a_k) from :func:`spectra.target_measure`,
+which decomposes L once per ``Graph`` object and target.  The levels |s>
+and |w> see are the roots of F(E) = sum_k a_k / (gamma*lam_k - E) = 1;
+the others sit at some gamma*lam_k.  :func:`measure_overlaps` solves for
+E0 and E1 in O(K) per coupling, and the critical coupling is found on it,
+then confirmed by two window eigensolves of the dense H.  Success
+probabilities come from the K x K matrix of the measure; the bound audit
+still solves the dense H.  Past the dense guard, :func:`propagate_krylov`
+steps the state with scipy's ``expm_multiply`` on the sparse H.
 """
 from __future__ import annotations
 
@@ -36,7 +32,6 @@ from .errors import (
 from .graphs import Graph, NodeId
 from .spectra import (
     DEGENERACY_RTOL,
-    SpectralDecomposition,
     SpectralSums,
     eigh,
     group_labels,
@@ -46,12 +41,13 @@ from .spectra import (
 # Success probabilities are clipped into [0, 1] only after passing this
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
-# Relative width of the sign-change bracket that ends the crossing root
-# search on the measure and on the dense H, the largest overlap difference
-# accepted at a root, and the least relative offset of the two dense
-# confirmations from the measure's root.
+# Relative width of the bracket that ends a secular root's offset from
+# its pole and the crossing root search, the largest overlap difference
+# accepted at a crossing, and the least relative offset of the two dense
+# confirmations from the measure's crossing.
+_EPS = float(np.finfo(float).eps)
+_SECULAR_RTOL = 4.0 * _EPS
 _MEASURE_RTOL = 1e-12
-_DENSE_RTOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _CONFIRM_RTOL = 1e-10
 
@@ -89,13 +85,6 @@ def build_hamiltonian(problem: SearchProblem, *,
     return h
 
 
-def hamiltonian_decomposition(problem: SearchProblem, *,
-                              dense_guard: int | None = DEFAULT_DENSE_GUARD
-                              ) -> SpectralDecomposition:
-    return eigh(build_hamiltonian(problem, dense_guard=dense_guard),
-                dense_guard=dense_guard)
-
-
 def _uniform_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
 
@@ -131,18 +120,27 @@ class OverlapRecord:
     e1_multiplicity: int
 
 
-def _clip_prob(value: float, what: str) -> float:
-    if value < -_PROB_SLACK or value > 1.0 + _PROB_SLACK:
-        raise NumericalError(f"{what} = {value!r} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+def _record(gamma: float, e0: float, e1: float, probs: Sequence[float],
+            mult: int) -> OverlapRecord:
+    """The record, overlaps checked against [0, 1] to roundoff and clipped."""
+    probs = [float(v) for v in probs]
+    for value, what in zip(probs, ("s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
+                                   "w_psi1_sq")):
+        if not -_PROB_SLACK <= value <= 1.0 + _PROB_SLACK:
+            raise NumericalError(f"{what} = {value!r} outside [0, 1]")
+    return OverlapRecord(gamma, float(e0), float(e1),
+                         *(min(max(v, 0.0), 1.0) for v in probs),
+                         int(mult) > 1, int(mult))
 
 
 def overlaps(problem: SearchProblem, *,
              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
-    """Level overlaps at one coupling.
+    """Level overlaps at one coupling from the dense H, the independent
+    route that confirms :func:`critical_gamma` and that :func:`verify_bounds`
+    audits; :func:`measure_overlaps` gives the same record in O(K).
 
-    Only the lowest few eigenpairs of the dense H are computed; the window
-    grows until the E1 degeneracy group is fully enclosed.  The eigensolve
+    Only the lowest few eigenpairs are computed; the window grows until
+    the E1 degeneracy group is fully enclosed.  The eigensolve
     overwrites H (its transpose is the Fortran-ordered view LAPACK works
     in), so H is formed again only when the window grows.
     """
@@ -167,22 +165,13 @@ def overlaps(problem: SearchProblem, *,
         raise NumericalError("could not separate E1 from E0")
     group1 = np.flatnonzero(labels == 1)
     e0 = float(values[0])
-    e1 = float(values[group1[0]])
     if e0 < -1.0 - 1e-9 or e0 >= 0.0:
         raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
     s_amp = vectors.T @ _uniform_state(n)
     w_amp = vectors[problem.target, :]
-    return OverlapRecord(
-        gamma=problem.gamma,
-        e0=e0,
-        e1=e1,
-        s_psi0_sq=_clip_prob(float(s_amp[0] ** 2), "s_psi0_sq"),
-        s_psi1_sq=_clip_prob(float(np.sum(s_amp[group1] ** 2)), "s_psi1_sq"),
-        w_psi0_sq=_clip_prob(float(w_amp[0] ** 2), "w_psi0_sq"),
-        w_psi1_sq=_clip_prob(float(np.sum(w_amp[group1] ** 2)), "w_psi1_sq"),
-        degenerate_e1=group1.size > 1,
-        e1_multiplicity=int(group1.size),
-    )
+    return _record(problem.gamma, e0, values[group1[0]],
+                   (s_amp[0] ** 2, np.sum(s_amp[group1] ** 2),
+                    w_amp[0] ** 2, np.sum(w_amp[group1] ** 2)), group1.size)
 
 
 def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
@@ -196,99 +185,17 @@ def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- critical coupling ----------------------------------------------------------
+# -- secular levels -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalGamma:
-    """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma).  ``evaluations`` counts
-    the dense evaluations of the difference."""
+def _brent(f, a: float, fa: float, b: float, fb: float,
+           rtol: float) -> tuple[float, float]:
+    """Brent's zeroin on the sign-change pair (a, b) to a relative width of
+    ``rtol``; returns (b, f(b)), b the final end with the smaller |f|.
 
-    gamma: float
-    bracket: tuple[float, float]
-    residual: float
-    xi1: float
-    evaluations: int
-
-
-def _measure_levels(sums: SpectralSums, gamma: float, *,
-                    dense_guard: int | None = DEFAULT_DENSE_GUARD
-                    ) -> tuple[SpectralDecomposition, np.ndarray]:
-    """H on the span of the measure's groups, and z.
-
-    With one basis vector per group of the target's Laplacian measure
-    (eigenvalue lam_k, target weight a_k), H acts as the K x K matrix
-    gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is basis vector
-    0, the zero mode.  The levels outside that span are invisible to |w>
-    and |s>.
-    """
-    z = np.sqrt(sums.group_amp_sq)
-    return eigh(gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z),
-                dense_guard=dense_guard), z
-
-
-def _measure_difference(sums: SpectralSums, gamma: float, *,
-                        dense_guard: int | None = DEFAULT_DENSE_GUARD
-                        ) -> float:
-    """s_psi0_sq - s_psi1_sq from the measure: v_0[0]^2 minus v_a[0]^2
-    summed over the second level of the K x K matrix.
-
-    Equal to the dense difference.  Every level |w> cannot see sits at
-    some gamma*lam_k >= gamma*lam_1.  By interlacing the second visible
-    level lies below gamma*lam_1 when a_1 > 0; when a_1 = 0 the matrix
-    keeps gamma*lam_1 as a level with v[0] = 0, as the dense H does.
-    """
-    dec, _ = _measure_levels(sums, gamma, dense_guard=dense_guard)
-    s_sq = dec.eigenvectors[0, :] ** 2
-    return float(s_sq[0] - s_sq[dec.group_index == 1].sum())
-
-
-def _sign_change_root(f, seed: float, gamma_floor: float,
-                      gamma_ceiling: float, rtol: float
-                      ) -> tuple[float, float, float]:
-    """Root of a function that is negative below it and positive above.
-
-    A doubling search from ``seed`` brackets a sign change inside
-    [gamma_floor, gamma_ceiling], and Brent's method (inverse-quadratic
-    and secant steps, bisection when a step is refused) narrows it to a
-    relative width of ``rtol``.  Returns (b, f(b), c): b the bracket end
-    with the smaller |f|, c the other end.
-    """
-    f_seed = f(seed)
-    if f_seed == 0.0:
-        return seed, f_seed, seed
-    if f_seed > 0.0:
-        hi, f_hi = seed, f_seed
-        lo = seed
-        while True:
-            lo /= 2.0
-            if lo < gamma_floor:
-                raise NoTransitionError(
-                    f"no overlap crossing above gamma_floor={gamma_floor}"
-                )
-            f_lo = f(lo)
-            if f_lo < 0.0:
-                break
-            hi, f_hi = lo, f_lo
-    else:
-        lo, f_lo = seed, f_seed
-        hi = seed
-        while True:
-            hi *= 2.0
-            if hi > gamma_ceiling:
-                raise NoTransitionError(
-                    f"no overlap crossing below gamma_ceiling={gamma_ceiling}"
-                )
-            f_hi = f(hi)
-            if f_hi > 0.0:
-                break
-            lo, f_lo = hi, f_hi
-    # Brent's zeroin on the sign-change pair (b, c): b holds the smaller
-    # |f|, a the previous b.  An inverse-quadratic (or secant) step is taken
-    # when it lands well inside the bracket and shrinks faster than
-    # bisection would; otherwise the step bisects.  Steps are never shorter
-    # than tol, so the last one closes the bracket to tol across the root.
-    a, fa, b, fb = lo, f_lo, hi, f_hi
+    An inverse-quadratic (or secant) step is taken when it lands well
+    inside the bracket and shrinks faster than bisection would; otherwise
+    the step bisects.  Steps are never shorter than tol."""
     c, fc = a, fa
     d = e = b - a
     while True:
@@ -301,7 +208,7 @@ def _sign_change_root(f, seed: float, gamma_floor: float,
         tol = 0.5 * rtol * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
-            return b, fb, c
+            return b, fb
         p = q = 0.0
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
@@ -321,6 +228,140 @@ def _sign_change_root(f, seed: float, gamma_floor: float,
         fb = f(b)
 
 
+def _secular_root(poles: np.ndarray, weights: np.ndarray, i: int
+                  ) -> tuple[float, float, float]:
+    """Root i of F(E) = sum_k weights_k / (poles_k - E) = 1 and its
+    overlaps (E, |<s|psi>|^2, |<w|psi>|^2).
+
+    The poles ascend from poles[0] = 0, whose weight is 1/N, and every
+    weight is positive; root 0 lies in [-1, 0), root i in (poles[i-1],
+    poles[i]).  As in LAPACK's ``dlaed4`` (Gu & Eisenstat, SIMAX 16, 172,
+    1995) it is an offset tau from the nearer pole p_o, every distance
+    formed as (poles_k - p_o) - tau, so tau keeps its relative precision.
+    Brent's method runs on |tau| (F - 1), finite (-/+ weights_o) at the
+    pole.  Then |<w|psi>|^2 = 1/F'(E) and |<s|psi>|^2 = (1/N)/(E^2 F'(E)).
+    """
+    if i == 0:
+        o, far = 0, -1.0
+    else:
+        half = 0.5 * (poles[i] - poles[i - 1])
+        g_mid = float(np.sum(weights / ((poles - poles[i - 1]) - half))) - 1.0
+        o, far = (i - 1, half) if g_mid >= 0.0 else (i, -half)
+    gaps = poles - poles[o]
+
+    def scaled(tau: float) -> float:
+        return abs(tau) * (float(np.sum(weights / (gaps - tau))) - 1.0)
+
+    # F(-1) < sum_k weights_k = 1 unless roundoff puts E0 at -1.
+    f_far = min(scaled(far), 0.0) if i == 0 else half * g_mid
+    tau, _ = _brent(scaled, far, f_far, 0.0, -math.copysign(weights[o], far),
+                    _SECULAR_RTOL)
+    q = weights / (gaps - tau) ** 2
+    slope = float(q.sum())
+    return float(poles[o] + tau), float(q[0]) / slope, 1.0 / slope
+
+
+def _secular_overlaps(sums: SpectralSums, gamma: float,
+                      tol: float) -> OverlapRecord:
+    """E0, E1 and their overlaps from the measure.  The roots over groups
+    with a_k > 0 are the levels |w> sees; the rest sit at gamma*lam_k (m_k - 1
+    per group, m_k when a_k = 0) with no |s> or |w> weight.  E1 opens the
+    first group above E0 under ``tol``, as in :func:`overlaps`."""
+    lam, weights = sums.group_eigenvalues, sums.group_amp_sq
+    # Weights below (8 eps ||H||)^2 are deflated, as in LAPACK's dlaed2;
+    # the zero mode, which carries |s>, always stays.
+    cut = (8.0 * _EPS * max(gamma * float(lam[-1]), 1.0)) ** 2
+    visible = np.r_[True, weights[1:] > cut]
+    poles, a = gamma * lam[visible], weights[visible]
+    hidden = sums.multiplicities - visible
+    hidden_at, hidden_count = gamma * lam[hidden > 0], hidden[hidden > 0]
+    e0, s0, w0 = _secular_root(poles, a, 0)
+    group = []  # (E, s_sq, w_sq, multiplicity) of E1's levels
+    root, i, j = None, 1, 0
+    while True:
+        last = group[-1][0] if group else e0
+        if root is None and i < poles.size and \
+                (not group or poles[i - 1] - last <= tol):
+            root = (*_secular_root(poles, a, i), 1)
+        nxt = root
+        if j < hidden_at.size and (nxt is None or hidden_at[j] < nxt[0]):
+            nxt = (hidden_at[j], 0.0, 0.0, hidden_count[j])
+        if nxt is None or group and nxt[0] - last > tol:
+            break
+        group.append(nxt)
+        root, i, j = (None, i + 1, j) if nxt is root else (root, i, j + 1)
+    if not group or group[0][0] - e0 <= tol:
+        raise NumericalError(
+            "ground level of H is degenerate; cannot define the overlap pair"
+        )
+    _, s1, w1, mult = map(sum, zip(*group))
+    return _record(gamma, e0, group[0][0], (s0, s1, w0, w1), mult)
+
+
+def measure_overlaps(problem: SearchProblem, *,
+                     dense_guard: int | None = DEFAULT_DENSE_GUARD
+                     ) -> OverlapRecord:
+    """The record of :func:`overlaps` from the secular roots of the
+    target's measure, under the same grouping tolerance: one decomposition
+    of L per graph and target, then O(K) per root-finder step."""
+    sums = target_measure(problem.graph, problem.target,
+                          dense_guard=dense_guard)
+    return _secular_overlaps(sums, problem.gamma,
+                             DEGENERACY_RTOL * _gershgorin_spread(problem))
+
+
+# -- critical coupling ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CriticalGamma:
+    """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma).  ``evaluations`` counts
+    the dense evaluations of the difference."""
+
+    gamma: float
+    bracket: tuple[float, float]
+    residual: float
+    xi1: float
+    evaluations: int
+
+
+def _measure_difference(sums: SpectralSums, gamma: float) -> float:
+    """s_psi0_sq - s_psi1_sq from the secular roots, grouped under
+    DEGENERACY_RTOL times the width gamma*lam_max + 1 of H's spectrum."""
+    tol = DEGENERACY_RTOL * (gamma * float(sums.group_eigenvalues[-1]) + 1.0)
+    rec = _secular_overlaps(sums, gamma, tol)
+    return rec.s_psi0_sq - rec.s_psi1_sq
+
+
+def _sign_change_root(f, seed: float, gamma_floor: float,
+                      gamma_ceiling: float) -> tuple[float, float]:
+    """Root of a function that is negative below it and positive above.
+
+    A doubling search from ``seed`` brackets a sign change inside
+    [gamma_floor, gamma_ceiling], and :func:`_brent` narrows it to a
+    relative width of 1e-12.  Returns (b, f(b)), b the end of the final
+    bracket with the smaller |f|.
+    """
+    f_seed = f(seed)
+    if f_seed == 0.0:
+        return seed, f_seed
+    down = f_seed > 0.0
+    a, fa = seed, f_seed
+    while True:
+        b = a / 2.0 if down else a * 2.0
+        if not gamma_floor <= b <= gamma_ceiling:
+            raise NoTransitionError(
+                f"no overlap crossing above gamma_floor={gamma_floor}" if down
+                else f"no overlap crossing below gamma_ceiling={gamma_ceiling}")
+        fb = f(b)
+        if fb < 0.0 if down else fb > 0.0:
+            break
+        a, fa = b, fb
+    if down:
+        a, fa, b, fb = b, fb, a, fa
+    return _brent(f, a, fa, b, fb, _MEASURE_RTOL)
+
+
 def critical_gamma(graph: Graph, target: NodeId, *,
                    gamma_floor: float = 1e-6,
                    gamma_ceiling: float = 1e6,
@@ -329,67 +370,38 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     """Locate the coupling where the uniform state moves from the first
     excited level to the ground level.
 
-    A doubling search from xi1 (the weighted inverse-eigenvalue sum, which
-    approximates the crossing) brackets a sign change of the overlap
-    difference and Brent's method narrows it.  Which difference depends on
-    K, the number of distinct Laplacian eigenvalues:
+    A doubling search from xi1 (which approximates the crossing) brackets
+    a sign change of the overlap difference on the target's measure, and
+    Brent's method narrows it to a root r of relative width 1e-12.  Two
+    dense window eigensolves of H at r*(1 -/+ d) then confirm the sign
+    change, so ``evaluations`` is 2.  d is 1e-10, or
+    eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
+    nonzero Laplacian eigenvalue lam_1 only to an absolute eps*lam_max, and
+    the measure's root moves with it.  ``bracket`` is that pair, ``gamma``
+    its end with the smaller dense difference and ``residual`` the
+    magnitude of that difference.
 
-    * K <= N/2 (fractals, trees, tori, complete graphs): the root r is
-      found on the K x K matrix of the target's measure, to a relative
-      width of 1e-12.  Two dense window eigensolves of H at r*(1 -/+ d)
-      then confirm the sign change, so ``evaluations`` is 2.  d is 1e-10,
-      or eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
-      nonzero Laplacian eigenvalue lam_1 only to an absolute
-      eps*lam_max, and the measure's root moves with it.  ``bracket`` is
-      that pair and ``gamma`` its end with the smaller dense difference.
-    * K > N/2 (chains, generic graphs): the 8 to 12 full K x K solves of
-      the root search cost as much as the 5 dense evaluations they save,
-      or more (measured on chains), so Brent runs on the dense difference
-      itself, to a relative width of 1e-9.  ``bracket`` is its final
-      sign-change pair and ``gamma`` the end with the smaller difference.
-
-    ``evaluations`` counts dense evaluations and ``residual`` is the
-    magnitude of the dense difference at ``gamma``.  Raises
-    :class:`NoTransitionError` when there is no sign change inside
+    Raises :class:`NoTransitionError` when there is no sign change inside
     [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
     difference at the root is not small (a jump, not a crossing) or the
     dense pair does not confirm the measure's root.
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
     lam = sums.group_eigenvalues
-    evaluations = 0
-
-    def dense(gamma: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        rec = overlaps(SearchProblem(graph, target, gamma),
-                       dense_guard=dense_guard)
-        return rec.s_psi0_sq - rec.s_psi1_sq
-
-    on_measure = 2 * lam.size <= graph.n
-    if on_measure:
-        rtol = _MEASURE_RTOL
-
-        def f(gamma: float) -> float:
-            return _measure_difference(sums, gamma, dense_guard=dense_guard)
-    else:
-        f, rtol = dense, _DENSE_RTOL
     seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
-    root, f_root, other = _sign_change_root(f, seed, gamma_floor,
-                                            gamma_ceiling, rtol)
+    root, f_root = _sign_change_root(
+        lambda gamma: _measure_difference(sums, gamma), seed, gamma_floor,
+        gamma_ceiling)
     if abs(f_root) > _RESIDUAL_TOL:
         raise NumericalError(
             f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    if not on_measure:
-        return CriticalGamma(gamma=root, bracket=(min(root, other),
-                                                  max(root, other)),
-                             residual=abs(f_root), xi1=sums.xi1,
-                             evaluations=evaluations)
-    offset = max(_CONFIRM_RTOL, np.finfo(float).eps * lam[-1] / lam[1])
+    offset = max(_CONFIRM_RTOL, _EPS * lam[-1] / lam[1])
     lo, hi = root * (1.0 - offset), root * (1.0 + offset)
-    f_lo, f_hi = dense(lo), dense(hi)
+    f_lo, f_hi = (rec.s_psi0_sq - rec.s_psi1_sq for rec in (
+        overlaps(SearchProblem(graph, target, g), dense_guard=dense_guard)
+        for g in (lo, hi)))
     if not f_lo <= 0.0 <= f_hi:
         raise NumericalError(
             f"the measure route puts the crossing at gamma={root!r}, but the "
@@ -397,13 +409,14 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         )
     gamma, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
     return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
-                         xi1=sums.xi1, evaluations=evaluations)
+                         xi1=sums.xi1, evaluations=2)
 
 
 def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,
                   dense_guard: int | None = DEFAULT_DENSE_GUARD
                   ) -> list[tuple[float, float]]:
-    """Sign-change intervals of the overlap difference over a coupling grid.
+    """Sign-change intervals of the overlap difference over a coupling grid,
+    from the secular roots of the target's measure.
 
     A uniqueness check to accompany :func:`critical_gamma`: a healthy
     transition shows exactly one interval.
@@ -411,16 +424,11 @@ def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,
     gam = sorted(float(g) for g in gammas)
     if len(gam) < 2:
         raise ConfigError("crossing scan needs at least two couplings")
-    values = [
-        overlaps(SearchProblem(graph, target, g), dense_guard=dense_guard)
-        for g in gam
-    ]
-    diffs = [r.s_psi0_sq - r.s_psi1_sq for r in values]
-    intervals = []
-    for a, b, fa, fb in zip(gam, gam[1:], diffs, diffs[1:]):
-        if fa == 0.0 or (fa < 0.0) != (fb < 0.0):
-            intervals.append((a, b))
-    return intervals
+    diffs = [rec.s_psi0_sq - rec.s_psi1_sq for rec in (
+        measure_overlaps(SearchProblem(graph, target, g),
+                         dense_guard=dense_guard) for g in gam)]
+    return [(a, b) for a, b, fa, fb in zip(gam, gam[1:], diffs, diffs[1:])
+            if fa == 0.0 or (fa < 0.0) != (fb < 0.0)]
 
 
 # -- time evolution -------------------------------------------------------------
@@ -432,26 +440,21 @@ def default_time_grid(n: int, count: int = 512) -> np.ndarray:
     return np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), count)
 
 
-def evolve_state(problem: SearchProblem, t: float, *,
-                 dense_guard: int | None = DEFAULT_DENSE_GUARD) -> np.ndarray:
-    """exp(-i H t) |s> from a full dense decomposition of H."""
-    dec = hamiltonian_decomposition(problem, dense_guard=dense_guard)
-    s_amp = dec.eigenvectors.T @ _uniform_state(problem.n)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return dec.eigenvectors @ (phases * s_amp)
-
-
 def success_probability(problem: SearchProblem, t, *,
                         dense_guard: int | None = DEFAULT_DENSE_GUARD):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
 
-    Exact from the K x K matrix of the target's Laplacian measure (see
-    :func:`_measure_levels`), whose levels are all those |w> and |s> see.
-    One K x K eigensolve serves every requested time.
+    With one basis vector per group of the target's Laplacian measure
+    (eigenvalue lam_k, target weight a_k), H acts as the K x K matrix
+    gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is basis vector
+    0, the zero mode.  The levels outside that span are invisible to |w>
+    and |s>, so this is exact.  One K x K eigensolve serves every time.
     """
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
-    dec, z = _measure_levels(sums, problem.gamma, dense_guard=dense_guard)
+    z = np.sqrt(sums.group_amp_sq)
+    dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
+               - np.outer(z, z), dense_guard=dense_guard)
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
@@ -665,14 +668,6 @@ class BoundReport:
         }
 
 
-def _resolvent_diagonal(sums: SpectralSums, gamma: float, energy: float) -> float:
-    """F(E) = <w| (gamma*L - E)^-1 |w> from the Laplacian group data; at any
-    eigenvalue E of H that has <w|psi> != 0 this equals exactly 1."""
-    lam = sums.group_eigenvalues
-    weight = sums.group_amp_sq
-    return float(np.sum(weight / (gamma * lam - energy)))
-
-
 def verify_bounds(graph: Graph, target: NodeId,
                   gammas: Sequence[float] | None = None, *,
                   dense_guard: int | None = DEFAULT_DENSE_GUARD) -> BoundReport:
@@ -742,7 +737,10 @@ def verify_bounds(graph: Graph, target: NodeId,
                     f"overlap_residue_{level}", gamma, None, None, None,
                     "skipped: E1 degenerate"))
                 continue
-            f_val = _resolvent_diagonal(sums, gamma, energy)
+            # F(E) = <w| (gamma*L - E)^-1 |w>, exactly 1 at a level of H
+            # that |w> sees
+            f_val = float(np.sum(sums.group_amp_sq
+                                 / (gamma * sums.group_eigenvalues - energy)))
             checks.append(BoundCheck(
                 f"resolvent_norm_{level}", gamma,
                 abs(f_val - 1.0) <= 1e-6, f_val, 1.0))

@@ -17,7 +17,6 @@ from ctqwlab.engine import (
     SearchProblem,
     critical_gamma,
     default_time_grid,
-    evolve_state,
     gamma_max_search,
     oscillation_period,
     propagate_krylov,
@@ -38,6 +37,7 @@ from ctqwlab.oracles import (
     dsg_zeta_direct,
 )
 from ctqwlab.spectra import fit_alpha, target_measure
+from dense_oracles import evolve_state
 
 
 def _line(num, ok, detail):

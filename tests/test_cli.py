@@ -54,6 +54,23 @@ def test_spectrum_artifact_and_rerun_identical(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("family,g", [("tfractal", 5), ("dsg", 4),
+                                      ("cayleytree", 6)])
+def test_spectrum_in_place_matches_eigvalsh_on_a_copy(tmp_path, family, g):
+    """Decomposing L in its own memory writes the very bytes that scipy's
+    eigvalsh on an untouched L gives."""
+    import scipy.linalg as sla
+
+    from ctqwlab.graphs import GraphSpec, build
+    from ctqwlab.spectra import degeneracy_groups, spectrum_csv
+
+    assert run("spectrum", "--family", family, "--g", str(g),
+               "--out", tmp_path) == 0
+    values = sla.eigvalsh(build(GraphSpec(family=family, g=g)).laplacian())
+    assert (tmp_path / f"spectrum_{family}_g{g}.csv").read_text() == \
+        spectrum_csv(values, degeneracy_groups(values))
+
+
 def test_spectrum_computes_no_eigenvectors(tmp_path, request):
     from ctqwlab import spectra
     from ctqwlab.graphs import GraphSpec, build
@@ -329,13 +346,20 @@ def test_module_entry_point_subprocess(tmp_path):
     assert (tmp_path / "edges_complete_n6.txt").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     """scipy.optimize costs about 0.1 s and 15 MB to import; no command
-    needs it, so importing the CLI must not load it."""
+    needs it, so neither importing the CLI nor running the commands that
+    find roots (overlap sweeps, critical couplings) may load it."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ctqwlab.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize'))); "
+         "ctqwlab.cli.main(['overlaps', '--family', 'dsg', '--g', '3', "
+         f"'--out', {str(tmp_path)!r}]); "
+         "ctqwlab.cli.main(['critgamma', '--family', 'dsg', '--sizes', '3', "
+         f"'--out', {str(tmp_path)!r}]); "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"

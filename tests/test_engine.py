@@ -12,9 +12,7 @@ from ctqwlab.engine import (
     critical_gamma,
     crossing_scan,
     default_time_grid,
-    evolve_state,
     gamma_max_search,
-    hamiltonian_decomposition,
     overlap_sweep_csv,
     overlaps,
     oscillation_period,
@@ -45,6 +43,11 @@ from ctqwlab.spectra import (
     laplacian_decomposition,
     spectral_sums,
     target_measure,
+)
+from dense_oracles import (
+    evolve_state,
+    full_solve_overlaps,
+    hamiltonian_decomposition,
 )
 
 
@@ -178,6 +181,103 @@ def test_overlap_sweep_csv_shape():
     assert len(lines) == 4
     gammas = [float(r.split(",")[0]) for r in lines[1:]]
     assert gammas == [0.05, 0.125, 0.3]
+
+
+def _star(n):
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+SECULAR_CASES = [
+    # G(n, p) graphs: K = N, every Laplacian eigenvalue simple
+    pytest.param(lambda: _random_graph(31, 40, 0.1), 3, id="gnp_40_seed31"),
+    pytest.param(lambda: _random_graph(32, 90, 0.05), 8, id="gnp_90_seed32"),
+    _family_case(family=Family.CHAIN, L=50, periodic=False),
+    _family_case(family=Family.CHAIN, L=50, periodic=True),
+    pytest.param(lambda: _star(12), 0, id="star12_hub"),
+    pytest.param(lambda: _star(12), 5, id="star12_leaf"),
+    _family_case(family=Family.COMPLETE, n=12),
+    _family_case(family=Family.COMPLETE, n=64),
+    _family_case(family=Family.DSG, g=3),
+    _family_case(family=Family.TFRACTAL, g=4),
+    _family_case(family=Family.TORUS, L=6, d=2),
+]
+
+
+def _assert_same_levels(graph, target, gammas):
+    """measure_overlaps against the dense window solve (or, where LAPACK's
+    evr fails on an index subset inside a large cluster, a full solve):
+    the same E1 group, every other field within 1e-10."""
+    from ctqwlab.engine import measure_overlaps
+
+    for gamma in gammas:
+        problem = SearchProblem(graph, target, float(gamma))
+        try:
+            want = overlaps(problem)
+        except np.linalg.LinAlgError:
+            want = full_solve_overlaps(problem)
+        got = measure_overlaps(problem)
+        assert got.gamma == want.gamma
+        assert got.degenerate_e1 == want.degenerate_e1
+        assert got.e1_multiplicity == want.e1_multiplicity, gamma
+        for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
+                      "w_psi1_sq"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=1e-10, abs=1e-10), (gamma, field)
+
+
+@pytest.mark.parametrize("make_graph,target", SECULAR_CASES)
+def test_secular_levels_match_dense_overlaps(make_graph, target):
+    """E0, E1 and their overlaps from the secular roots of the target's
+    measure agree with the dense route from 1e-3 xi1 to 1e3 xi1.  The star's
+    10-fold and K64's 63-fold Laplacian eigenvalues are clusters where
+    LAPACK's evr on an index subset fails at some couplings."""
+    graph = make_graph()
+    xi1 = target_measure(graph, target).xi1
+    _assert_same_levels(graph, target, np.geomspace(1e-3, 1e3, 25) * xi1)
+
+
+@pytest.mark.parametrize("make_graph,target", [
+    _family_case(family=Family.DSG, g=3),
+    _family_case(family=Family.TFRACTAL, g=4),
+    _family_case(family=Family.CHAIN, L=50, periodic=False),
+])
+def test_secular_levels_merge_into_one_group_at_tiny_couplings(make_graph,
+                                                               target):
+    """Below gamma ~ 1e-8 the excited levels lie closer than the grouping
+    tolerance, so E1's group takes in several visible roots and invisible
+    levels (up to all N - 1 levels above E0), as the dense solve does."""
+    _assert_same_levels(make_graph(), target, np.geomspace(1e-10, 1e-6, 9))
+
+
+@pytest.mark.parametrize("make_graph", [
+    pytest.param(lambda: _graph(Family.TFRACTAL, g=4), id="tfractal4_hub"),
+    pytest.param(lambda: _graph(Family.CAYLEY_TREE, g=5), id="tree5_root"),
+])
+def test_secular_levels_deflate_weights_below_roundoff(make_graph):
+    """The hub of a symmetric graph leaves weights of ~1e-31 on many groups.
+    Deflated they are invisible levels; kept as poles, each would pin two
+    roots within roundoff of itself, and their share of |s> goes wrong at
+    small couplings (by 1.4e-6 at gamma = 1e-14 on the T-fractal hub)."""
+    _assert_same_levels(make_graph(), 0, np.geomspace(1e-16, 1e-2, 15))
+
+
+def test_overlap_sweeps_make_no_dense_or_k_by_k_solve(monkeypatch, tmp_path):
+    """The overlaps command and crossing_scan work from the measure alone:
+    one Laplacian decomposition, then no eigensolve of H or of its K x K
+    form at any coupling."""
+    from types import SimpleNamespace
+
+    from ctqwlab import engine
+    from ctqwlab.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve of H ran")
+    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=refuse))
+    monkeypatch.setattr(engine, "eigh", refuse)
+    assert main(["overlaps", "--family", "tfractal", "--g", "4",
+                 "--gamma-count", "16", "--out", str(tmp_path)]) == 0
+    g = _graph(Family.COMPLETE, n=32)
+    assert len(crossing_scan(g, 0, np.geomspace(1e-3, 1.0, 16))) == 1
 
 
 def test_critical_gamma_complete():
@@ -358,20 +458,14 @@ ROOT_CASES = [
 
 @pytest.mark.parametrize("make_graph,target", ROOT_CASES)
 def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
-    """With K <= N/2 the root found on the measure is confirmed by two
-    dense evaluations; with K > N/2 (the random graphs and chains) Brent
-    runs on the dense difference.  Either way gamma lies in a bracket of
-    relative width at most 1e-9 and agrees with a plain bisection of the
-    dense overlap difference, run here from [gamma/2, 2 gamma] to width
-    1e-12."""
+    """The root found on the measure is confirmed by two dense evaluations,
+    so gamma lies in a bracket of relative width at most 1e-9; it agrees
+    with a plain bisection of the dense overlap difference, run here from
+    [gamma/2, 2 gamma] to width 1e-12."""
     graph = make_graph()
     res = critical_gamma(graph, target)
     lo, hi = res.bracket
-    k = target_measure(graph, target).group_eigenvalues.size
-    if 2 * k <= graph.n:
-        assert res.evaluations == 2
-    else:
-        assert 2 < res.evaluations <= 10
+    assert res.evaluations == 2
     assert lo <= res.gamma <= hi
     assert hi - lo <= 1e-9 * res.gamma
     a, b = res.gamma / 2.0, res.gamma * 2.0
@@ -390,9 +484,8 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
 def synthetic_difference(monkeypatch):
     """Replace the measure's overlap difference and the dense overlaps with
     differences chosen by the test (the same one unless ``dense`` is
-    given); returns the graph (dsg g3, target 0, on the measure route),
-    the list of couplings asked on either route, and the list asked of
-    the dense route."""
+    given); returns the graph (dsg g3, target 0), the list of couplings
+    asked on either route, and the list asked of the dense route."""
     from types import SimpleNamespace
 
     from ctqwlab import engine
@@ -402,7 +495,7 @@ def synthetic_difference(monkeypatch):
     def install(diff, dense=None):
         dense = diff if dense is None else dense
 
-        def fake_measure(sums, gamma, **kwargs):
+        def fake_measure(sums, gamma):
             asked.append(gamma)
             return diff(gamma)
 
@@ -485,27 +578,34 @@ def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
     assert res.bracket == (lo, hi) and res.evaluations == 2
 
 
-@pytest.mark.parametrize("spec,on_measure", [
-    (GraphSpec(Family.DSG, g=3), True),
-    (GraphSpec(Family.TFRACTAL, g=3), True),  # K = N/2
-    (GraphSpec(Family.CHAIN, L=40, periodic=True), False),  # K = N/2 + 1
-    (GraphSpec(Family.CHAIN, L=40, periodic=False), False),  # K = N
-], ids=lambda v: v.label if isinstance(v, GraphSpec) else None)
-def test_critical_gamma_picks_its_route_from_k(monkeypatch, spec, on_measure):
-    """The measure route runs when K <= N/2 and makes 2 dense
-    evaluations; above that no K x K solve runs."""
+@pytest.mark.parametrize("make_graph,target", [
+    _family_case(family=Family.DSG, g=3),
+    _family_case(family=Family.TFRACTAL, g=3),  # K = N/2
+    _family_case(family=Family.CHAIN, L=40, periodic=True),  # K = N/2 + 1
+    _family_case(family=Family.CHAIN, L=40, periodic=False),  # K = N
+    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
+])
+def test_critical_gamma_takes_the_measure_route_for_any_k(make_graph, target,
+                                                          monkeypatch):
+    """Whatever K, the number of distinct Laplacian eigenvalues, the root
+    search runs on the measure, runs no K x K eigensolve, and makes exactly
+    the 2 dense confirmations."""
     from ctqwlab import engine
 
     measured = []
     real = engine._measure_difference
 
-    def spy(sums, gamma, **kwargs):
+    def spy(sums, gamma):
         measured.append(gamma)
-        return real(sums, gamma, **kwargs)
+        return real(sums, gamma)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a K x K eigensolve ran")
     monkeypatch.setattr(engine, "_measure_difference", spy)
-    res = critical_gamma(build(spec), default_target(spec))
-    assert bool(measured) is on_measure
-    assert (res.evaluations == 2) is on_measure
+    monkeypatch.setattr(engine, "eigh", refuse)
+    res = critical_gamma(make_graph(), target)
+    assert measured
+    assert res.evaluations == 2
 
 
 def test_crossing_scan_brackets_critical():
