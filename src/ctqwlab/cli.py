@@ -473,7 +473,7 @@ def _oracle_krylov(args: argparse.Namespace) -> tuple[float, float, dict]:
     ref = success_probability(SearchProblem(graph, target, gamma), times,
                               dense_guard=guard)
     worst = float(np.max(np.abs(kry - ref)))
-    return worst, 1e-8, {"g": g, "gamma": gamma}
+    return worst, 1e-12, {"g": g, "gamma": gamma}
 
 
 # Each runner returns (max error, tolerance, details).

@@ -9,7 +9,9 @@ E0 and E1 in O(K) per coupling, and the critical coupling is found on it,
 then confirmed by two window eigensolves of the dense H.  Success
 probabilities come from the K x K matrix of the measure; the bound audit
 still solves the dense H.  Past the dense guard, :func:`propagate_krylov`
-steps the state with scipy's ``expm_multiply`` on the sparse H.
+reads pi(t) from Chebyshev moments <w|T_k|s> of the sparse H, scaled by
+its Gershgorin interval: one real recurrence in O(N) memory, no
+``expm_multiply``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     DEFAULT_DENSE_GUARD,
@@ -50,6 +51,10 @@ _SECULAR_RTOL = 4.0 * _EPS
 _MEASURE_RTOL = 1e-12
 _RESIDUAL_TOL = 1e-6
 _CONFIRM_RTOL = 1e-10
+# Columns of Miller's backward recurrence are scaled down past this size;
+# below _X_FLOOR = a*t the propagator returns pi(0) = 1/N.
+_MILLER_BIG = 2.0 ** 600
+_X_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -142,16 +147,29 @@ def overlaps(problem: SearchProblem, *,
     Only the lowest few eigenpairs are computed; the window grows until
     the E1 degeneracy group is fully enclosed.  The eigensolve
     overwrites H (its transpose is the Fortran-ordered view LAPACK works
-    in), so H is formed again only when the window grows.
+    in), so H is formed again only when the window grows.  Inside a large
+    cluster of equal levels LAPACK's ``evr`` on an index subset can stop
+    with an internal error; then a full divide-and-conquer solve of a
+    fresh H replaces it, and a failure of that raises
+    :class:`NumericalError`.
     """
     n = problem.n
     h = build_hamiltonian(problem, dense_guard=dense_guard)
     tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
     k = min(n, 8)
     while True:
-        values, vectors = sla.eigh(h.T, subset_by_index=(0, k - 1),
-                                   driver="evr", overwrite_a=True,
-                                   check_finite=False)
+        try:
+            values, vectors = sla.eigh(h.T, subset_by_index=(0, k - 1),
+                                       driver="evr", overwrite_a=True,
+                                       check_finite=False)
+        except np.linalg.LinAlgError:
+            k = n
+            try:
+                values, vectors = sla.eigh(
+                    build_hamiltonian(problem, dense_guard=dense_guard).T,
+                    driver="evd", overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigensolve of H failed: {exc}") from exc
         labels = group_labels(values, tol)
         if k == n or labels[-1] >= 2:
             break
@@ -377,9 +395,9 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     change, so ``evaluations`` is 2.  d is 1e-10, or
     eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
     nonzero Laplacian eigenvalue lam_1 only to an absolute eps*lam_max, and
-    the measure's root moves with it.  ``bracket`` is that pair, ``gamma``
-    its end with the smaller dense difference and ``residual`` the
-    magnitude of that difference.
+    the measure's root moves with it.  ``gamma`` is the root r,
+    ``bracket`` the pair, its error bar, and ``residual`` the larger
+    magnitude of the two dense differences.
 
     Raises :class:`NoTransitionError` when there is no sign change inside
     [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
@@ -407,9 +425,9 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             f"the measure route puts the crossing at gamma={root!r}, but the "
             f"dense route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
         )
-    gamma, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
-    return CriticalGamma(gamma=gamma, bracket=(lo, hi), residual=residual,
-                         xi1=sums.xi1, evaluations=2)
+    return CriticalGamma(gamma=root, bracket=(lo, hi),
+                         residual=max(-f_lo, f_hi), xi1=sums.xi1,
+                         evaluations=2)
 
 
 def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,
@@ -755,34 +773,95 @@ def verify_bounds(graph: Graph, target: NodeId,
 # -- matrix-free propagation -----------------------------------------------------
 
 
+def _chebyshev_order(x_max: float) -> int:
+    """Highest Chebyshev order that e^{-i x y} on [-1, 1] needs up to x_max:
+    J_k(x) has fallen below 1e-17 of its peak by k = x + 12 x^{1/3} + 30."""
+    return math.ceil(x_max + 12.0 * x_max ** (1.0 / 3.0) + 30.0)
+
+
+def _bessel_series(x: np.ndarray, coef: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(sum over even k, sum over odd k) of coef_k J_k(x), k = 0..K, for
+    x > 0 with K = len(coef) - 1 at least :func:`_chebyshev_order` (max x).
+
+    Miller's backward recurrence f_{k-1} = (2k/x) f_k - f_{k+1}, started at
+    f_{K+1} = 0, f_K = 1, gives f_k proportional to J_k(x); both sums and
+    the normalisation J_0 + 2 sum_k J_2k = 1 accumulate as it runs, so no
+    table of J_k(x) is formed.  A column whose f passes _MILLER_BIG is
+    scaled down, together with its sums, against overflow."""
+    two_over_x = 2.0 / x
+    f_next, f = np.zeros_like(x), np.ones_like(x)
+    even, odd, norm = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(coef.size - 1, 0, -1):
+        if k % 2:
+            odd += coef[k] * f
+        else:
+            even += coef[k] * f
+            norm += f
+        f, f_next = (k * two_over_x) * f - f_next, f
+        big = np.abs(f) > _MILLER_BIG
+        if big.any():
+            scale = np.where(big, 1.0 / _MILLER_BIG, 1.0)
+            for arr in (f, f_next, even, odd, norm):
+                arr *= scale
+    even += coef[0] * f
+    norm = 2.0 * norm + f
+    return even / norm, odd / norm
+
+
 def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
                      times: Sequence[float]) -> np.ndarray:
     """pi(t) on an ascending time grid, without a dense matrix.
 
-    Works from the sparse Laplacian, so it is the path for sizes past the
-    dense guard.  The state is stepped between consecutive requested times
-    by scipy's ``expm_multiply`` (Al-Mohy & Higham, SISC 33, 2011), which
-    picks its Taylor degree and substep count from norm estimates of
-    -i H dt so that each step reaches double precision.
+    Works from the sparse Laplacian in O(N) memory, so it is the path for
+    sizes past the dense guard.  H's spectrum lies in [-1, top]: gamma*L >= 0
+    and |w><w| <= 1 give the lower end, Gershgorin the upper.  With centre c
+    and half-width a of that interval, Hs = (H - c)/a has its spectrum in
+    [-1, 1], and (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)
+
+        <w|exp(-iHt)|s> = exp(-ict) sum_k (2 - [k=0]) (-i)^k J_k(at) mu_k,
+
+    with moments mu_k = <w|T_k(Hs)|s>, as in the kernel polynomial method
+    (Weisse et al., Rev. Mod. Phys. 78, 275, 2006).  One real three-term
+    recurrence T_{k+1} = 2 Hs T_k - T_{k-1} from |s> gives every mu_k, one
+    sparse product each, up to the order the last time needs; the Bessel
+    sums then cost O(K) per time and the phase exp(-ict) drops out of pi.
     """
-    SearchProblem(graph, target, gamma)  # validates target and gamma
+    problem = SearchProblem(graph, target, gamma)  # validates target and gamma
     t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
     if t_arr.size == 0:
         raise ConfigError("no times requested")
     if np.any(np.diff(t_arr) < 0.0) or t_arr[0] < 0.0:
         raise ConfigError("time grid must be ascending and nonnegative")
-    e_w = np.zeros(graph.n)
-    e_w[target] = 1.0
-    minus_ih = (-1j * (gamma * graph.laplacian_sparse() - sp.diags(e_w))).tocsr()
-    state = _uniform_state(graph.n).astype(complex)
-    out = np.empty_like(t_arr)
-    current = 0.0
-    for idx, t_query in enumerate(t_arr):
-        if t_query > current:
-            state = expm_multiply(minus_ih * (t_query - current), state)
-            current = t_query
-        prob = abs(state[target]) ** 2
-        if prob < -_PROB_SLACK or prob > 1.0 + _PROB_SLACK:
-            raise NumericalError("propagated probability left [0, 1]")
-        out[idx] = min(max(prob, 0.0), 1.0)
-    return out
+    n = graph.n
+    # The interval holds [-1, 0] whenever N > 1; a lone node has H = -1.
+    half = 0.5 * max(_gershgorin_spread(problem), 1.0)
+    shift = np.full(n, half - 1.0)  # the interval's centre
+    shift[target] += 1.0
+    h2 = ((gamma * graph.laplacian_sparse() - sp.diags(shift))
+          * (2.0 / half)).tocsr()
+    x = half * t_arr
+    order = _chebyshev_order(float(x[-1]))
+    prev = _uniform_state(n)
+    cur = 0.5 * (h2 @ prev)
+    mu = np.empty(order + 1)
+    mu[0], mu[1] = prev[target], cur[target]
+    for k in range(2, order + 1):
+        nxt = h2 @ cur
+        nxt -= prev
+        mu[k] = nxt[target]
+        prev, cur = cur, nxt
+    # (2 - [k=0]) (-i)^k mu_k: real for even k, -i times real for odd k
+    mu[1:] *= 2.0
+    mu[2::4] *= -1.0
+    mu[3::4] *= -1.0
+    # pi(t) - 1/N is even in t, so below _X_FLOOR it is 1/N to double
+    # precision.
+    out = np.full_like(t_arr, 1.0 / n)
+    moving = x >= _X_FLOOR
+    if moving.any():
+        re, im = _bessel_series(x[moving], mu)
+        out[moving] = re * re + im * im
+    if not (out.min() >= -_PROB_SLACK and out.max() <= 1.0 + _PROB_SLACK):
+        raise NumericalError("propagated probability left [0, 1]")
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -37,3 +37,14 @@ def full_solve_overlaps(problem: SearchProblem) -> OverlapRecord:
         s_psi0_sq=s_sq[0], s_psi1_sq=s_sq[one].sum(),
         w_psi0_sq=w_sq[0], w_psi1_sq=w_sq[one].sum(),
         degenerate_e1=one.sum() > 1, e1_multiplicity=int(one.sum()))
+
+
+def dense_success(problem: SearchProblem, times) -> np.ndarray:
+    """pi(t) = |<w| exp(-i H t) |s>|^2 over a time grid from one full dense
+    decomposition of H."""
+    dec = hamiltonian_decomposition(problem)
+    coef = dec.eigenvectors[problem.target, :] * \
+        dec.eigenvectors.sum(axis=0) / math.sqrt(problem.n)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
+                                   dec.eigenvalues))
+    return np.abs(phases @ coef) ** 2

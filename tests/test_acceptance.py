@@ -389,7 +389,7 @@ def test_criterion_8_property_bundle():
         SearchProblem(graph=graph, target=0, gamma=1.0), times)
     krylov = propagate_krylov(graph, 0, 1.0, times)
     kry_err = float(np.abs(spectral - krylov).max())
-    ok &= kry_err <= 1e-8
+    ok &= kry_err <= 1e-12
     notes.append(f"krylov vs spectral {kry_err:.1e}")
 
     assert _line(8, ok, "; ".join(notes))

@@ -363,3 +363,39 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == lines[-1] == "[]"
+
+
+def test_cli_import_and_propagator_leave_scipy_special_unloaded():
+    """scipy.special costs 0.06-0.07 s to import, about 15% of a process's
+    set-up; the Chebyshev propagator sums its Bessel series itself, so
+    neither importing the CLI nor propagating may load it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctqwlab.cli; "
+         "from ctqwlab import Family, GraphSpec, build, propagate_krylov; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.special'))); "
+         "propagate_krylov(build(GraphSpec(family=Family.DSG, g=4)), 0, 1.0, "
+         "[0.0, 1.0, 30.0]); "
+         "ctqwlab.cli.main(['oracle', '--check', 'krylov-vs-spectral']); "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
+
+
+def test_verify_inside_a_large_laplacian_cluster(tmp_path, capsys):
+    """complete n=64 at this coupling made LAPACK's subset evr stop with an
+    internal error, and verify printed a traceback; it must end with a
+    report (exit 0) or one JSON error line (exit 3)."""
+    code = run("verify", "--family", "complete", "--n", "64", "--gammas",
+               "1.5380859374999993e-05", "--out", tmp_path)
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert json.loads(err.strip())["exit_code"] == 3
+    else:
+        assert err.strip() == ""
+    report = json.loads((tmp_path / "bounds_complete_n64.json").read_text())
+    assert report["n"] == 64

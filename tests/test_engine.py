@@ -45,6 +45,7 @@ from ctqwlab.spectra import (
     target_measure,
 )
 from dense_oracles import (
+    dense_success,
     evolve_state,
     full_solve_overlaps,
     hamiltonian_decomposition,
@@ -203,26 +204,60 @@ SECULAR_CASES = [
 ]
 
 
+def _assert_same_record(got, want):
+    """The same coupling and E1 group, every other field within 1e-10."""
+    assert (got.gamma, got.degenerate_e1, got.e1_multiplicity) == \
+        (want.gamma, want.degenerate_e1, want.e1_multiplicity)
+    for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
+                  "w_psi1_sq"):
+        assert getattr(got, field) == pytest.approx(
+            getattr(want, field), rel=1e-10, abs=1e-10), (got.gamma, field)
+
+
 def _assert_same_levels(graph, target, gammas):
-    """measure_overlaps against the dense window solve (or, where LAPACK's
-    evr fails on an index subset inside a large cluster, a full solve):
-    the same E1 group, every other field within 1e-10."""
+    """measure_overlaps against the dense window solve."""
     from ctqwlab.engine import measure_overlaps
 
     for gamma in gammas:
         problem = SearchProblem(graph, target, float(gamma))
-        try:
-            want = overlaps(problem)
-        except np.linalg.LinAlgError:
-            want = full_solve_overlaps(problem)
-        got = measure_overlaps(problem)
-        assert got.gamma == want.gamma
-        assert got.degenerate_e1 == want.degenerate_e1
-        assert got.e1_multiplicity == want.e1_multiplicity, gamma
-        for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
-                      "w_psi1_sq"):
-            assert getattr(got, field) == pytest.approx(
-                getattr(want, field), rel=1e-10, abs=1e-10), (gamma, field)
+        _assert_same_record(measure_overlaps(problem), overlaps(problem))
+
+
+@pytest.mark.parametrize("gamma", [0.002415628768184179, 0.01358407882668622,
+                                   0.0001035142166679344])
+def test_overlaps_inside_a_large_laplacian_cluster(gamma):
+    """The hub of the 12-node star (10-fold eigenvalue 1): LAPACK's evr on
+    an index subset has stopped with an internal error at these couplings;
+    overlaps then answers from a full solve."""
+    problem = SearchProblem(_star(12), 0, gamma)
+    _assert_same_record(overlaps(problem), full_solve_overlaps(problem))
+
+
+def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
+    """A subset solve that raises LinAlgError is replaced by a full solve of
+    a fresh H; when that raises too, overlaps raises NumericalError."""
+    from types import SimpleNamespace
+
+    from ctqwlab import engine
+
+    real = engine.sla.eigh
+    full_calls = []
+
+    def subset_fails(a, **kwargs):
+        if "subset_by_index" in kwargs:
+            raise np.linalg.LinAlgError("Internal Error.")
+        full_calls.append(kwargs.get("driver"))
+        return real(a, **kwargs)
+    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=subset_fails))
+    problem = SearchProblem(_graph(Family.DSG, g=3), 0, 0.7)
+    _assert_same_record(overlaps(problem), full_solve_overlaps(problem))
+    assert full_calls == ["evd"]
+
+    def all_fail(a, **kwargs):
+        raise np.linalg.LinAlgError("Internal Error.")
+    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=all_fail))
+    with pytest.raises(NumericalError, match="eigensolve of H failed"):
+        overlaps(problem)
 
 
 @pytest.mark.parametrize("make_graph,target", SECULAR_CASES)
@@ -230,7 +265,8 @@ def test_secular_levels_match_dense_overlaps(make_graph, target):
     """E0, E1 and their overlaps from the secular roots of the target's
     measure agree with the dense route from 1e-3 xi1 to 1e3 xi1.  The star's
     10-fold and K64's 63-fold Laplacian eigenvalues are clusters where
-    LAPACK's evr on an index subset fails at some couplings."""
+    LAPACK's evr on an index subset fails at some couplings, so the dense
+    route takes its full-solve fallback there."""
     graph = make_graph()
     xi1 = target_measure(graph, target).xi1
     _assert_same_levels(graph, target, np.geomspace(1e-3, 1e3, 25) * xi1)
@@ -466,7 +502,7 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
     res = critical_gamma(graph, target)
     lo, hi = res.bracket
     assert res.evaluations == 2
-    assert lo <= res.gamma <= hi
+    assert lo < res.gamma < hi
     assert hi - lo <= 1e-9 * res.gamma
     a, b = res.gamma / 2.0, res.gamma * 2.0
     assert _overlap_difference(graph, target, a) < 0.0
@@ -478,6 +514,27 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
         else:
             a = mid
     assert res.gamma == pytest.approx(0.5 * (a + b), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("make_graph,target", [
+    _family_case(family=Family.DSG, g=4),
+    _family_case(family=Family.TFRACTAL, g=4),
+    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
+])
+def test_critical_gamma_reports_the_measure_root(make_graph, target):
+    """gamma is the measure's root r, strictly inside the confirmation pair
+    r(1 -/+ d), and a rebuilt graph (decomposed again) gives the same bits;
+    the residual is the larger dense difference of the pair."""
+    res = critical_gamma(make_graph(), target)
+    lo, hi = res.bracket
+    assert lo < res.gamma < hi
+    assert res.gamma == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+    again = critical_gamma(make_graph(), target)
+    assert (again.gamma, again.bracket, again.residual) == \
+        (res.gamma, res.bracket, res.residual)
+    graph = make_graph()
+    assert res.residual == max(abs(_overlap_difference(graph, target, g))
+                               for g in (lo, hi))
 
 
 @pytest.fixture
@@ -658,7 +715,7 @@ def test_krylov_matches_spectral_propagation():
     prob = SearchProblem(graph=g, target=0, gamma=gamma)
     spectral = success_probability(prob, times)
     krylov = propagate_krylov(g, 0, gamma, times)
-    assert np.max(np.abs(spectral - krylov)) < 1e-8
+    assert np.max(np.abs(spectral - krylov)) < 1e-12
 
 
 def test_krylov_rejects_bad_input():
@@ -678,7 +735,69 @@ def test_krylov_long_horizon_accuracy():
     times = np.linspace(0.0, 200.0, 81)
     spectral = success_probability(SearchProblem(g, 0, 1.0), times)
     krylov = propagate_krylov(g, 0, 1.0, times)
-    assert np.max(np.abs(spectral - krylov)) < 1e-8
+    assert np.max(np.abs(spectral - krylov)) < 1e-12
+
+
+def test_miller_bessel_series_matches_scipy_jv():
+    """The backward-recurrence Bessel sums against scipy's J_k: single
+    orders, and random series over every order at once with one column per
+    x (x = 1e-8 makes the recurrence rescale its column)."""
+    from scipy.special import jv
+
+    from ctqwlab.engine import _bessel_series, _chebyshev_order
+
+    xs = np.array([1e-8, 0.5, 30.0, 800.0, 3000.0])
+    for x in xs:
+        order = _chebyshev_order(x)
+        for k in sorted({0, 1, 2, 3, int(x) // 2, int(x), int(x) + 7,
+                         order - 5}):
+            unit = np.zeros(order + 1)
+            unit[k] = 1.0
+            even, odd = _bessel_series(np.array([x]), unit)
+            assert (odd if k % 2 else even)[0] == pytest.approx(
+                jv(k, x), rel=1e-12, abs=3e-14), (x, k)
+            assert (even if k % 2 else odd)[0] == 0.0
+    order = _chebyshev_order(xs[-1])
+    coef = np.random.default_rng(7).standard_normal(order + 1)
+    terms = coef[:, None] * jv(np.arange(order + 1)[:, None], xs)
+    scale = np.abs(terms).sum(axis=0)
+    even, odd = _bessel_series(xs, coef)
+    assert np.all(np.abs(even - terms[0::2].sum(axis=0)) <= 5e-14 * scale)
+    assert np.all(np.abs(odd - terms[1::2].sum(axis=0)) <= 5e-14 * scale)
+
+
+@pytest.mark.parametrize("make_graph,target,gamma,times", [
+    pytest.param(lambda: _random_graph(31, 40, 0.1), 3, None, None,
+                 id="gnp_40_seed31"),
+    pytest.param(lambda: _star(12), 0, None, None, id="star12_hub"),
+    pytest.param(lambda: _graph(Family.CHAIN, L=50, periodic=False), 0, None,
+                 None, id="open_chain_L50"),
+    pytest.param(lambda: _graph(Family.DSG, g=3), 4, 1.0,
+                 np.r_[0.37, 0.5, np.geomspace(0.9, 60.0, 37), 60.0],
+                 id="dsg3_nonuniform_grid_from_0.37"),
+    pytest.param(lambda: _graph(Family.DSG, g=4), 0, 1.0,
+                 np.linspace(0.0, 600.0, 121), id="dsg4_a_tmax_2100"),
+    pytest.param(lambda: Graph.from_edges(1, []), 0, 1.0, [0.0, 1.0, 7.5],
+                 id="single_node"),
+])
+def test_krylov_matches_dense_hamiltonian(make_graph, target, gamma, times):
+    """The Chebyshev propagator against pi(t) from a full eigensolve of the
+    dense H, within 1e-12; pi(0) is 1/N exactly.  Default coupling xi1,
+    default times 65 points on [0, 4 pi sqrt(N)]."""
+    from ctqwlab.engine import _gershgorin_spread
+
+    graph = make_graph()
+    if gamma is None:
+        gamma = target_measure(graph, target).xi1
+    if times is None:
+        times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(graph.n), 65)
+    problem = SearchProblem(graph, target, gamma)
+    got = propagate_krylov(graph, target, gamma, times)
+    assert np.max(np.abs(got - dense_success(problem, times))) < 1e-12
+    if times[0] == 0.0:
+        assert got[0] == 1.0 / graph.n
+    if times[-1] == 600.0:
+        assert 0.5 * _gershgorin_spread(problem) * times[-1] >= 2000.0
 
 
 def test_success_grid_shape():
