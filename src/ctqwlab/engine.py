@@ -859,9 +859,8 @@ def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
     # precision.
     out = np.full_like(t_arr, 1.0 / n)
     moving = x >= _X_FLOOR
-    if moving.any():
-        re, im = _bessel_series(x[moving], mu)
-        out[moving] = re * re + im * im
+    re, im = _bessel_series(x[moving], mu)
+    out[moving] = re * re + im * im
     if not (out.min() >= -_PROB_SLACK and out.max() <= 1.0 + _PROB_SLACK):
         raise NumericalError("propagated probability left [0, 1]")
     return np.clip(out, 0.0, 1.0, out=out)
