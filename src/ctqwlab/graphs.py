@@ -35,8 +35,19 @@ from .errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
 
 NodeId = int
 
-# Edges formatted per string-format call in :meth:`Graph.to_edge_list`.
+# Edges written per chunk in :meth:`Graph.to_edge_list`.
 _EXPORT_CHUNK = 1 << 16
+
+
+def _digit_table(n: int) -> np.ndarray:
+    """Decimal digits of the ids 0..n-1 in ASCII, one ``np.void(width)``
+    record per id, right-aligned and padded on the left with 0 bytes."""
+    width = len(str(n - 1))
+    power = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)[:, None]
+    table = (ids // power % 10 + ord("0")).astype(np.uint8)
+    table[(ids < power) & (power > 1)] = 0
+    return table.view(f"V{width}").ravel()
 
 
 class Family(str, Enum):
@@ -276,17 +287,19 @@ class Graph:
             raise ConfigError("edge endpoint out of range")
         if np.any(arr[:, 0] == arr[:, 1]):
             raise ConfigError("self-loops are not allowed")
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        data = np.ones(rows.size, dtype=np.float64)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
         # The conversion sums repeated entries, so a duplicate edge, in
-        # either orientation, leaves fewer than two entries per edge.  The
-        # result is canonical: row-major with sorted columns.
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        if adj.nnz != rows.size:
+        # either orientation, leaves the upper triangle an entry short.
+        upper = sp.csr_matrix((np.ones(len(arr)), (lo, hi)), shape=(n, n))
+        if upper.nnz != len(arr):
             raise ConfigError("duplicate edges are not allowed")
-        ncomp = csgraph.connected_components(adj, directed=False, return_labels=False)
-        if ncomp != 1:
+        # The transpose comes out sorted, so the sum of the two triangles is
+        # canonical: row-major with sorted columns.
+        adj = upper + upper.T
+        if csgraph.breadth_first_order(adj, 0, return_predecessors=False).size != n:
+            ncomp = csgraph.connected_components(adj, directed=False,
+                                                 return_labels=False)
             raise ConfigError(f"graph is disconnected ({ncomp} components)")
         return cls(n=n, adjacency=adj)
 
@@ -303,8 +316,13 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Edges as an (E, 2) int array with u < v, sorted lexicographically
         (the order of the canonical CSR adjacency's upper triangle)."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        return np.column_stack([coo.row, coo.col]).astype(np.int64)
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.n, dtype=a.indices.dtype), np.diff(a.indptr))
+        upper = a.indices > rows
+        edges = np.empty((self.edge_count, 2), dtype=np.int64)
+        edges[:, 0] = rows[upper]
+        edges[:, 1] = a.indices[upper]
+        return edges
 
     def neighbors(self, node: NodeId) -> np.ndarray:
         a = self.adjacency
@@ -330,12 +348,21 @@ class Graph:
         """Plain text export: a ``# N=<n>`` header then one ``u v`` line per
         edge with u < v, sorted."""
         edges = self.edge_array()
+        digits = _digit_table(self.n)
+        line = np.dtype([("u", digits.dtype), ("space", "u1"),
+                         ("v", digits.dtype), ("newline", "u1")])
         parts = [f"# N={self.n}\n"]
-        # One %-format per chunk of edges; chunking bounds the peak memory
-        # of the flattened Python ints.
+        # Each line is built at full width from the digit table, then the pad
+        # bytes are dropped; chunking bounds the memory of the line buffer.
         for start in range(0, len(edges), _EXPORT_CHUNK):
             chunk = edges[start:start + _EXPORT_CHUNK]
-            parts.append(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+            lines = np.empty(len(chunk), dtype=line)
+            lines["u"] = digits[chunk[:, 0]]
+            lines["space"] = ord(" ")
+            lines["v"] = digits[chunk[:, 1]]
+            lines["newline"] = ord("\n")
+            text = lines.view(np.uint8)
+            parts.append(text[text != 0].tobytes().decode("ascii"))
         return "".join(parts)
 
     @classmethod
@@ -382,7 +409,7 @@ def _lattice_edges(L: int, d: int, periodic: bool) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _dsg_edges(g: int) -> tuple[int, list[tuple[int, int]], tuple[int, int, int]]:
+def _dsg_edges(g: int) -> tuple[int, np.ndarray]:
     """Corner-glued recursive construction.
 
     Generation 1 is a triangle.  Each later generation places three copies
@@ -390,23 +417,15 @@ def _dsg_edges(g: int) -> tuple[int, list[tuple[int, int]], tuple[int, int, int]
     edge between corner nodes of adjacent copies, leaving exactly three
     outer corners of degree 2.
     """
-    edges: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
-    corners = (0, 1, 2)
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+    c0, c1, c2 = 0, 1, 2
     n = 3
     for _ in range(1, g):
-        prev = edges
-        c0, c1, c2 = corners
-        edges = []
-        for copy in range(3):
-            off = copy * n
-            edges.extend((u + off, v + off) for u, v in prev)
-        a_off, b_off, c_off = 0, n, 2 * n
-        edges.append((a_off + c1, b_off + c0))
-        edges.append((a_off + c2, c_off + c0))
-        edges.append((b_off + c2, c_off + c1))
-        corners = (a_off + c0, b_off + c1, c_off + c2)
+        joins = np.array([[c1, n + c0], [c2, 2 * n + c0], [n + c2, 2 * n + c1]])
+        edges = np.concatenate([edges, edges + n, edges + 2 * n, joins])
+        c1, c2 = n + c1, 2 * n + c2
         n *= 3
-    return n, edges, corners
+    return n, edges
 
 
 def _tfractal_edges(g: int) -> tuple[int, np.ndarray]:
@@ -416,25 +435,22 @@ def _tfractal_edges(g: int) -> tuple[int, np.ndarray]:
     midpoint path u-m-v and hang a fresh branch node off m.  The midpoint
     of the very first split is the center of the finished tree.
     """
-    edges: list[tuple[int, int]] = [(0, 1)]
+    edges = np.array([[0, 1]], dtype=np.int64)
     n = 2
-    center = -1
-    for step in range(g):
-        grown: list[tuple[int, int]] = []
-        for u, v in edges:
-            mid, branch = n, n + 1
-            n += 2
-            grown.extend([(u, mid), (mid, v), (mid, branch)])
-            if step == 0:
-                center = mid
-        edges = grown
-    # Breadth-first from the center.  The canonical CSR's sorted columns
-    # make each node's unseen neighbors come in ascending old index.
+    for _ in range(g):
+        # Edge i (u, v) becomes (u, m), (m, v), (m, m + 1) with m = n + 2i.
+        u, v = edges.T
+        mid = n + 2 * np.arange(len(edges), dtype=np.int64)
+        n += 2 * len(edges)
+        edges = np.column_stack([u, mid, mid, v, mid, mid + 1]).reshape(-1, 2)
+    # Breadth-first from the center, node 2, the first split's midpoint.
+    # The canonical CSR's sorted columns make each node's unseen neighbors
+    # come in ascending old index.
     order = csgraph.breadth_first_order(Graph.from_edges(n, edges).adjacency,
-                                        center, return_predecessors=False)
+                                        2, return_predecessors=False)
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n)
-    return n, new_id[np.asarray(edges)]
+    return n, new_id[edges]
 
 
 def _cayley_tree_edges(g: int) -> tuple[int, np.ndarray]:
@@ -457,7 +473,7 @@ def build(spec: GraphSpec) -> Graph:
         return Graph.from_edges(spec.L**spec.d,  # type: ignore[operator]
                                 _lattice_edges(spec.L, spec.d, spec.periodic))
     if fam is Family.DSG:
-        n, edges, _ = _dsg_edges(spec.g)  # type: ignore[arg-type]
+        n, edges = _dsg_edges(spec.g)  # type: ignore[arg-type]
         return Graph.from_edges(n, edges)
     if fam is Family.TFRACTAL:
         n, edges = _tfractal_edges(spec.g)  # type: ignore[arg-type]
@@ -522,32 +538,3 @@ def default_target(spec: GraphSpec) -> NodeId:
         return spec.node_count - 3 * 2 ** (spec.g - 1)  # type: ignore[operator]
     a, b = spec.factors  # type: ignore[misc]
     return default_target(a) * b.node_count + 0
-
-
-def near_center_target(spec: GraphSpec) -> NodeId:
-    """Alternative central placement for the tree families: the
-    lowest-index neighbor of the central node (tfractal) or of the root
-    (cayleytree).  Used to compare against peripheral targets."""
-    if spec.family in (Family.TFRACTAL, Family.CAYLEY_TREE):
-        graph = build(spec)
-        return int(graph.neighbors(0).min())
-    raise ConfigError(
-        f"{spec.family.value}: no distinct central placement is defined"
-    )
-
-
-def product_interior_target(spec: GraphSpec) -> NodeId:
-    """Product target on a minimally connected interior site of the first
-    factor (its lowest-index degree-3 node) paired with node 0 of the
-    second factor.  With a dsg first factor and a d-dimensional periodic
-    lattice second factor this site has degree 3 + 2d."""
-    if spec.family is not Family.PRODUCT:
-        raise ConfigError("interior product targets require a product spec")
-    a, b = spec.factors  # type: ignore[misc]
-    graph = build(a)
-    candidates = np.nonzero(graph.degrees == 3)[0]
-    if candidates.size == 0:
-        raise ConfigError(
-            f"first factor {a.label} has no degree-3 node to place the target on"
-        )
-    return int(candidates[0]) * b.node_count

@@ -6,19 +6,21 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
+from ctqwlab import graphs
 from ctqwlab.errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
 from ctqwlab.graphs import (
     Family,
     Graph,
     GraphSpec,
+    NodeId,
     build,
     cartesian_product,
     default_target,
-    near_center_target,
-    product_interior_target,
 )
 
 
@@ -228,9 +230,13 @@ def test_recursive_builder_numbering_is_pinned(spec, digest):
 
 @pytest.mark.parametrize("spec", [
     GraphSpec(Family.COMPLETE, n=7),
-    # more edges than one export chunk
+    # 79,800 edges: more than one export chunk at the default chunk size
     GraphSpec(Family.COMPLETE, n=400),
     GraphSpec(Family.CHAIN, L=5, periodic=False),
+    # node ids change digit count: 0-9, 10-99, 100-999 and 1000
+    GraphSpec(Family.CHAIN, L=1001, periodic=False),
+    # the wrap edge "0 10" pairs a one-digit id with a two-digit one
+    GraphSpec(Family.CHAIN, L=11),
     GraphSpec(Family.TORUS, L=3, d=2),
     GraphSpec(Family.DSG, g=3),
     GraphSpec(Family.TFRACTAL, g=3),
@@ -238,11 +244,23 @@ def test_recursive_builder_numbering_is_pinned(spec, digest):
     GraphSpec(Family.PRODUCT, factors=(
         GraphSpec(Family.DSG, g=2), GraphSpec(Family.CHAIN, L=4))),
 ], ids=lambda spec: spec.label)
-def test_edge_list_matches_per_edge_reference(spec):
+def test_edge_list_matches_per_edge_reference(spec, monkeypatch):
     graph = build(spec)
     lines = [f"# N={graph.n}"]
     lines.extend(f"{u} {v}" for u, v in graph.edge_array().tolist())
-    assert graph.to_edge_list() == "\n".join(lines) + "\n"
+    expected = "\n".join(lines) + "\n"
+    assert graph.to_edge_list() == expected
+    # Chunks of 7 edges: every graph here but the 4-edge chain spans
+    # several, whatever the default chunk size is.
+    monkeypatch.setattr(graphs, "_EXPORT_CHUNK", 7)
+    assert graph.to_edge_list() == expected
+
+
+def test_single_node_edge_list():
+    graph = Graph.from_edges(1, [])
+    assert graph.to_edge_list() == "# N=1\n"
+    back = Graph.from_edge_list(graph.to_edge_list())
+    assert back.n == 1 and back.edge_count == 0
 
 
 def test_from_edge_list_rejects_non_integer_nodes():
@@ -312,14 +330,45 @@ def test_spec_validation_rejects(kwargs):
 
 
 def test_from_edges_rejects_bad_input():
-    with pytest.raises(ConfigError):
-        Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)])  # self loop
-    with pytest.raises(ConfigError):
-        Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])  # duplicate
-    with pytest.raises(ConfigError):
-        Graph.from_edges(3, [(0, 1), (1, 5)])  # out of range
-    with pytest.raises(ConfigError):
-        Graph.from_edges(4, [(0, 1), (2, 3)])  # disconnected
+    with pytest.raises(ConfigError, match="self-loops"):
+        Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+    with pytest.raises(ConfigError, match="duplicate"):
+        Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])  # reversed
+    with pytest.raises(ConfigError, match="duplicate"):
+        Graph.from_edges(3, [(0, 1), (1, 2), (0, 1)])  # same orientation
+    with pytest.raises(ConfigError, match="out of range"):
+        Graph.from_edges(3, [(0, 1), (1, 5)])
+    with pytest.raises(ConfigError, match="out of range"):
+        Graph.from_edges(3, [(0, 1), (-1, 2)])
+    with pytest.raises(ConfigError, match=r"disconnected \(2 components\)"):
+        Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ConfigError, match=r"disconnected \(3 components\)"):
+        Graph.from_edges(5, [(0, 1), (3, 2)])
+
+
+@given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_from_edges_matches_coo_reference(n, p, seed):
+    """G(n, p) edges, shuffled and each in a random orientation, against a
+    plain COO-to-CSR conversion of both orientations."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, k=1)
+    keep = rng.random(u.size) < p
+    edges = np.column_stack([u[keep], v[keep]])[rng.permutation(keep.sum())]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    ref = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    ncomp = csgraph.connected_components(ref, directed=False, return_labels=False)
+    if ncomp > 1:
+        with pytest.raises(ConfigError, match=rf"\({ncomp} components\)"):
+            Graph.from_edges(n, edges)
+        return
+    adj = Graph.from_edges(n, edges).adjacency
+    assert adj.has_sorted_indices and adj.has_canonical_format
+    assert np.array_equal(adj.indptr, ref.indptr)
+    assert np.array_equal(adj.indices, ref.indices)
+    assert np.array_equal(adj.data, ref.data)
 
 
 # ----------------------------------------------------------------- targets
@@ -363,6 +412,35 @@ def test_product_default_target():
         GraphSpec(Family.TFRACTAL, g=2), GraphSpec(Family.TORUS, L=3, d=1)))
     inner = default_target(GraphSpec(Family.TFRACTAL, g=2))
     assert default_target(spec) == inner * 3
+
+
+def near_center_target(spec: GraphSpec) -> NodeId:
+    """Alternative central placement for the tree families: the
+    lowest-index neighbor of the central node (tfractal) or of the root
+    (cayleytree).  Used to compare against peripheral targets."""
+    if spec.family in (Family.TFRACTAL, Family.CAYLEY_TREE):
+        graph = build(spec)
+        return int(graph.neighbors(0).min())
+    raise ConfigError(
+        f"{spec.family.value}: no distinct central placement is defined"
+    )
+
+
+def product_interior_target(spec: GraphSpec) -> NodeId:
+    """Product target on a minimally connected interior site of the first
+    factor (its lowest-index degree-3 node) paired with node 0 of the
+    second factor.  With a dsg first factor and a d-dimensional periodic
+    lattice second factor this site has degree 3 + 2d."""
+    if spec.family is not Family.PRODUCT:
+        raise ConfigError("interior product targets require a product spec")
+    a, b = spec.factors
+    graph = build(a)
+    candidates = np.nonzero(graph.degrees == 3)[0]
+    if candidates.size == 0:
+        raise ConfigError(
+            f"first factor {a.label} has no degree-3 node to place the target on"
+        )
+    return int(candidates[0]) * b.node_count
 
 
 def test_near_center_targets():
