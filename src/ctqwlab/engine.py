@@ -7,11 +7,12 @@ and |w> see are the roots of F(E) = sum_k a_k / (gamma*lam_k - E) = 1;
 the others sit at some gamma*lam_k.  :func:`measure_overlaps` solves for
 E0 and E1 in O(K) per coupling, and the critical coupling is found on it,
 then confirmed by two window eigensolves of the dense H.  Success
-probabilities come from the K x K matrix of the measure; the bound audit
-still solves the dense H.  Past the dense guard, :func:`propagate_krylov`
-reads pi(t) from Chebyshev moments <w|T_k|s> of the sparse H, scaled by
-its Gershgorin interval: one real recurrence in O(N) memory, no
-``expm_multiply``.
+probabilities come from the K x K matrix of the measure, on a uniform time
+grid (|t_j - t0 - j*h| <= 8 eps max|t|) as one complex product of the
+factored phases; the bound audit still solves the dense H.  Past the dense
+guard, :func:`propagate_krylov` reads pi(t) from Chebyshev moments
+<w|T_k|s> of the sparse H, scaled by its Gershgorin interval: one real
+recurrence in O(N) memory, no ``expm_multiply``.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ from .spectra import (
 # Success probabilities are clipped into [0, 1] only after passing this
 # slack, which covers eigensolver roundoff.
 _PROB_SLACK = 1e-9
+# A CSV cell; the writers format each value once, in whole-row templates.
+_CELL = "%.17g"
 # Relative width of the bracket that ends a secular root's offset from
 # its pole and the crossing root search, the largest overlap difference
 # accepted at a crossing, and the least relative offset of the two dense
@@ -458,6 +461,25 @@ def default_time_grid(n: int, count: int = 512) -> np.ndarray:
     return np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), count)
 
 
+def _phase_product(t: np.ndarray, energies: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """sum_a coef_a exp(-i E_a t_j) for every t_j.  On a uniform grid,
+    |t_j - (t0 + j*h)| <= 8 eps max|t|, j = B*q + r with B = ceil(sqrt(T))
+    factors the phase as exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one (Q x K)(K x B)
+    product, (B + Q)*K exponentials instead of the direct T*K."""
+    count = t.size
+    if count > 1:
+        h = (t[-1] - t[0]) / (count - 1)
+        j = np.arange(count)
+        if np.abs(t - (t[0] + j * h)).max() <= 8.0 * _EPS * np.abs(t).max():
+            block = math.isqrt(count - 1) + 1
+            inner = np.exp(-1j * np.outer(t[0] + j[:block] * h, energies)) * coef
+            outer = np.exp(-1j * np.outer(j[:-(-count // block)] * (block * h),
+                                          energies))
+            return (outer @ inner.T).ravel()[:count]
+    return np.exp(-1j * np.outer(t, energies)) @ coef.astype(complex)
+
+
 def success_probability(problem: SearchProblem, t, *,
                         dense_guard: int | None = DEFAULT_DENSE_GUARD):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
@@ -476,8 +498,7 @@ def success_probability(problem: SearchProblem, t, *,
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
-    amps = np.exp(-1j * np.outer(t_arr, dec.eigenvalues)) @ coef.astype(complex)
-    probs = np.abs(amps) ** 2
+    probs = np.abs(_phase_product(t_arr, dec.eigenvalues, coef)) ** 2
     bad_lo = float(probs.min())
     bad_hi = float(probs.max())
     if bad_lo < -_PROB_SLACK or bad_hi > 1.0 + _PROB_SLACK:
@@ -501,18 +522,22 @@ class SuccessGrid:
 
     def to_matrix_csv(self) -> str:
         """First row = time grid, first column = coupling grid."""
-        head = "gamma_by_t," + ",".join(f"{t:.17g}" for t in self.times.tolist())
-        lines = [head]
-        for g, row in zip(self.gammas.tolist(), self.probabilities):
-            lines.append(f"{g:.17g}," + ",".join(f"{p:.17g}" for p in row.tolist()))
-        return "\n".join(lines) + "\n"
+        row = ("," + _CELL) * self.times.size + "\n"
+        cells = np.column_stack([self.gammas, self.probabilities]).ravel()
+        return ("gamma_by_t" + row % tuple(self.times.tolist())
+                + (_CELL + row) * self.gammas.size % tuple(cells.tolist()))
 
     def to_long_csv(self) -> str:
-        lines = ["gamma,t,pi"]
-        for g, row in zip(self.gammas.tolist(), self.probabilities):
-            for t, p in zip(self.times.tolist(), row.tolist()):
-                lines.append(f"{g:.17g},{t:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
+        # The times are formatted into the line template once.
+        line = "".join(["%s," + _CELL % t + "," + _CELL + "\n"
+                        for t in self.times.tolist()])
+        args: list = [None] * (2 * self.times.size)
+        out = ["gamma,t,pi\n"]
+        for g, row in zip(self.gammas.tolist(), self.probabilities.tolist()):
+            args[0::2] = [_CELL % g] * len(row)
+            args[1::2] = row
+            out.append(line % tuple(args))
+        return "".join(out)
 
 
 def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
@@ -553,13 +578,8 @@ def oscillation_period(times: np.ndarray, probs: np.ndarray) -> float | None:
     p = np.asarray(probs, dtype=np.float64)
     if t.shape != p.shape or t.size < 3:
         raise ConfigError("period estimate needs matching grids of >= 3 points")
-    peaks = []
-    for i in range(1, t.size - 1):
-        if p[i] > p[i - 1] and p[i] >= p[i + 1]:
-            peaks.append(i)
-            if len(peaks) == 2:
-                break
-    if len(peaks) < 2:
+    peaks = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:]))[:2] + 1
+    if peaks.size < 2:
         return None
 
     def refine(i: int) -> float:

@@ -21,6 +21,7 @@ downstream eigensolves are reproducible.  Families:
 """
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -367,22 +368,23 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# N="):
+        """Read back :meth:`to_edge_list`: one ``numpy.loadtxt`` pass."""
+        head, _, body = text.lstrip().partition("\n")
+        if not head.startswith("# N="):
             raise ConfigError("edge list must start with a '# N=<n>' header")
         try:
-            n = int(lines[0][4:])
+            n = int(head[4:])
         except ValueError as exc:
             raise ConfigError("invalid node count in edge list header") from exc
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ConfigError(f"malformed edge line: {ln!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ConfigError(f"non-integer node in edge line: {ln!r}") from exc
+        try:
+            edges = (np.loadtxt(io.StringIO(body), dtype=np.int64,
+                                comments=None, ndmin=2)
+                     if body and not body.isspace() else np.empty((0, 2)))
+        except ValueError as exc:
+            raise ConfigError(
+                f"malformed edge line or non-integer node: {exc}") from exc
+        if edges.shape[1] != 2:
+            raise ConfigError(f"malformed edge lines: {edges.shape[1]} fields each")
         return cls.from_edges(n, edges)
 
 

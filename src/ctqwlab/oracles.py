@@ -60,16 +60,6 @@ def complete_success(n: int, gamma: float, t) -> np.ndarray | float:
     return float(values) if np.isscalar(t) else values
 
 
-def complete_success_large_n(n: int, t) -> np.ndarray | float:
-    """Large-N limit of the tuned (gamma = 1/N) complete-graph search:
-    pi(t) ~= sin^2(t / sqrt(N))."""
-    if n < 2:
-        raise ConfigError("complete-graph oracle needs n >= 2")
-    t_arr = np.asarray(t, dtype=np.float64)
-    values = np.sin(t_arr / sqrt(n)) ** 2
-    return float(values) if np.isscalar(t) else values
-
-
 # -- dsg exact spectrum ---------------------------------------------------------
 
 
@@ -176,12 +166,3 @@ def dsg_zeta_direct(g: int) -> tuple[float, float]:
     lam = spectrum.eigenvalues[nonzero]
     mult = spectrum.multiplicities[nonzero].astype(np.float64)
     return float(np.sum(mult / lam)), float(np.sum(mult / lam**2))
-
-
-def dsg_zeta_asymptotic(g: int) -> tuple[float, float]:
-    """Leading large-g behavior: zeta1 ~ (7/30) * N^(2/dt) and
-    zeta2 ~ (1/150) * N^(4/dt) with N = 3^g and dt = 2*log3/log5, i.e.
-    N^(2/dt) = 5^g."""
-    if g < 1:
-        raise ConfigError("dsg zeta needs g >= 1")
-    return 7.0 / 30.0 * 5.0**g, 1.0 / 150.0 * 25.0**g

@@ -71,7 +71,7 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
 
 def eigh(matrix: np.ndarray, *,
          dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SpectralDecomposition:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric matrix (LAPACK ``evd``).
 
     Refuses matrices above the dense guard and inputs that are not
     symmetric to within 1e-12 of their largest entry.
@@ -87,7 +87,7 @@ def eigh(matrix: np.ndarray, *,
             f"matrix is not symmetric: max asymmetry {asym:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
         )
-    values, vectors = sla.eigh(m)
+    values, vectors = sla.eigh(m, driver="evd")
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
                                  group_index=degeneracy_groups(values))
 

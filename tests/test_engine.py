@@ -8,6 +8,8 @@ import pytest
 
 from ctqwlab.engine import (
     SearchProblem,
+    SuccessGrid,
+    _phase_product,
     build_hamiltonian,
     critical_gamma,
     crossing_scan,
@@ -40,6 +42,7 @@ from ctqwlab.oracles import complete_success
 from ctqwlab.spectra import (
     SpectralDecomposition,
     degeneracy_groups,
+    eigh,
     laplacian_decomposition,
     spectral_sums,
     target_measure,
@@ -874,6 +877,114 @@ def test_oscillation_period_flat_signal():
     times = np.linspace(0.0, 10.0, 101)
     assert oscillation_period(times, np.full(101, 0.25)) is None
 
+
+
+def _direct_phase_product(t, energies, coef):
+    """The T x K exponentials summed row by row: the reference for the
+    factored product and the route every non-uniform grid takes."""
+    return np.exp(-1j * np.outer(t, energies)) @ coef.astype(complex)
+
+
+@pytest.mark.parametrize("count", [2, 3, 1025, 4097])
+@pytest.mark.parametrize("t0", [-3.25, 17.0])
+def test_factored_phase_product_matches_direct(count, t0):
+    """On uniform grids, t0 != 0 and |E| t up to ~1e4, the factored
+    (Q x K)(K x B) product equals the direct sums within 1e-12."""
+    rng = np.random.default_rng(count)
+    energies = np.sort(rng.uniform(-1.0, 5.0, 40))
+    coef = rng.normal(size=40)
+    coef /= np.abs(coef).sum()
+    times = np.linspace(t0, 2000.0, count)
+    assert np.abs(energies).max() * np.abs(times).max() > 9e3
+    got = _phase_product(times, energies, coef)
+    want = _direct_phase_product(times, energies, coef)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(np.abs(got) ** 2 - np.abs(want) ** 2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec,target", [
+    (GraphSpec(family=Family.DSG, g=5), 0),
+    (GraphSpec(family=Family.TORUS, L=5, d=4), 0),
+], ids=lambda x: x.label if isinstance(x, GraphSpec) else str(x))
+def test_uniform_grid_success_matches_direct_product(spec, target):
+    graph = build(spec)
+    prob = SearchProblem(graph, target, 0.15)
+    times = np.linspace(1.5, 4000.0, 4001)
+    want = np.abs(_direct_phase_product(times, *_success_spectrum(prob))) ** 2
+    assert np.abs(success_probability(prob, times) - want).max() <= 1e-12
+
+
+def _success_spectrum(prob):
+    """Energies and phase coefficients of pi(t), as success_probability
+    computes them."""
+    sums = target_measure(prob.graph, prob.target)
+    z = np.sqrt(sums.group_amp_sq)
+    dec = eigh(prob.gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z))
+    return dec.eigenvalues, (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
+
+
+def test_non_uniform_grid_and_scalar_time_take_the_direct_product():
+    """A geomspace grid and a scalar t give the direct product's bits."""
+    graph = _graph(Family.DSG, g=4)
+    prob = SearchProblem(graph, 0, 0.4)
+    energies, coef = _success_spectrum(prob)
+    times = np.geomspace(1e-3, 500.0, 300)
+    want = np.clip(np.abs(_direct_phase_product(times, energies, coef)) ** 2,
+                   0.0, 1.0)
+    assert np.array_equal(success_probability(prob, times), want)
+    scalar = success_probability(prob, 37.5)
+    assert isinstance(scalar, float)
+    assert scalar == float(np.clip(np.abs(_direct_phase_product(
+        np.array([37.5]), energies, coef)) ** 2, 0.0, 1.0)[0])
+
+
+def test_success_grid_csv_bytes_match_per_cell_formatting():
+    rng = np.random.default_rng(5)
+    grid = SuccessGrid(
+        gammas=np.geomspace(1e-3, 7.0, 5), times=np.linspace(0.0, 1e3, 9),
+        probabilities=rng.random((5, 9)) ** 7,
+        t_star=np.zeros(5), pi_star=np.zeros(5))
+    matrix = ["gamma_by_t," + ",".join(f"{t:.17g}" for t in grid.times)]
+    long = ["gamma,t,pi"]
+    for g, row in zip(grid.gammas, grid.probabilities):
+        matrix.append(f"{g:.17g}," + ",".join(f"{p:.17g}" for p in row))
+        long.extend(f"{g:.17g},{t:.17g},{p:.17g}"
+                    for t, p in zip(grid.times, row))
+    assert grid.to_matrix_csv() == "\n".join(matrix) + "\n"
+    assert grid.to_long_csv() == "\n".join(long) + "\n"
+
+
+def _period_by_loop(t, p):
+    """oscillation_period with the peak loop it had before the search was
+    vectorised."""
+    peaks = []
+    for i in range(1, t.size - 1):
+        if p[i] > p[i - 1] and p[i] >= p[i + 1]:
+            peaks.append(i)
+            if len(peaks) == 2:
+                break
+    if len(peaks) < 2:
+        return None
+
+    def refine(i):
+        a, b, c = p[i - 1], p[i], p[i + 1]
+        denom = a - 2.0 * b + c
+        if denom >= 0.0:
+            return float(t[i])
+        return float(t[i] + 0.5 * (a - c) / denom * (t[i + 1] - t[i]))
+
+    return refine(peaks[1]) - refine(peaks[0])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_oscillation_period_matches_peak_loop(seed):
+    """Coarse levels make plateaus and ties, where the strict left and
+    non-strict right comparisons decide."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(3, 12))
+    times = np.linspace(0.0, 1.0, size)
+    probs = rng.integers(0, 3, size) / 4.0
+    assert oscillation_period(times, probs) == _period_by_loop(times, probs)
 
 def test_gamma_max_search_complete_smoke():
     n = 64

@@ -263,6 +263,35 @@ def test_single_node_edge_list():
     assert back.n == 1 and back.edge_count == 0
 
 
+
+def test_edge_list_round_trip_torus_300():
+    graph = build(GraphSpec(Family.TORUS, L=300, d=2))
+    back = Graph.from_edge_list(graph.to_edge_list())
+    assert back.n == graph.n == 90000
+    assert np.array_equal(back.edge_array(), graph.edge_array())
+    assert (back.adjacency != graph.adjacency).nnz == 0
+
+
+def test_from_edge_list_skips_blank_lines_and_carriage_returns():
+    back = Graph.from_edge_list("\n  # N=3\r\n0 1\r\n\r\n 1\t2 \r\n\n")
+    assert back.edge_array().tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("text,match", [
+    ("# N=3\n0 1 2\n1 2 0\n", "malformed edge lines: 3 fields each"),
+    ("# N=3\n0 1\n\n2\n", "malformed edge line .*columns changed"),
+    ("# N=3\n0 1\n1 x\n", "non-integer node.*'x'"),
+    ("# N=3\n0 1\n1 2.0\n", "non-integer node.*'2.0'"),
+    # a '#' line past the header is not a comment
+    ("# N=3\n0 1\n#1 2\n1 2\n", "non-integer node.*'#1'"),
+    ("# N=3\n0 1\n1 99999999999999999999\n", "non-integer node"),
+    ("0 1\n", "header"),
+    ("# N=three\n0 1\n", "invalid node count"),
+])
+def test_from_edge_list_rejects_bad_text(text, match):
+    with pytest.raises(ConfigError, match=match):
+        Graph.from_edge_list(text)
+
 def test_from_edge_list_rejects_non_integer_nodes():
     with pytest.raises(ConfigError):
         Graph.from_edge_list("# N=3\n0 x\n")

@@ -12,13 +12,25 @@ from ctqwlab.errors import ConfigError
 from ctqwlab.oracles import (
     CompleteOracleParams,
     complete_success,
-    complete_success_large_n,
     decimation_identity_residuals,
     dsg_exact_spectrum,
-    dsg_zeta_asymptotic,
     dsg_zeta_closed,
     dsg_zeta_direct,
 )
+
+
+
+def complete_success_large_n(n: int, t) -> np.ndarray:
+    """Large-N limit of the tuned (gamma = 1/N) complete-graph search:
+    pi(t) ~= sin^2(t / sqrt(N))."""
+    return np.sin(np.asarray(t, dtype=np.float64) / math.sqrt(n)) ** 2
+
+
+def dsg_zeta_asymptotic(g: int) -> tuple[float, float]:
+    """Leading large-g behavior: zeta1 ~ (7/30) * N^(2/dt) and
+    zeta2 ~ (1/150) * N^(4/dt) with N = 3^g and dt = 2*log3/log5, i.e.
+    N^(2/dt) = 5^g."""
+    return 7.0 / 30.0 * 5.0**g, 1.0 / 150.0 * 25.0**g
 
 
 @given(st.integers(2, 500), st.floats(1e-6, 1e3))
