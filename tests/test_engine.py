@@ -878,11 +878,19 @@ def test_oscillation_period_flat_signal():
     assert oscillation_period(times, np.full(101, 0.25)) is None
 
 
-
 def _direct_phase_product(t, energies, coef):
     """The T x K exponentials summed row by row: the reference for the
     factored product and the route every non-uniform grid takes."""
     return np.exp(-1j * np.outer(t, energies)) @ coef.astype(complex)
+
+
+def _success_spectrum(prob):
+    """Energies and phase coefficients of pi(t), as success_probability
+    computes them."""
+    sums = target_measure(prob.graph, prob.target)
+    z = np.sqrt(sums.group_amp_sq)
+    dec = eigh(prob.gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z))
+    return dec.eigenvalues, (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
 
 
 @pytest.mark.parametrize("count", [2, 3, 1025, 4097])
@@ -912,15 +920,6 @@ def test_uniform_grid_success_matches_direct_product(spec, target):
     times = np.linspace(1.5, 4000.0, 4001)
     want = np.abs(_direct_phase_product(times, *_success_spectrum(prob))) ** 2
     assert np.abs(success_probability(prob, times) - want).max() <= 1e-12
-
-
-def _success_spectrum(prob):
-    """Energies and phase coefficients of pi(t), as success_probability
-    computes them."""
-    sums = target_measure(prob.graph, prob.target)
-    z = np.sqrt(sums.group_amp_sq)
-    dec = eigh(prob.gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z))
-    return dec.eigenvalues, (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
 
 
 def test_non_uniform_grid_and_scalar_time_take_the_direct_product():
