@@ -13,7 +13,6 @@ from .engine import (
     SearchProblem,
     SuccessGrid,
     critical_gamma,
-    crossing_scan,
     default_time_grid,
     gamma_max_search,
     measure_overlaps,
@@ -97,7 +96,6 @@ __all__ = [
     "SearchProblem",
     "SuccessGrid",
     "critical_gamma",
-    "crossing_scan",
     "default_time_grid",
     "gamma_max_search",
     "measure_overlaps",

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import ScalingModel, exponent_prediction, fit_scaling
 from .engine import (
@@ -44,7 +43,6 @@ from .errors import (
     CtqwError,
     DenseGuardError,
     NumericalError,
-    check_dense_guard,
 )
 from .graphs import Family, Graph, GraphSpec, build, default_target
 from .oracles import (
@@ -55,8 +53,10 @@ from .oracles import (
     dsg_zeta_direct,
 )
 from .spectra import (
+    SpectralSums,
     degeneracy_groups,
     fit_alpha,
+    laplacian_eigenvalues,
     spectrum_csv,
     target_measure,
 )
@@ -271,6 +271,13 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
     return rows
 
 
+def _route(measure: SpectralSums) -> str:
+    """How the target's measure was computed, for the summary lines."""
+    if measure.quotient is None:
+        return "dense"
+    return f"quotient cells={measure.quotient.sizes.size}"
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -290,10 +297,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
-    check_dense_guard(graph.n, _dense_guard(args), "dense eigendecomposition")
-    # L is read by nothing else, so LAPACK works in its memory: no copy.
-    values = sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
-                          check_finite=False)
+    values = laplacian_eigenvalues(graph, dense_guard=_dense_guard(args))
     text = spectrum_csv(values, degeneracy_groups(values))
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
@@ -333,7 +337,8 @@ def cmd_critgamma(args: argparse.Namespace) -> int:
                          "\n".join(lines) + "\n")
     for row in rows:
         print(f"{row['label']}: N={row['n']} "
-              f"gamma_crit={row['gamma_crit']:.8g}")
+              f"gamma_crit={row['gamma_crit']:.8g} "
+              f"route={_route(row['measure'])}")
     print(f"wrote {path}")
     return 0
 
@@ -393,7 +398,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"{family.value} {model.value} fit: {shown} "
           f"residual={fit.residual:.3g}"
           + (f" predicted_exponent={prediction:.8g}"
-             if prediction is not None else ""))
+             if prediction is not None else "")
+          + " route: " + ", ".join(f"{row['label']} {_route(row['measure'])}"
+                                   for row in rows))
     print(f"wrote {path}")
     return 0
 
@@ -440,8 +447,7 @@ def _oracle_dsg_spectrum(args: argparse.Namespace) -> tuple[float, float, dict]:
     g = args.g if args.g is not None else 4
     guard = _dense_guard(args)
     graph = build(GraphSpec(Family.DSG, g=g))
-    check_dense_guard(graph.n, guard, "dense eigendecomposition")
-    values = sla.eigvalsh(graph.laplacian())
+    values = laplacian_eigenvalues(graph, dense_guard=guard)
     exact = dsg_exact_spectrum(g).expand()
     worst = float(np.max(np.abs(values - exact)))
     return worst, 1e-9, {"g": g}

@@ -2,11 +2,14 @@
 
 Every function here takes the target's Laplacian measure (group
 eigenvalues lam_k, target weights a_k) from :func:`spectra.target_measure`,
-which decomposes L once per ``Graph`` object and target.  The levels |s>
-and |w> see are the roots of F(E) = sum_k a_k / (gamma*lam_k - E) = 1;
-the others sit at some gamma*lam_k.  :func:`measure_overlaps` solves for
-E0 and E1 in O(K) per coupling, and the critical coupling is found on it,
-then confirmed by two window eigensolves of the dense H.  Success
+which computes it once per ``Graph`` object and target, from the target's
+equitable quotient when that halves N and from a dense decomposition of L
+otherwise.  The levels |s> and |w> see are the roots of
+F(E) = sum_k a_k / (gamma*lam_k - E) = 1; the others sit at some
+gamma*lam_k.  :func:`measure_overlaps` solves for E0 and E1 in O(K) per
+coupling, and the critical coupling is found on it, then confirmed by two
+eigensolves of H: full solves of the quotient H when the measure came from
+the quotient, window solves of the dense H otherwise.  Success
 probabilities come from the K x K matrix of the measure, on a uniform time
 grid (|t_j - t0 - j*h| <= 8 eps max|t|) as one complex product of the
 factored phases; the bound audit still solves the dense H.  Past the dense
@@ -173,26 +176,57 @@ def overlaps(problem: SearchProblem, *,
                     driver="evd", overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolve of H failed: {exc}") from exc
-        labels = group_labels(values, tol)
-        if k == n or labels[-1] >= 2:
+        if k == n or group_labels(values, tol)[-1] >= 2:
             break
         k = min(n, k * 4)
         h = build_hamiltonian(problem, dense_guard=dense_guard)
-    if int(np.sum(labels == 0)) != 1:
+    return _lowest_levels(problem.gamma, values, np.ones(k, dtype=np.int64),
+                          vectors.T @ _uniform_state(n),
+                          vectors[problem.target, :], tol)
+
+
+def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
+                   s_amp: np.ndarray, w_amp: np.ndarray,
+                   tol: float) -> OverlapRecord:
+    """The record of the two lowest degeneracy groups of ascending levels,
+    level i repeated counts[i] times with amplitudes s_amp[i] on |s> and
+    w_amp[i] on |w>, grouped under ``tol``."""
+    labels = group_labels(values, tol)
+    if int(counts[labels == 0].sum()) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
         )
     if labels[-1] < 1:
         raise NumericalError("could not separate E1 from E0")
-    group1 = np.flatnonzero(labels == 1)
+    group1 = labels == 1
     e0 = float(values[0])
     if e0 < -1.0 - 1e-9 or e0 >= 0.0:
         raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
-    s_amp = vectors.T @ _uniform_state(n)
-    w_amp = vectors[problem.target, :]
-    return _record(problem.gamma, e0, values[group1[0]],
+    return _record(gamma, e0, values[group1][0],
                    (s_amp[0] ** 2, np.sum(s_amp[group1] ** 2),
-                    w_amp[0] ** 2, np.sum(w_amp[group1] ** 2)), group1.size)
+                    w_amp[0] ** 2, np.sum(w_amp[group1] ** 2)),
+                   counts[group1].sum())
+
+
+def _quotient_overlaps(problem: SearchProblem,
+                       sums: SpectralSums) -> OverlapRecord:
+    """The record of :func:`overlaps` from a full eigensolve of the quotient
+    H = gamma*Lq - e_t e_t^T of the measure's equitable quotient (see
+    :class:`spectra.Quotient`).  The levels outside the quotient space sit
+    at gamma*lam for each group of L, as many as L's multiplicity exceeds
+    the quotient's, with no |s> or |w> weight; they join E1's group under
+    the same tolerance as :func:`overlaps`."""
+    values, s_amp, w_amp = sums.quotient.levels(problem.gamma)
+    hidden = sums.multiplicities - sums.quotient.modes
+    at = hidden > 0
+    values = np.r_[values, problem.gamma * sums.group_eigenvalues[at]]
+    order = np.argsort(values, kind="stable")
+    zeros = np.zeros(int(at.sum()))
+    return _lowest_levels(
+        problem.gamma, values[order],
+        np.r_[np.ones(s_amp.size, dtype=np.int64), hidden[at]][order],
+        np.r_[s_amp, zeros][order], np.r_[w_amp, zeros][order],
+        DEGENERACY_RTOL * _gershgorin_spread(problem))
 
 
 def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
@@ -337,7 +371,7 @@ def measure_overlaps(problem: SearchProblem, *,
 @dataclass(frozen=True)
 class CriticalGamma:
     """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma).  ``evaluations`` counts
-    the dense evaluations of the difference."""
+    the eigensolves of H, dense or quotient, that confirm it."""
 
     gamma: float
     bracket: tuple[float, float]
@@ -394,18 +428,21 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     A doubling search from xi1 (which approximates the crossing) brackets
     a sign change of the overlap difference on the target's measure, and
     Brent's method narrows it to a root r of relative width 1e-12.  Two
-    dense window eigensolves of H at r*(1 -/+ d) then confirm the sign
-    change, so ``evaluations`` is 2.  d is 1e-10, or
-    eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
-    nonzero Laplacian eigenvalue lam_1 only to an absolute eps*lam_max, and
-    the measure's root moves with it.  ``gamma`` is the root r,
-    ``bracket`` the pair, its error bar, and ``residual`` the larger
-    magnitude of the two dense differences.
+    eigensolves of H at r*(1 -/+ d) then confirm the sign change, so
+    ``evaluations`` is 2.  When the measure came from the target's
+    equitable quotient, they are full solves of the quotient H (see
+    :func:`_quotient_overlaps`); otherwise they are dense window solves
+    (:func:`overlaps`).  Either is a route independent of the secular
+    roots.  d is 1e-10, or eps*lam_max/lam_1 when that is larger: LAPACK
+    gives the smallest nonzero Laplacian eigenvalue lam_1 only to an
+    absolute eps*lam_max, and the measure's root moves with it.  ``gamma``
+    is the root r, ``bracket`` the pair, its error bar, and ``residual``
+    the larger magnitude of the two confirming differences.
 
     Raises :class:`NoTransitionError` when there is no sign change inside
     [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
     difference at the root is not small (a jump, not a crossing) or the
-    dense pair does not confirm the measure's root.
+    confirming pair does not show the measure's root.
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
     lam = sums.group_eigenvalues
@@ -420,36 +457,23 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         )
     offset = max(_CONFIRM_RTOL, _EPS * lam[-1] / lam[1])
     lo, hi = root * (1.0 - offset), root * (1.0 + offset)
-    f_lo, f_hi = (rec.s_psi0_sq - rec.s_psi1_sq for rec in (
-        overlaps(SearchProblem(graph, target, g), dense_guard=dense_guard)
-        for g in (lo, hi)))
+    route = "dense" if sums.quotient is None else "quotient"
+
+    def confirm(gamma: float) -> float:
+        problem = SearchProblem(graph, target, gamma)
+        rec = overlaps(problem, dense_guard=dense_guard) \
+            if sums.quotient is None else _quotient_overlaps(problem, sums)
+        return rec.s_psi0_sq - rec.s_psi1_sq
+
+    f_lo, f_hi = confirm(lo), confirm(hi)
     if not f_lo <= 0.0 <= f_hi:
         raise NumericalError(
             f"the measure route puts the crossing at gamma={root!r}, but the "
-            f"dense route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
+            f"{route} route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
         )
     return CriticalGamma(gamma=root, bracket=(lo, hi),
                          residual=max(-f_lo, f_hi), xi1=sums.xi1,
                          evaluations=2)
-
-
-def crossing_scan(graph: Graph, target: NodeId, gammas: Sequence[float], *,
-                  dense_guard: int | None = DEFAULT_DENSE_GUARD
-                  ) -> list[tuple[float, float]]:
-    """Sign-change intervals of the overlap difference over a coupling grid,
-    from the secular roots of the target's measure.
-
-    A uniqueness check to accompany :func:`critical_gamma`: a healthy
-    transition shows exactly one interval.
-    """
-    gam = sorted(float(g) for g in gammas)
-    if len(gam) < 2:
-        raise ConfigError("crossing scan needs at least two couplings")
-    diffs = [rec.s_psi0_sq - rec.s_psi1_sq for rec in (
-        measure_overlaps(SearchProblem(graph, target, g),
-                         dense_guard=dense_guard) for g in gam)]
-    return [(a, b) for a, b, fa, fb in zip(gam, gam[1:], diffs, diffs[1:])
-            if fa == 0.0 or (fa < 0.0) != (fb < 0.0)]
 
 
 # -- time evolution -------------------------------------------------------------

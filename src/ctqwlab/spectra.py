@@ -6,15 +6,24 @@ basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
 tolerance of 1e-8 times the spectral range.  Eigenvector signs are left
 as LAPACK returns them: every observable reads a column only through
-products of two of its own entries, so no output depends on them.  The
-Laplacian is decomposed in its own memory by LAPACK's divide-and-conquer
-driver ``evd`` (Gu & Eisenstat, SIMAX 16, 172, 1995), which is several
-times faster than scipy's default ``evr`` on the clustered spectra of
-fractal Laplacians.
+products of two of its own entries, so no output depends on them.
 
-:func:`target_measure` hands the measure to the engine and the CLI: it
-decomposes L once per ``Graph`` object and target and keeps only the
-K-sized :class:`SpectralSums`, never the eigenvectors.
+:func:`target_measure` hands the measure to the engine and the CLI, once
+per ``Graph`` object and target, and keeps only the K-sized
+:class:`SpectralSums`, never the eigenvectors.  It takes one of two routes.
+
+* *Quotient.*  :func:`equitable_partition` finds the coarsest equitable
+  partition with the target alone in its cell (Godsil & Royle, *Algebraic
+  Graph Theory*, ch. 9) by hashed colour refinement and certifies it in
+  integer arithmetic.  Its cell-indicator vectors span an L-invariant
+  space that holds |w> and |s>, so the symmetrised quotient
+  Lq = D - S^-1/2 M S^-1/2 carries the target's whole measure.  When the
+  partition at least halves N, Lq is solved with eigenvectors and L with
+  eigenvalues only (``eigvalsh``), which give the multiplicities.
+* *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
+  by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
+  172, 1995), several times faster than scipy's default ``evr`` on the
+  clustered spectra of fractal Laplacians.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     DEFAULT_DENSE_GUARD,
@@ -38,6 +48,9 @@ from .graphs import Graph, NodeId
 DEGENERACY_RTOL = 1e-8
 # Required symmetry of eigh inputs, relative to the largest entry.
 SYMMETRY_RTOL = 1e-12
+# Seed of the colour-refinement hash words: fixed, so that every run numbers
+# the cells alike and every output repeats bit for bit.
+_HASH_SEED = 1002
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +122,162 @@ def laplacian_decomposition(graph: Graph, *,
                                  group_index=degeneracy_groups(values))
 
 
+def laplacian_eigenvalues(graph: Graph, *,
+                          dense_guard: int | None = DEFAULT_DENSE_GUARD
+                          ) -> np.ndarray:
+    """Eigenvalues of L, ascending, without eigenvectors (LAPACK ``evr``),
+    computed in the memory of a fresh L."""
+    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    return sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
+                        check_finite=False)
+
+
+# -- equitable quotient ---------------------------------------------------------
+
+
+def _hash_words(n: int) -> np.ndarray:
+    """One random 64-bit word per colour.  A vertex's neighbours hash to the
+    wrapping sum of their colours' words, so equal colour multisets give
+    equal hashes and unequal ones collide with probability about 2^-64."""
+    return np.random.default_rng(_HASH_SEED).integers(
+        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
+
+
+def _refine(adjacency: sp.csr_matrix, target: NodeId,
+            limit: int) -> np.ndarray | None:
+    """Colour refinement (1-dimensional Weisfeiler-Leman) from the colouring
+    {target} | rest.  Each round orders the vertices by (colour, hash of
+    their neighbours' colours) and numbers the distinct pairs; a colour is
+    only ever split.  Returns the stable colouring, cells numbered by their
+    first vertex, or None once it has more than ``limit`` cells.  Every
+    vertex needs a neighbour (a connected graph with N >= 2)."""
+    n = adjacency.shape[0]
+    words = _hash_words(n)
+    starts = adjacency.indptr[:-1]
+    colours = np.zeros(n, dtype=np.int64)
+    colours[target] = 1
+    count = 2
+    while count <= limit:
+        hashes = np.add.reduceat(words[colours][adjacency.indices], starts)
+        order = np.lexsort((hashes, colours))
+        c, h = colours[order], hashes[order]
+        step = np.zeros(n, dtype=np.int64)
+        step[1:] = (c[1:] != c[:-1]) | (h[1:] != h[:-1])
+        colours[order] = np.cumsum(step)
+        split = int(colours[order[-1]]) + 1
+        if split == count:
+            _, first, cells = np.unique(colours, return_index=True,
+                                        return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(count)
+            return rank[cells]
+        count = split
+    return None
+
+
+def _certify(adjacency: sp.csr_matrix, cells: np.ndarray,
+             target: NodeId) -> np.ndarray | None:
+    """The (m, m) integer matrix of neighbours in cell j of each vertex of
+    cell i, when every vertex of a cell has the same such counts (the
+    partition is equitable) and the target is alone in its cell; else
+    None.  Exact integer arithmetic."""
+    n = cells.size
+    m = int(cells.max()) + 1
+    if np.count_nonzero(cells == cells[target]) != 1:
+        return None
+    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    counts = sp.csr_matrix(
+        (np.ones(rows.size, dtype=np.int64), (rows, cells[adjacency.indices])),
+        shape=(n, m))
+    first = np.empty(m, dtype=np.int64)
+    first[cells[::-1]] = np.arange(n - 1, -1, -1)
+    if (counts[first[cells]] != counts).nnz:
+        return None
+    return counts[first].toarray()
+
+
+def equitable_partition(graph: Graph, target: NodeId
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The coarsest equitable partition of the graph with the target alone
+    in its cell, when it has at most N/2 cells.
+
+    Returns (cells, counts): the cell of each vertex, numbered by first
+    vertex, and counts[i, j], the number of neighbours in cell j of every
+    vertex of cell i.  None when the refinement passes N/2 cells, where the
+    quotient would not save the dense route much, or when the integer
+    certificate of :func:`_certify` fails (a hash collision).
+    """
+    if not (0 <= target < graph.n):
+        raise ConfigError(f"target {target} out of range for {graph.n} nodes")
+    cells = _refine(graph.adjacency, target, graph.n // 2)
+    if cells is None:
+        return None
+    counts = _certify(graph.adjacency, cells, target)
+    return None if counts is None else (cells, counts)
+
+
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """L on the span of an equitable partition's cell-indicator vectors
+    u_i = 1_{C_i} / sqrt(s_i): the symmetric Lq_ij = d_i [i=j] -
+    M_ij / sqrt(s_i s_j), with d_i the common degree in cell i and M_ij the
+    vertex pairs adjacent across cells i and j.  The target is alone in
+    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i."""
+
+    laplacian: np.ndarray  # (m, m) Lq
+    sizes: np.ndarray      # (m,) int64 cell sizes s_i
+    target_cell: int
+    modes: np.ndarray      # per group of the measure, eigenvalues of Lq in it
+
+    def levels(self, gamma: float) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """Eigenvalues of the quotient H = gamma Lq - e_t e_t^T, ascending,
+        and each eigenvector's amplitudes on |s> and on |w> (full ``evd``
+        solve)."""
+        h = gamma * self.laplacian
+        h[self.target_cell, self.target_cell] -= 1.0
+        values, vectors = sla.eigh(h, driver="evd", overwrite_a=True,
+                                   check_finite=False)
+        s_state = np.sqrt(self.sizes / self.sizes.sum())
+        return values, s_state @ vectors, vectors[self.target_cell]
+
+
+def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
+                      counts: np.ndarray, dense_guard: int | None
+                      ) -> SpectralSums:
+    """The measure from the quotient's eigenpairs, on the groups and
+    multiplicities of ``eigvalsh(L)``.  Each eigenvalue of Lq must lie
+    within the grouping tolerance of one of L, and no group may receive
+    more of them than its multiplicity; otherwise NumericalError."""
+    sizes = np.bincount(cells)
+    cell = int(cells[target])
+    lq = -(sizes[:, None] * counts) / np.sqrt(np.outer(sizes, sizes))
+    lq[np.diag_indices_from(lq)] += counts.sum(axis=1)
+    quo = eigh(lq, dense_guard=None)
+    values = laplacian_eigenvalues(graph, dense_guard=dense_guard)
+    groups = degeneracy_groups(values)
+    # Nearest eigenvalue of L to each of Lq.
+    above = np.searchsorted(values, quo.eigenvalues).clip(1, values.size - 1)
+    near = np.where(quo.eigenvalues - values[above - 1]
+                    <= values[above] - quo.eigenvalues, above - 1, above)
+    miss = np.abs(values[near] - quo.eigenvalues)
+    tol = DEGENERACY_RTOL * float(values[-1] - values[0])
+    if miss.max() > tol:
+        raise NumericalError(
+            f"quotient eigenvalue {quo.eigenvalues[miss.argmax()]!r} is "
+            f"{miss.max():.3e} from every eigenvalue of L (tolerance {tol:.3e})")
+    modes = np.bincount(groups[near], minlength=int(groups[-1]) + 1)
+    if np.any(modes > np.bincount(groups)):
+        raise NumericalError("the quotient has more eigenvalues in a group "
+                             "than L has")
+    amp_sq = np.zeros(values.size)
+    np.add.at(amp_sq, near, quo.eigenvectors[cell] ** 2)
+    for arr in (lq, sizes, modes):
+        arr.flags.writeable = False
+    return _measure(values, groups, amp_sq, target,
+                    Quotient(lq, sizes, cell, modes))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralSums:
     """Inverse-eigenvalue sums of a Laplacian, target-weighted and plain.
@@ -135,6 +304,8 @@ class SpectralSums:
     group_eigenvalues: np.ndarray  # per group, ascending; first entry 0
     multiplicities: np.ndarray     # int64 per group
     group_amp_sq: np.ndarray       # summed |a_k|^2 per group; first 1/N
+    # The equitable quotient the weights came from; None on the dense route.
+    quotient: Quotient | None = None
 
 
 def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
@@ -147,19 +318,26 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     Group sums and means are taken in one pass over the contiguous runs
     of ``dec.group_index``.
     """
-    values = dec.eigenvalues
-    n = values.size
+    n = dec.eigenvalues.size
     if not (0 <= target < n):
         raise ConfigError(f"target {target} out of range for {n} nodes")
-    starts = np.flatnonzero(np.diff(dec.group_index, prepend=-1))
+    amps = dec.eigenvectors[target, :]
+    return _measure(dec.eigenvalues, dec.group_index, amps * amps, target)
+
+
+def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
+             target: NodeId, quotient: Quotient | None = None
+             ) -> SpectralSums:
+    """:class:`SpectralSums` from L's ascending eigenvalues, their group
+    labels and the target weight |a_k|^2 of each."""
+    n = values.size
+    starts = np.flatnonzero(np.diff(group_index, prepend=-1))
     mults = np.diff(starts, append=n)
     zero_scale = max(1.0, float(np.abs(values[-1])))
     if abs(values[0]) > 1e-9 * zero_scale:
         raise ConfigError("lowest eigenvalue is not zero: not a Laplacian")
     if mults[0] != 1:
         raise ConfigError("zero eigenvalue is degenerate: graph is disconnected")
-    amps = dec.eigenvectors[target, :]
-    amp_sq = amps * amps
     group_amp_sq = np.add.reduceat(amp_sq, starts)
     group_vals = np.add.reduceat(values, starts) / mults
     uniform = 1.0 / n
@@ -183,7 +361,7 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
         n=n, target=target, zeta1=zeta1, zeta2=zeta2, xi1=xi1, xi2=xi2,
         max_amp_sq=float(per_mode.max()),
         group_eigenvalues=group_vals, multiplicities=mults,
-        group_amp_sq=group_amp_sq,
+        group_amp_sq=group_amp_sq, quotient=quotient,
     )
 
 
@@ -196,14 +374,19 @@ _MEASURES: weakref.WeakKeyDictionary[Graph, dict[NodeId, SpectralSums]] = \
 def target_measure(graph: Graph, target: NodeId, *,
                    dense_guard: int | None = DEFAULT_DENSE_GUARD
                    ) -> SpectralSums:
-    """The target's Laplacian spectral measure, decomposed once per
-    ``Graph`` object and target.  The dense guard is checked on every
+    """The target's Laplacian spectral measure, computed once per ``Graph``
+    object and target: from the equitable quotient when
+    :func:`equitable_partition` finds one of at most N/2 cells, else from
+    the dense decomposition of L.  The dense guard is checked on every
     call, a cached one included."""
     check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
     per_graph = _MEASURES.setdefault(graph, {})
     if target not in per_graph:
+        partition = equitable_partition(graph, target)
         per_graph[target] = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+            laplacian_decomposition(graph, dense_guard=dense_guard), target
+        ) if partition is None else _quotient_measure(
+            graph, target, *partition, dense_guard)
     return per_graph[target]
 
 

@@ -122,6 +122,31 @@ def test_critgamma_table(tmp_path, capsys):
     assert "complete_n16" in out
 
 
+def test_critgamma_and_fit_name_the_route_on_stdout_only(tmp_path, capsys):
+    """The summary lines say which route each measure took; the artifacts
+    do not, and a rerun writes the same bytes."""
+    argv = ("critgamma", "--family", "cayleytree", "--g", "3..4")
+    assert run(*argv, "--out", tmp_path / "a") == 0
+    out = capsys.readouterr().out
+    assert "cayleytree_g3: N=22 gamma_crit=" in out
+    assert "route=quotient cells=10\n" in out
+    assert run(*argv, "--out", tmp_path / "b") == 0
+    capsys.readouterr()
+    text = (tmp_path / "a" / "critgamma_cayleytree.csv").read_text()
+    assert "route" not in text and "quotient" not in text
+    assert text == (tmp_path / "b" / "critgamma_cayleytree.csv").read_text()
+    assert run("critgamma", "--family", "dsg", "--g", "3",
+               "--out", tmp_path) == 0
+    assert "route=dense\n" in capsys.readouterr().out
+    assert run("fit", "--family", "tfractal", "--g", "3..5",
+               "--out", tmp_path) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(" route: tfractal_g3 quotient cells=14, "
+                            "tfractal_g4 quotient cells=35, "
+                            "tfractal_g5 quotient cells=90")
+    assert "quotient" not in (tmp_path / "fit_tfractal_power.json").read_text()
+
+
 def test_success_grid_artifacts(tmp_path, capsys):
     assert run("success", "--family", "complete", "--n", "16",
                "--gamma-min", "0.04", "--gamma-max", "0.09",

@@ -10,11 +10,12 @@ from ctqwlab.engine import (
     SearchProblem,
     SuccessGrid,
     _phase_product,
+    _quotient_overlaps,
     build_hamiltonian,
     critical_gamma,
-    crossing_scan,
     default_time_grid,
     gamma_max_search,
+    measure_overlaps,
     overlap_sweep_csv,
     overlaps,
     oscillation_period,
@@ -74,6 +75,19 @@ def _family_case(**kw):
     spec = GraphSpec(**kw)
     return pytest.param(lambda: build(spec), default_target(spec),
                         id=spec.label)
+
+
+def crossing_scan(graph, target, gammas):
+    """Sign-change intervals of the overlap difference over a coupling grid,
+    from the secular roots of the target's measure: a healthy transition
+    shows exactly one, around :func:`critical_gamma`'s root."""
+    gam = sorted(float(g) for g in gammas)
+    if len(gam) < 2:
+        raise ConfigError("crossing scan needs at least two couplings")
+    diffs = [rec.s_psi0_sq - rec.s_psi1_sq for rec in (
+        measure_overlaps(SearchProblem(graph, target, g)) for g in gam)]
+    return [(a, b) for a, b, fa, fb in zip(gam, gam[1:], diffs, diffs[1:])
+            if fa == 0.0 or (fa < 0.0) != (fb < 0.0)]
 
 
 def test_hamiltonian_by_hand():
@@ -481,6 +495,16 @@ def _overlap_difference(graph, target, gamma):
     return rec.s_psi0_sq - rec.s_psi1_sq
 
 
+def _confirming_difference(graph, target, gamma):
+    """The overlap difference on critical_gamma's confirming route: the
+    quotient H when the measure has one, else the dense H."""
+    sums = target_measure(graph, target)
+    if sums.quotient is None:
+        return _overlap_difference(graph, target, gamma)
+    rec = _quotient_overlaps(SearchProblem(graph, target, gamma), sums)
+    return rec.s_psi0_sq - rec.s_psi1_sq
+
+
 ROOT_CASES = [
     *(_family_case(family=Family.COMPLETE, n=n) for n in (16, 32, 64)),
     *(_family_case(family=Family.DSG, g=g) for g in (2, 3, 4, 5)),
@@ -527,7 +551,8 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
 def test_critical_gamma_reports_the_measure_root(make_graph, target):
     """gamma is the measure's root r, strictly inside the confirmation pair
     r(1 -/+ d), and a rebuilt graph (decomposed again) gives the same bits;
-    the residual is the larger dense difference of the pair."""
+    the residual is the larger difference of the pair on the confirming
+    route, and within 1e-12 of the dense one."""
     res = critical_gamma(make_graph(), target)
     lo, hi = res.bracket
     assert lo < res.gamma < hi
@@ -536,8 +561,11 @@ def test_critical_gamma_reports_the_measure_root(make_graph, target):
     assert (again.gamma, again.bracket, again.residual) == \
         (res.gamma, res.bracket, res.residual)
     graph = make_graph()
-    assert res.residual == max(abs(_overlap_difference(graph, target, g))
+    assert res.residual == max(abs(_confirming_difference(graph, target, g))
                                for g in (lo, hi))
+    assert res.residual == pytest.approx(
+        max(abs(_overlap_difference(graph, target, g)) for g in (lo, hi)),
+        rel=0.0, abs=1e-12)
 
 
 @pytest.fixture
@@ -629,7 +657,8 @@ def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
     graph, _, dense_asked = synthetic_difference(
         lambda g: math.tanh((g - root) / (0.2 * root)))
     monkeypatch.setattr(engine, "target_measure", lambda *a, **k: (
-        SimpleNamespace(xi1=1.0, group_eigenvalues=np.array([0.0, 1e-8, 4.0]))))
+        SimpleNamespace(xi1=1.0, group_eigenvalues=np.array([0.0, 1e-8, 4.0]),
+                        quotient=None)))
     res = critical_gamma(graph, 0)
     offset = np.finfo(float).eps * 4.0 / 1e-8
     lo, hi = dense_asked
@@ -649,7 +678,7 @@ def test_critical_gamma_takes_the_measure_route_for_any_k(make_graph, target,
                                                           monkeypatch):
     """Whatever K, the number of distinct Laplacian eigenvalues, the root
     search runs on the measure, runs no K x K eigensolve, and makes exactly
-    the 2 dense confirmations."""
+    2 confirmations (quotient on tfractal g3, dense on the others)."""
     from ctqwlab import engine
 
     measured = []
