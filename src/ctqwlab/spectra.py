@@ -180,20 +180,20 @@ def _certify(adjacency: sp.csr_matrix, cells: np.ndarray,
     """The (m, m) integer matrix of neighbours in cell j of each vertex of
     cell i, when every vertex of a cell has the same such counts (the
     partition is equitable) and the target is alone in its cell; else
-    None.  Exact integer arithmetic."""
+    None.  The counts are A times the cell-indicator matrix: sums of ones,
+    exact in float64 below 2^53, with one entry per vertex and neighbouring
+    cell."""
     n = cells.size
     m = int(cells.max()) + 1
     if np.count_nonzero(cells == cells[target]) != 1:
         return None
-    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
-    counts = sp.csr_matrix(
-        (np.ones(rows.size, dtype=np.int64), (rows, cells[adjacency.indices])),
-        shape=(n, m))
+    counts = adjacency @ sp.csr_matrix(
+        (np.ones(n), (np.arange(n), cells)), shape=(n, m))
     first = np.empty(m, dtype=np.int64)
     first[cells[::-1]] = np.arange(n - 1, -1, -1)
     if (counts[first[cells]] != counts).nnz:
         return None
-    return counts[first].toarray()
+    return counts[first].toarray().astype(np.int64)
 
 
 def equitable_partition(graph: Graph, target: NodeId
