@@ -48,8 +48,8 @@ from .graphs import Graph, NodeId
 DEGENERACY_RTOL = 1e-8
 # Required symmetry of eigh inputs, relative to the largest entry.
 SYMMETRY_RTOL = 1e-12
-# Seed of the colour-refinement hash words: fixed, so that every run numbers
-# the cells alike and every output repeats bit for bit.
+# Seed of the colour-refinement hash words: fixed, so that every run refines
+# alike and every output repeats bit for bit.
 _HASH_SEED = 1002
 
 

@@ -281,25 +281,17 @@ def test_critical_gamma_on_the_quotient_matches_the_dense_route(
     assert res.residual == pytest.approx(dense.residual, rel=1e-3, abs=1e-12)
 
 
-def _count_calls(monkeypatch):
-    """Spy on engine.overlaps and every binding of laplacian_decomposition;
-    refuse engine.eigh and any engine.sla.eigh without an index subset, the
-    kwarg the benchmark's window probe reads."""
-    import sys
-
-    calls = {"overlaps": 0, "decompositions": 0}
-    real_overlaps = engine.overlaps
-    real_decomposition = spectra.laplacian_decomposition
+def _spy_on_the_engine(monkeypatch):
+    """Count engine.overlaps calls; refuse engine.eigh and any
+    engine.sla.eigh without an index subset, the kwarg the benchmark's
+    window probe reads.  The ``decompositions`` fixture counts the
+    Laplacian decompositions."""
+    overlaps_calls = []
+    real_overlaps, real_eigh = engine.overlaps, engine.sla.eigh
 
     def spy_overlaps(problem, **kwargs):
-        calls["overlaps"] += 1
+        overlaps_calls.append(problem.gamma)
         return real_overlaps(problem, **kwargs)
-
-    def spy_decomposition(graph, **kwargs):
-        calls["decompositions"] += 1
-        return real_decomposition(graph, **kwargs)
-
-    real_eigh = engine.sla.eigh
 
     def window_only(a, **kwargs):
         if "subset_by_index" not in kwargs:
@@ -309,24 +301,18 @@ def _count_calls(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solve went through engine.eigh")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ctqwlab") and \
-                getattr(module, "laplacian_decomposition", None) \
-                is real_decomposition:
-            monkeypatch.setattr(module, "laplacian_decomposition",
-                                spy_decomposition)
     monkeypatch.setattr(engine, "overlaps", spy_overlaps)
     monkeypatch.setattr(engine, "eigh", refuse)
     monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=window_only))
-    return calls
+    return overlaps_calls
 
 
-def test_dense_route_pin_on_dsg_g3(monkeypatch):
+def test_dense_route_pin_on_dsg_g3(monkeypatch, decompositions):
     """One Laplacian decomposition and two dense window confirmations, as
     the benchmark's trace of this call expects."""
-    calls = _count_calls(monkeypatch)
+    overlaps_calls = _spy_on_the_engine(monkeypatch)
     res = critical_gamma(build(GraphSpec(Family.DSG, g=3)), 0)
-    assert calls == {"overlaps": 2, "decompositions": 1}
+    assert (len(decompositions), len(overlaps_calls)) == (1, 2)
     assert res.evaluations == 2
 
 
@@ -336,13 +322,15 @@ def test_dense_route_pin_on_dsg_g3(monkeypatch):
     GraphSpec(Family.TORUS, L=8, d=2),
     GraphSpec(Family.COMPLETE, n=32),
 ])
-def test_quotient_route_solves_nothing_through_the_engine(spec, monkeypatch):
+def test_quotient_route_solves_nothing_through_the_engine(
+        spec, monkeypatch, decompositions):
     """The quotient solves stay in spectra: no decomposition of L, no
     dense overlaps, nothing through engine.eigh or engine.sla."""
     graph = build(spec)
     want = critical_gamma(build(spec), default_target(spec))
-    calls = _count_calls(monkeypatch)
+    del decompositions[:]
+    overlaps_calls = _spy_on_the_engine(monkeypatch)
     got = critical_gamma(graph, default_target(spec))
-    assert calls == {"overlaps": 0, "decompositions": 0}
+    assert (len(decompositions), len(overlaps_calls)) == (0, 0)
     assert (got.gamma, got.bracket, got.residual) == \
         (want.gamma, want.bracket, want.residual)
