@@ -44,7 +44,7 @@ from .errors import (
     DenseGuardError,
     NumericalError,
 )
-from .graphs import Family, Graph, GraphSpec, build, default_target
+from .graphs import _RECORDS, Family, Graph, GraphSpec, build, default_target
 from .oracles import (
     complete_success,
     decimation_identity_residuals,
@@ -212,38 +212,38 @@ def _time_grid(args: argparse.Namespace, n: int) -> np.ndarray:
 
 def _sweep_specs(args: argparse.Namespace) -> tuple[list[GraphSpec],
                                                     list[float]]:
-    """Family sweep for critgamma/fit: one spec per generation or size.
+    """Family sweep for critgamma/fit: one spec per value of the family's
+    first size parameter, from ``--g`` (a range) when that is ``g`` and
+    from ``--sizes`` otherwise.  The other size parameters come from their
+    own flags and ``periodic`` from ``--open``.
 
-    Returns the specs plus the generation/size abscissa used by the
+    Returns the specs plus the swept values, the abscissa of the
     linear-in-generation model.
     """
     if args.family is None:
         raise ConfigError("--family is required")
     family = Family(args.family)
-    g_range = getattr(args, "g", None)
-    sizes = getattr(args, "sizes", None)
-    if family in (Family.DSG, Family.TFRACTAL, Family.CAYLEY_TREE):
-        if g_range is None:
+    if family is Family.PRODUCT:
+        raise ConfigError("sweeps over product are not supported")
+    (swept, _), *others = _RECORDS[family].sizes
+    if swept == "g":
+        if args.g is None:
             raise ConfigError(f"--g (e.g. 3..6) is required for "
                               f"{family.value}")
-        gens = _parse_int_range(g_range, "--g")
-        return [GraphSpec(family, g=g) for g in gens], [float(g) for g in gens]
-    if sizes is None:
-        raise ConfigError(f"--sizes (comma list) is required for "
-                          f"{family.value}")
-    values = _parse_list(sizes, "--sizes", int)
-    if family is Family.COMPLETE:
-        return [GraphSpec(family, n=v) for v in values], [float(v) for v in values]
-    if family is Family.TORUS:
-        if args.d is None:
-            raise ConfigError("--d is required for torus sweeps")
-        return ([GraphSpec(family, L=v, d=args.d) for v in values],
-                [float(v) for v in values])
-    if family is Family.CHAIN:
-        periodic = not getattr(args, "open_boundary", False)
-        return ([GraphSpec(family, L=v, periodic=periodic) for v in values],
-                [float(v) for v in values])
-    raise ConfigError(f"sweeps over {family.value} are not supported")
+        values = _parse_int_range(args.g, "--g")
+    else:
+        if args.sizes is None:
+            raise ConfigError(f"--sizes (comma list) is required for "
+                              f"{family.value}")
+        values = _parse_list(args.sizes, "--sizes", int)
+    fixed = {}
+    for name, _ in others:
+        if getattr(args, name) is None:
+            raise ConfigError(f"--{name} is required for {family.value} sweeps")
+        fixed[name] = getattr(args, name)
+    specs = [GraphSpec(family, periodic=not args.open_boundary,
+                       **{swept: v}, **fixed) for v in values]
+    return specs, [float(v) for v in values]
 
 
 def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
@@ -427,11 +427,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_complete(args: argparse.Namespace) -> tuple[float, float, dict]:
-    n = args.n if args.n is not None else 124
-    guard = _dense_guard(args)
-    spec = GraphSpec(Family.COMPLETE, n=n)
-    graph = build(spec)
+def _complete_error(n: int, guard: int | None) -> float:
+    graph = build(GraphSpec(Family.COMPLETE, n=n))
     times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), 64)
     worst = 0.0
     for scale in (0.5, 1.0, 1.7, 2.0):
@@ -440,63 +437,55 @@ def _oracle_complete(args: argparse.Namespace) -> tuple[float, float, dict]:
                                     dense_guard=guard)
         exact = complete_success(n, gamma, times)
         worst = max(worst, float(np.max(np.abs(probs - exact))))
-    return worst, 1e-10, {"n": n}
+    return worst
 
 
-def _oracle_dsg_spectrum(args: argparse.Namespace) -> tuple[float, float, dict]:
-    g = args.g if args.g is not None else 4
-    guard = _dense_guard(args)
+def _dsg_spectrum_error(g: int, guard: int | None) -> float:
     graph = build(GraphSpec(Family.DSG, g=g))
     values = laplacian_eigenvalues(graph, dense_guard=guard)
-    exact = dsg_exact_spectrum(g).expand()
-    worst = float(np.max(np.abs(values - exact)))
-    return worst, 1e-9, {"g": g}
+    return float(np.max(np.abs(values - dsg_exact_spectrum(g).expand())))
 
 
-def _oracle_dsg_zeta(args: argparse.Namespace) -> tuple[float, float, dict]:
-    g = args.g if args.g is not None else 4
-    closed = dsg_zeta_closed(g)
-    direct = dsg_zeta_direct(g)
-    worst = max(abs(c - d) / abs(c) for c, d in zip(closed, direct))
-    return worst, 1e-10, {"g": g}
+def _dsg_zeta_error(g: int, guard: int | None) -> float:
+    return max(abs(c - d) / abs(c)
+               for c, d in zip(dsg_zeta_closed(g), dsg_zeta_direct(g)))
 
 
-def _oracle_decimation(args: argparse.Namespace) -> tuple[float, float, dict]:
-    g = args.g if args.g is not None else 5
-    worst = max(decimation_identity_residuals(g))
-    return worst, 1e-9, {"g": g}
+def _decimation_error(g: int, guard: int | None) -> float:
+    return max(decimation_identity_residuals(g))
 
 
-def _oracle_krylov(args: argparse.Namespace) -> tuple[float, float, dict]:
-    g = args.g if args.g is not None else 3
-    guard = _dense_guard(args)
+def _krylov_error(g: int, guard: int | None, gamma: float) -> float:
     spec = GraphSpec(Family.DSG, g=g)
     graph = build(spec)
     target = default_target(spec)
-    gamma = 1.0
     times = np.linspace(0.0, 20.0, 9)
     kry = propagate_krylov(graph, target, gamma, times)
     ref = success_probability(SearchProblem(graph, target, gamma), times,
                               dense_guard=guard)
-    worst = float(np.max(np.abs(kry - ref)))
-    return worst, 1e-12, {"g": g, "gamma": gamma}
+    return float(np.max(np.abs(kry - ref)))
 
 
-# Each runner returns (max error, tolerance, details).
+# check -> (size flag, its default, tolerance, error function, further
+# arguments).  The error function takes the size, the dense guard and the
+# further arguments, and returns the largest error; the report's details
+# are the size and the further arguments.
 _ORACLES = {
-    "complete-vs-engine": _oracle_complete,
-    "dsg-spectrum": _oracle_dsg_spectrum,
-    "dsg-zeta": _oracle_dsg_zeta,
-    "decimation": _oracle_decimation,
-    "krylov-vs-spectral": _oracle_krylov,
+    "complete-vs-engine": ("n", 124, 1e-10, _complete_error, {}),
+    "dsg-spectrum": ("g", 4, 1e-9, _dsg_spectrum_error, {}),
+    "dsg-zeta": ("g", 4, 1e-10, _dsg_zeta_error, {}),
+    "decimation": ("g", 5, 1e-9, _decimation_error, {}),
+    "krylov-vs-spectral": ("g", 3, 1e-12, _krylov_error, {"gamma": 1.0}),
 }
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    worst, tol, details = _ORACLES[args.check](args)
+    flag, default, tol, error, extra = _ORACLES[args.check]
+    size = default if getattr(args, flag) is None else getattr(args, flag)
+    worst = error(size, _dense_guard(args), **extra)
     passed = worst <= tol
-    report = {"check": args.check, "passed": passed,
-              "max_error": worst, "tolerance": tol, "details": details}
+    report = {"check": args.check, "passed": passed, "max_error": worst,
+              "tolerance": tol, "details": {flag: size, **extra}}
     print(json.dumps(report))
     if not passed:
         raise NumericalError(f"oracle check {args.check} failed: "
@@ -562,7 +551,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, default=None,
                         help="dimension (torus sweeps)")
     parser.add_argument("--open", dest="open_boundary", action="store_true",
-                        help="open boundary conditions (chain sweeps)")
+                        help="open boundary conditions (chain/torus)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import log
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,18 +62,17 @@ class Family(str, Enum):
     PRODUCT = "product"
 
 
-_GENERATIONAL = (Family.DSG, Family.TFRACTAL, Family.CAYLEY_TREE)
-
-
 @dataclass(frozen=True)
 class GraphSpec:
     """Declarative description of one graph.
 
-    Only the parameters relevant to the family may be set:
-    ``n`` for complete, ``g`` for dsg/tfractal/cayleytree, ``L`` (and ``d``
-    for torus) for lattices, ``factors`` for products.  ``periodic``
-    applies to lattices only and defaults to wrapped boundaries; pass
-    ``periodic=False`` for open ones.
+    Each family takes its own integer size parameters and no others:
+    ``n`` for complete, ``L`` for chain, ``L`` and ``d`` for torus, ``g``
+    for dsg/tfractal/cayleytree, and ``factors`` (two specs) for product.
+    A chain also accepts ``d=1``, stored as omitted.  ``periodic`` applies
+    to chain and torus only, the families with a boundary, and defaults to
+    wrapped boundaries; pass ``periodic=False`` for open ones.  Any other
+    parameter raises :class:`ConfigError`.
     """
 
     family: Family
@@ -90,145 +90,85 @@ class GraphSpec:
             raise ConfigError(f"unknown graph family: {self.family!r}") from exc
         if self.factors is not None:
             object.__setattr__(self, "factors", tuple(self.factors))
+        # A chain is one-dimensional: d=1 adds nothing, so it is stored as
+        # omitted and the spec round-trips through to_dict.
+        if self.family is Family.CHAIN and type(self.d) is int and self.d == 1:
+            object.__setattr__(self, "d", None)
         self._validate()
 
     def _validate(self) -> None:
         fam = self.family
-
-        def require(cond: bool, msg: str) -> None:
-            if not cond:
-                raise ConfigError(f"{fam.value}: {msg}")
-
-        def size(name: str, least: int) -> None:
-            value = getattr(self, name)
-            # bool is an int subclass; a JSON true is not a size.
-            require(isinstance(value, int) and not isinstance(value, bool)
-                    and value >= least, f"needs integer {name} >= {least}")
-
-        def forbid(names: tuple[str, ...]) -> None:
-            for name in names:
-                if getattr(self, name) is not None:
+        if not isinstance(self.periodic, bool):
+            raise ConfigError(f"{fam.value}: periodic must be true or false")
+        if fam is Family.PRODUCT:
+            if self.factors is None or len(self.factors) != 2:
+                raise ConfigError(f"{fam.value}: needs exactly two factors")
+            if not all(isinstance(f, GraphSpec) for f in self.factors):
+                raise ConfigError("product factors must be GraphSpec instances")
+            taken, boundary = ("factors",), False
+        else:
+            record = _RECORDS[fam]
+            for name, least in record.sizes:
+                value = getattr(self, name)
+                # bool is an int subclass; a JSON true is not a size.
+                if not (isinstance(value, int) and not isinstance(value, bool)
+                        and value >= least):
                     raise ConfigError(
-                        f"{fam.value}: parameter {name!r} is not accepted"
-                    )
-
-        require(isinstance(self.periodic, bool), "periodic must be true or false")
-        if fam is Family.COMPLETE:
-            size("n", 2)
-            forbid(("g", "L", "d", "factors"))
-        elif fam is Family.CHAIN:
-            size("L", 2)
-            require(self.d is None or type(self.d) is int and self.d == 1,
-                    "d must be 1 (or omitted)")
-            forbid(("n", "g", "factors"))
-        elif fam is Family.TORUS:
-            size("L", 2)
-            size("d", 1)
-            forbid(("n", "g", "factors"))
-        elif fam in _GENERATIONAL:
-            size("g", 1)
-            forbid(("n", "L", "d", "factors"))
-        elif fam is Family.PRODUCT:
-            require(
-                self.factors is not None and len(self.factors) == 2,
-                "needs exactly two factors",
-            )
-            forbid(("n", "g", "L", "d"))
-            for f in self.factors:  # type: ignore[union-attr]
-                if not isinstance(f, GraphSpec):
-                    raise ConfigError("product factors must be GraphSpec instances")
+                        f"{fam.value}: needs integer {name} >= {least}")
+            taken = tuple(name for name, _ in record.sizes)
+            boundary = record.boundary
+        for name in ("n", "g", "L", "d", "factors"):
+            if name not in taken and getattr(self, name) is not None:
+                raise ConfigError(
+                    f"{fam.value}: parameter {name!r} is not accepted")
+        if not (self.periodic or boundary):
+            raise ConfigError(f"{fam.value}: parameter 'periodic' is not accepted")
 
     # -- derived attributes -------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        fam = self.family
-        if fam is Family.COMPLETE:
-            return self.n  # type: ignore[return-value]
-        if fam is Family.CHAIN:
-            return self.L  # type: ignore[return-value]
-        if fam is Family.TORUS:
-            return self.L**self.d  # type: ignore[operator]
-        if fam is Family.DSG:
-            return 3**self.g  # type: ignore[operator]
-        if fam is Family.TFRACTAL:
-            return 3**self.g + 1  # type: ignore[operator]
-        if fam is Family.CAYLEY_TREE:
-            return 3 * 2**self.g - 2  # type: ignore[operator]
-        a, b = self.factors  # type: ignore[misc]
-        return a.node_count * b.node_count
+        if self.family is Family.PRODUCT:
+            a, b = self.factors  # type: ignore[misc]
+            return a.node_count * b.node_count
+        return _RECORDS[self.family].node_count(self)
 
     @property
     def spectral_dimension(self) -> float | None:
         """Spectral dimension of the family, or None where undefined
         (complete graphs, Cayley trees).  Products add the factors'."""
-        fam = self.family
-        if fam is Family.CHAIN:
-            return 1.0
-        if fam is Family.TORUS:
-            return float(self.d)  # type: ignore[arg-type]
-        if fam is Family.DSG:
-            return 2.0 * log(3.0) / log(5.0)
-        if fam is Family.TFRACTAL:
-            return 2.0 * log(3.0) / log(6.0)
-        if fam is Family.PRODUCT:
-            dims = [f.spectral_dimension for f in self.factors]  # type: ignore[union-attr]
-            if any(v is None for v in dims):
-                return None
-            return float(sum(dims))  # type: ignore[arg-type]
-        return None
+        return self._dimension(0)
 
     @property
     def fractal_dimension(self) -> float | None:
-        fam = self.family
-        if fam is Family.CHAIN:
-            return 1.0
-        if fam is Family.TORUS:
-            return float(self.d)  # type: ignore[arg-type]
-        if fam in (Family.DSG, Family.TFRACTAL):
-            return log(3.0) / log(2.0)
-        if fam is Family.PRODUCT:
-            dims = [f.fractal_dimension for f in self.factors]  # type: ignore[union-attr]
-            if any(v is None for v in dims):
-                return None
-            return float(sum(dims))  # type: ignore[arg-type]
-        return None
+        return self._dimension(1)
+
+    def _dimension(self, which: int) -> float | None:
+        if self.family is not Family.PRODUCT:
+            return _RECORDS[self.family].dimensions(self)[which]
+        dims = [f._dimension(which) for f in self.factors]  # type: ignore[union-attr]
+        return None if None in dims else float(sum(dims))  # type: ignore[arg-type]
 
     @property
     def label(self) -> str:
         """Short filesystem-safe identifier, e.g. ``dsg_g4`` or
         ``torus_d2_L8``."""
-        fam = self.family
-        if fam is Family.COMPLETE:
-            return f"complete_n{self.n}"
-        if fam is Family.CHAIN:
-            suffix = "" if self.periodic else "_open"
-            return f"chain_L{self.L}{suffix}"
-        if fam is Family.TORUS:
-            suffix = "" if self.periodic else "_open"
-            return f"torus_d{self.d}_L{self.L}{suffix}"
-        if fam in _GENERATIONAL:
-            return f"{fam.value}_g{self.g}"
-        a, b = self.factors  # type: ignore[misc]
-        return f"product__{a.label}__{b.label}"
+        if self.family is Family.PRODUCT:
+            a, b = self.factors  # type: ignore[misc]
+            return f"product__{a.label}__{b.label}"
+        return _RECORDS[self.family].label(self)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family.value}
-        if self.family is Family.COMPLETE:
-            out["n"] = self.n
-        elif self.family is Family.CHAIN:
-            out["L"] = self.L
-            out["periodic"] = self.periodic
-        elif self.family is Family.TORUS:
-            out["L"] = self.L
-            out["d"] = self.d
-            out["periodic"] = self.periodic
-        elif self.family in _GENERATIONAL:
-            out["g"] = self.g
-        else:
+        if self.family is Family.PRODUCT:
             out["factors"] = [f.to_dict() for f in self.factors]  # type: ignore[union-attr]
+            return out
+        record = _RECORDS[self.family]
+        out.update((name, getattr(self, name)) for name, _ in record.sizes)
+        if record.boundary:
+            out["periodic"] = self.periodic
         return out
 
     @classmethod
@@ -411,7 +351,7 @@ def _lattice_edges(L: int, d: int, periodic: bool) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _dsg_edges(g: int) -> tuple[int, np.ndarray]:
+def _dsg_edges(g: int) -> np.ndarray:
     """Corner-glued recursive construction.
 
     Generation 1 is a triangle.  Each later generation places three copies
@@ -427,10 +367,10 @@ def _dsg_edges(g: int) -> tuple[int, np.ndarray]:
         edges = np.concatenate([edges, edges + n, edges + 2 * n, joins])
         c1, c2 = n + c1, 2 * n + c2
         n *= 3
-    return n, edges
+    return edges
 
 
-def _tfractal_edges(g: int) -> tuple[int, np.ndarray]:
+def _tfractal_edges(g: int) -> np.ndarray:
     """Edge-splitting construction, renumbered so the branching center is 0.
 
     Start from a single edge; at every step replace each edge (u, v) by a
@@ -452,39 +392,89 @@ def _tfractal_edges(g: int) -> tuple[int, np.ndarray]:
                                         2, return_predecessors=False)
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n)
-    return n, new_id[edges]
+    return new_id[edges]
 
 
-def _cayley_tree_edges(g: int) -> tuple[int, np.ndarray]:
+def _cayley_tree_edges(n: int) -> np.ndarray:
     """Shell by shell, children numbered after their parents: nodes 1-3
     hang off the root and node k > 3 off node (k - 2) // 2."""
-    n = 3 * 2**g - 2
     child = np.arange(1, n, dtype=np.int64)
     parent = np.where(child <= 3, 0, (child - 2) // 2)
-    return n, np.column_stack([parent, child])
+    return np.column_stack([parent, child])
+
+
+@dataclass(frozen=True)
+class _Record:
+    """What one family is; each callable reads a valid spec of it.
+
+    ``sizes`` names the integer size parameters with their least values,
+    and a sweep varies the first.  ``boundary`` says whether ``periodic``
+    applies.  ``edges`` gives the (E, 2) edge array that ``build`` reads,
+    ``target`` the node :func:`default_target` returns without a build,
+    and ``dimensions`` the spectral and the fractal dimension.
+    """
+
+    sizes: tuple[tuple[str, int], ...]
+    boundary: bool
+    node_count: Callable[[GraphSpec], int]
+    edges: Callable[[GraphSpec], np.ndarray]
+    target: Callable[[GraphSpec], NodeId]
+    dimensions: Callable[[GraphSpec], tuple[float | None, float | None]]
+    label: Callable[[GraphSpec], str]
+
+
+def _tree_target(spec: GraphSpec) -> NodeId:
+    """Both trees are numbered breadth-first from the center, so the outer
+    shell, 3 * 2^(g-1) leaves at depth 2^(g-1) (tfractal) or g
+    (cayleytree), comes last."""
+    return spec.node_count - 3 * 2 ** (spec.g - 1)  # type: ignore[operator]
+
+
+def _open(spec: GraphSpec) -> str:
+    return "" if spec.periodic else "_open"
+
+
+# Every family but product, which recurses into its factors instead.
+_RECORDS: dict[Family, _Record] = {
+    Family.COMPLETE: _Record(
+        sizes=(("n", 2),), boundary=False, node_count=lambda s: s.n,
+        edges=lambda s: _complete_edges(s.n), target=lambda s: 0,
+        dimensions=lambda s: (None, None), label=lambda s: f"complete_n{s.n}"),
+    Family.CHAIN: _Record(
+        sizes=(("L", 2),), boundary=True, node_count=lambda s: s.L,
+        edges=lambda s: _lattice_edges(s.L, 1, s.periodic), target=lambda s: 0,
+        dimensions=lambda s: (1.0, 1.0),
+        label=lambda s: f"chain_L{s.L}{_open(s)}"),
+    Family.TORUS: _Record(
+        sizes=(("L", 2), ("d", 1)), boundary=True, node_count=lambda s: s.L**s.d,
+        edges=lambda s: _lattice_edges(s.L, s.d, s.periodic),
+        target=lambda s: 0,  # every node of a torus is equivalent
+        dimensions=lambda s: (float(s.d), float(s.d)),
+        label=lambda s: f"torus_d{s.d}_L{s.L}{_open(s)}"),
+    Family.DSG: _Record(
+        sizes=(("g", 1),), boundary=False, node_count=lambda s: 3**s.g,
+        edges=lambda s: _dsg_edges(s.g),
+        target=lambda s: 0,  # the apex corner, node 0 in every generation
+        dimensions=lambda s: (2.0 * log(3.0) / log(5.0), log(3.0) / log(2.0)),
+        label=lambda s: f"dsg_g{s.g}"),
+    Family.TFRACTAL: _Record(
+        sizes=(("g", 1),), boundary=False, node_count=lambda s: 3**s.g + 1,
+        edges=lambda s: _tfractal_edges(s.g), target=_tree_target,
+        dimensions=lambda s: (2.0 * log(3.0) / log(6.0), log(3.0) / log(2.0)),
+        label=lambda s: f"tfractal_g{s.g}"),
+    Family.CAYLEY_TREE: _Record(
+        sizes=(("g", 1),), boundary=False, node_count=lambda s: 3 * 2**s.g - 2,
+        edges=lambda s: _cayley_tree_edges(s.node_count), target=_tree_target,
+        dimensions=lambda s: (None, None), label=lambda s: f"cayleytree_g{s.g}"),
+}
 
 
 def build(spec: GraphSpec) -> Graph:
     """Materialize a spec into a validated :class:`Graph`."""
-    fam = spec.family
-    if fam is Family.COMPLETE:
-        return Graph.from_edges(spec.n, _complete_edges(spec.n))  # type: ignore[arg-type]
-    if fam is Family.CHAIN:
-        return Graph.from_edges(spec.L, _lattice_edges(spec.L, 1, spec.periodic))  # type: ignore[arg-type]
-    if fam is Family.TORUS:
-        return Graph.from_edges(spec.L**spec.d,  # type: ignore[operator]
-                                _lattice_edges(spec.L, spec.d, spec.periodic))
-    if fam is Family.DSG:
-        n, edges = _dsg_edges(spec.g)  # type: ignore[arg-type]
-        return Graph.from_edges(n, edges)
-    if fam is Family.TFRACTAL:
-        n, edges = _tfractal_edges(spec.g)  # type: ignore[arg-type]
-        return Graph.from_edges(n, edges)
-    if fam is Family.CAYLEY_TREE:
-        n, edges = _cayley_tree_edges(spec.g)  # type: ignore[arg-type]
-        return Graph.from_edges(n, edges)
-    a, b = spec.factors  # type: ignore[misc]
-    return cartesian_product(build(a), build(b))
+    if spec.family is Family.PRODUCT:
+        a, b = spec.factors  # type: ignore[misc]
+        return cartesian_product(build(a), build(b))
+    return Graph.from_edges(spec.node_count, _RECORDS[spec.family].edges(spec))
 
 
 def cartesian_product(a: Graph, b: Graph) -> Graph:
@@ -527,16 +517,7 @@ def default_target(spec: GraphSpec) -> NodeId:
     the outer shell for cayleytree.  Products pair the first factor's
     target with node 0 of the second factor.  No graph is built.
     """
-    fam = spec.family
-    if fam in (Family.COMPLETE, Family.CHAIN, Family.TORUS):
-        return 0
-    if fam is Family.DSG:
-        # The apex corner persists as node 0 through every generation.
-        return 0
-    if fam in (Family.TFRACTAL, Family.CAYLEY_TREE):
-        # Both trees are numbered breadth-first from the center, so the
-        # outer shell, 3 * 2^(g-1) leaves at depth 2^(g-1) (tfractal) or g
-        # (cayleytree), comes last.
-        return spec.node_count - 3 * 2 ** (spec.g - 1)  # type: ignore[operator]
-    a, b = spec.factors  # type: ignore[misc]
-    return default_target(a) * b.node_count + 0
+    if spec.family is Family.PRODUCT:
+        a, b = spec.factors  # type: ignore[misc]
+        return default_target(a) * b.node_count + 0
+    return _RECORDS[spec.family].target(spec)

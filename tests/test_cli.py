@@ -147,6 +147,41 @@ def test_critgamma_and_fit_name_the_route_on_stdout_only(tmp_path, capsys):
     assert "quotient" not in (tmp_path / "fit_tfractal_power.json").read_text()
 
 
+def test_torus_sweeps_honour_open(tmp_path, capsys):
+    """--open reaches every spec of a torus sweep, as it does a chain's:
+    the rows are the open tori's, at the library's critical couplings."""
+    from ctqwlab.engine import critical_gamma
+    from ctqwlab.graphs import Family, GraphSpec, build
+
+    sweep = ("--family", "torus", "--d", "2", "--open", "--out", tmp_path)
+    assert run("critgamma", *sweep, "--sizes", "6,8") == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "critgamma_torus.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["torus_d2_L6_open", "torus_d2_L8_open"]
+    for row, L, pinned in zip(rows, (6, 8), (0.88195018236825939,
+                                             1.0648581107130659)):
+        spec = GraphSpec(Family.TORUS, L=L, d=2, periodic=False)
+        gamma = critical_gamma(build(spec), 0).gamma
+        assert float(row[2]) == gamma
+        assert gamma == pytest.approx(pinned, rel=1e-12)
+    capsys.readouterr()
+    assert run("fit", *sweep, "--sizes", "6,8,10") == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(
+        " route: torus_d2_L6_open dense, torus_d2_L8_open dense, "
+        "torus_d2_L10_open dense")
+    points = json.loads((tmp_path / "fit_torus_power.json").read_text())["points"]
+    assert [gc for _, gc in points[:2]] == [float(row[2]) for row in rows]
+
+
+def test_open_is_refused_without_a_boundary(tmp_path, capsys):
+    for argv in (("spectrum", "--family", "dsg", "--g", "2", "--open"),
+                 ("critgamma", "--family", "dsg", "--g", "2..3", "--open")):
+        assert run(*argv, "--out", tmp_path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["message"] == "dsg: parameter 'periodic' is not accepted"
+    assert not list(tmp_path.iterdir())
+
+
 def test_success_grid_artifacts(tmp_path, capsys):
     assert run("success", "--family", "complete", "--n", "16",
                "--gamma-min", "0.04", "--gamma-max", "0.09",
@@ -243,6 +278,23 @@ def test_oracle_checks_pass(check, capsys):
 def test_oracle_krylov_check(capsys):
     assert run("oracle", "--check", "krylov-vs-spectral") == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("check,flag,size,tolerance,details", [
+    ("complete-vs-engine", "--n", 16, 1e-10, {"n": 16}),
+    ("dsg-spectrum", "--g", 3, 1e-9, {"g": 3}),
+    ("dsg-zeta", "--g", 3, 1e-10, {"g": 3}),
+    ("decimation", "--g", 3, 1e-9, {"g": 3}),
+    ("krylov-vs-spectral", "--g", 2, 1e-12, {"g": 2, "gamma": 1.0}),
+])
+def test_oracle_report_reads_the_size_flag(check, flag, size, tolerance,
+                                           details, capsys):
+    assert run("oracle", "--check", check, flag, size) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["check", "passed", "max_error", "tolerance",
+                            "details"]
+    assert report["tolerance"] == tolerance
+    assert list(report["details"].items()) == list(details.items())
 
 
 def test_dsg_spectrum_oracle_computes_no_eigenvectors(capsys, request):

@@ -28,8 +28,8 @@ def spec_strategy():
     """Random valid single-factor specs across every family."""
     return st.one_of(
         st.integers(2, 40).map(lambda n: GraphSpec(Family.COMPLETE, n=n)),
-        st.tuples(st.integers(2, 40), st.booleans()).map(
-            lambda t: GraphSpec(Family.CHAIN, L=t[0], periodic=t[1])),
+        st.tuples(st.integers(2, 40), st.booleans(), st.sampled_from([None, 1])).map(
+            lambda t: GraphSpec(Family.CHAIN, L=t[0], periodic=t[1], d=t[2])),
         st.tuples(st.integers(2, 6), st.integers(1, 3)).map(
             lambda t: GraphSpec(Family.TORUS, L=t[0], d=t[1])),
         st.integers(1, 4).map(lambda g: GraphSpec(Family.DSG, g=g)),
@@ -333,6 +333,47 @@ def test_labels_are_stable():
     assert GraphSpec(Family.CHAIN, L=8, periodic=False).label == "chain_L8_open"
 
 
+# One spec per family and boundary, with the label every earlier version
+# gave it: file names are built from these.
+LABELLED_SPECS = [
+    (GraphSpec(Family.COMPLETE, n=7), "complete_n7"),
+    (GraphSpec(Family.CHAIN, L=8), "chain_L8"),
+    (GraphSpec(Family.CHAIN, L=8, periodic=False), "chain_L8_open"),
+    (GraphSpec(Family.TORUS, L=8, d=2), "torus_d2_L8"),
+    (GraphSpec(Family.TORUS, L=8, d=2, periodic=False), "torus_d2_L8_open"),
+    (GraphSpec(Family.DSG, g=4), "dsg_g4"),
+    (GraphSpec(Family.TFRACTAL, g=3), "tfractal_g3"),
+    (GraphSpec(Family.CAYLEY_TREE, g=5), "cayleytree_g5"),
+    (GraphSpec(Family.PRODUCT, factors=(
+        GraphSpec(Family.DSG, g=2), GraphSpec(Family.CHAIN, L=4, periodic=False))),
+     "product__dsg_g2__chain_L4_open"),
+]
+
+
+def test_every_family_has_a_record_and_a_labelled_spec():
+    assert set(graphs._RECORDS) == set(Family) - {Family.PRODUCT}
+    assert {spec.family for spec, _ in LABELLED_SPECS} == set(Family)
+
+
+@pytest.mark.parametrize("spec,label", LABELLED_SPECS,
+                         ids=[label for _, label in LABELLED_SPECS])
+def test_every_family_is_whole(spec, label):
+    """Guards against a half-added family: node count, target, round trip
+    and label agree with the built graph and the pinned names."""
+    graph = build(spec)
+    assert graph.n == spec.node_count
+    assert 0 <= default_target(spec) < graph.n
+    assert GraphSpec.from_dict(spec.to_dict()) == spec
+    assert spec.label == label
+
+
+def test_chain_with_d1_is_the_chain():
+    spec = GraphSpec(Family.CHAIN, L=5, d=1)
+    assert spec == GraphSpec(Family.CHAIN, L=5)
+    assert spec.d is None
+    assert GraphSpec.from_json(spec.to_json()) == spec
+
+
 # ------------------------------------------------------------- validation
 
 
@@ -356,6 +397,19 @@ def test_labels_are_stable():
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
         GraphSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(family=Family.COMPLETE, n=4),
+    dict(family=Family.DSG, g=2),
+    dict(family=Family.TFRACTAL, g=2),
+    dict(family=Family.CAYLEY_TREE, g=2),
+    dict(family=Family.PRODUCT, factors=(GraphSpec(Family.DSG, g=1),
+                                         GraphSpec(Family.CHAIN, L=3))),
+], ids=lambda kwargs: kwargs["family"].value)
+def test_periodic_is_rejected_without_a_boundary(kwargs):
+    with pytest.raises(ConfigError, match="parameter 'periodic' is not accepted"):
+        GraphSpec(periodic=False, **kwargs)
 
 
 def test_from_edges_rejects_bad_input():
