@@ -7,15 +7,17 @@ equitable quotient when that halves N and from a dense decomposition of L
 otherwise.  The levels |s> and |w> see are the roots of
 F(E) = sum_k a_k / (gamma*lam_k - E) = 1; the others sit at some
 gamma*lam_k.  :func:`measure_overlaps` solves for E0 and E1 in O(K) per
-coupling, and the critical coupling is found on it, then confirmed by two
-eigensolves of H: full solves of the quotient H when the measure came from
-the quotient, window solves of the dense H otherwise.  Success
+coupling, and the critical coupling is found on it.  Its two
+confirmations and the bound audit solve H on the measure's route: the
+quotient H when the measure came from the quotient, a window of the dense
+H otherwise.  One function groups every route's levels, under one
+tolerance, and builds the :class:`OverlapRecord`.  Success
 probabilities come from the K x K matrix of the measure, on a uniform time
 grid (|t_j - t0 - j*h| <= 8 eps max|t|) as one complex product of the
-factored phases; the bound audit still solves the dense H.  Past the dense
-guard, :func:`propagate_krylov` reads pi(t) from Chebyshev moments
-<w|T_k|s> of the sparse H, scaled by its Gershgorin interval: one real
-recurrence in O(N) memory, no ``expm_multiply``.
+factored phases.  Past the dense guard, :func:`propagate_krylov` reads
+pi(t) from Chebyshev moments <w|T_k|s> of the sparse H, scaled by its
+Gershgorin interval: one real recurrence in O(N) memory, no
+``expm_multiply``.
 """
 from __future__ import annotations
 
@@ -127,28 +129,18 @@ class OverlapRecord:
     s_psi1_sq: float
     w_psi0_sq: float
     w_psi1_sq: float
-    degenerate_e1: bool
     e1_multiplicity: int
 
-
-def _record(gamma: float, e0: float, e1: float, probs: Sequence[float],
-            mult: int) -> OverlapRecord:
-    """The record, overlaps checked against [0, 1] to roundoff and clipped."""
-    probs = [float(v) for v in probs]
-    for value, what in zip(probs, ("s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
-                                   "w_psi1_sq")):
-        if not -_PROB_SLACK <= value <= 1.0 + _PROB_SLACK:
-            raise NumericalError(f"{what} = {value!r} outside [0, 1]")
-    return OverlapRecord(gamma, float(e0), float(e1),
-                         *(min(max(v, 0.0), 1.0) for v in probs),
-                         int(mult) > 1, int(mult))
+    @property
+    def degenerate_e1(self) -> bool:
+        return self.e1_multiplicity > 1
 
 
 def overlaps(problem: SearchProblem, *,
              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
     """Level overlaps at one coupling from the dense H, the independent
-    route that confirms :func:`critical_gamma` and that :func:`verify_bounds`
-    audits; :func:`measure_overlaps` gives the same record in O(K).
+    route of graphs whose measure came from the dense decomposition of L;
+    :func:`measure_overlaps` gives the same record in O(K).
 
     Only the lowest few eigenpairs are computed; the window grows until
     the E1 degeneracy group is fully enclosed.  The eigensolve
@@ -181,51 +173,72 @@ def overlaps(problem: SearchProblem, *,
         k = min(n, k * 4)
         h = build_hamiltonian(problem, dense_guard=dense_guard)
     return _lowest_levels(problem.gamma, values, np.ones(k, dtype=np.int64),
-                          vectors.T @ _uniform_state(n),
-                          vectors[problem.target, :], tol)
+                          (vectors.T @ _uniform_state(n)) ** 2,
+                          vectors[problem.target, :] ** 2, tol)
 
 
 def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
-                   s_amp: np.ndarray, w_amp: np.ndarray,
+                   s_sq: np.ndarray, w_sq: np.ndarray,
                    tol: float) -> OverlapRecord:
     """The record of the two lowest degeneracy groups of ascending levels,
-    level i repeated counts[i] times with amplitudes s_amp[i] on |s> and
-    w_amp[i] on |w>, grouped under ``tol``."""
-    labels = group_labels(values, tol)
-    if int(counts[labels == 0].sum()) != 1:
+    level i repeated counts[i] times with summed overlaps s_sq[i] on |s>
+    and w_sq[i] on |w>, grouped under ``tol``.  The overlaps are checked
+    against [0, 1] to roundoff and clipped."""
+    group1 = slice(*np.searchsorted(group_labels(values, tol), (1, 2)))
+    if int(counts[:group1.start].sum()) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
         )
-    if labels[-1] < 1:
+    if group1.start == values.size:
         raise NumericalError("could not separate E1 from E0")
-    group1 = labels == 1
     e0 = float(values[0])
     if e0 < -1.0 - 1e-9 or e0 >= 0.0:
         raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
-    return _record(gamma, e0, values[group1][0],
-                   (s_amp[0] ** 2, np.sum(s_amp[group1] ** 2),
-                    w_amp[0] ** 2, np.sum(w_amp[group1] ** 2)),
-                   counts[group1].sum())
+    probs = {"s_psi0_sq": s_sq[0], "s_psi1_sq": np.sum(s_sq[group1]),
+             "w_psi0_sq": w_sq[0], "w_psi1_sq": np.sum(w_sq[group1])}
+    for what, value in probs.items():
+        value = float(value)
+        if not -_PROB_SLACK <= value <= 1.0 + _PROB_SLACK:
+            raise NumericalError(f"{what} = {value!r} outside [0, 1]")
+        probs[what] = min(max(value, 0.0), 1.0)
+    return OverlapRecord(gamma=gamma, e0=e0, e1=float(values[group1.start]),
+                         e1_multiplicity=int(counts[group1].sum()), **probs)
 
 
-def _quotient_overlaps(problem: SearchProblem,
-                       sums: SpectralSums) -> OverlapRecord:
-    """The record of :func:`overlaps` from a full eigensolve of the quotient
-    H = gamma*Lq - e_t e_t^T of the measure's equitable quotient (see
-    :class:`spectra.Quotient`).  The levels outside the quotient space sit
-    at gamma*lam for each group of L, as many as L's multiplicity exceeds
-    the quotient's, with no |s> or |w> weight; they join E1's group under
-    the same tolerance as :func:`overlaps`."""
+def _merge_hidden(values: np.ndarray, s_sq: np.ndarray, w_sq: np.ndarray,
+                  group_levels: np.ndarray, hidden: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arguments (values, counts, s_sq, w_sq) of :func:`_lowest_levels`
+    for the seen levels ``values`` and hidden[k] levels at group_levels[k]
+    without |s> or |w> weight, which sort after equal seen ones."""
+    at = np.flatnonzero(hidden)
+    levels = np.concatenate((values, group_levels[at]))
+    order = np.argsort(levels, kind="stable")
+    zeros = np.zeros(at.size)
+    return (levels[order],
+            np.concatenate((np.ones(values.size, dtype=np.int64),
+                            hidden[at]))[order],
+            np.concatenate((s_sq, zeros))[order],
+            np.concatenate((w_sq, zeros))[order])
+
+
+def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
+                          dense_guard: int | None = DEFAULT_DENSE_GUARD
+                          ) -> OverlapRecord:
+    """The record of :func:`measure_overlaps` from an eigensolve of H on
+    the measure's route: the dense window solve :func:`overlaps`, or, for a
+    measure from the equitable quotient (:class:`spectra.Quotient`), a full
+    solve of the quotient H = gamma*Lq - e_t e_t^T with L's levels outside
+    its space (gamma*lam, as many as L's multiplicity exceeds the
+    quotient's) merged in."""
+    if sums.quotient is None:
+        return overlaps(problem, dense_guard=dense_guard)
     values, s_amp, w_amp = sums.quotient.levels(problem.gamma)
-    hidden = sums.multiplicities - sums.quotient.modes
-    at = hidden > 0
-    values = np.r_[values, problem.gamma * sums.group_eigenvalues[at]]
-    order = np.argsort(values, kind="stable")
-    zeros = np.zeros(int(at.sum()))
     return _lowest_levels(
-        problem.gamma, values[order],
-        np.r_[np.ones(s_amp.size, dtype=np.int64), hidden[at]][order],
-        np.r_[s_amp, zeros][order], np.r_[w_amp, zeros][order],
+        problem.gamma,
+        *_merge_hidden(values, s_amp ** 2, w_amp ** 2,
+                       problem.gamma * sums.group_eigenvalues,
+                       sums.multiplicities - sums.quotient.modes),
         DEGENERACY_RTOL * _gershgorin_spread(problem))
 
 
@@ -316,41 +329,13 @@ def _secular_root(poles: np.ndarray, weights: np.ndarray, i: int
     return float(poles[o] + tau), float(q[0]) / slope, 1.0 / slope
 
 
-def _secular_overlaps(sums: SpectralSums, gamma: float,
-                      tol: float) -> OverlapRecord:
-    """E0, E1 and their overlaps from the measure.  The roots over groups
-    with a_k > 0 are the levels |w> sees; the rest sit at gamma*lam_k (m_k - 1
-    per group, m_k when a_k = 0) with no |s> or |w> weight.  E1 opens the
-    first group above E0 under ``tol``, as in :func:`overlaps`."""
+def _visible(sums: SpectralSums, gamma: float) -> np.ndarray:
+    """The groups of the measure whose levels |w> sees at this coupling.
+    Weights below (8 eps ||H||)^2 are deflated, as in LAPACK's dlaed2; the
+    zero mode, which carries |s>, always stays."""
     lam, weights = sums.group_eigenvalues, sums.group_amp_sq
-    # Weights below (8 eps ||H||)^2 are deflated, as in LAPACK's dlaed2;
-    # the zero mode, which carries |s>, always stays.
     cut = (8.0 * _EPS * max(gamma * float(lam[-1]), 1.0)) ** 2
-    visible = np.r_[True, weights[1:] > cut]
-    poles, a = gamma * lam[visible], weights[visible]
-    hidden = sums.multiplicities - visible
-    hidden_at, hidden_count = gamma * lam[hidden > 0], hidden[hidden > 0]
-    e0, s0, w0 = _secular_root(poles, a, 0)
-    group = []  # (E, s_sq, w_sq, multiplicity) of E1's levels
-    root, i, j = None, 1, 0
-    while True:
-        last = group[-1][0] if group else e0
-        if root is None and i < poles.size and \
-                (not group or poles[i - 1] - last <= tol):
-            root = (*_secular_root(poles, a, i), 1)
-        nxt = root
-        if j < hidden_at.size and (nxt is None or hidden_at[j] < nxt[0]):
-            nxt = (hidden_at[j], 0.0, 0.0, hidden_count[j])
-        if nxt is None or group and nxt[0] - last > tol:
-            break
-        group.append(nxt)
-        root, i, j = (None, i + 1, j) if nxt is root else (root, i, j + 1)
-    if not group or group[0][0] - e0 <= tol:
-        raise NumericalError(
-            "ground level of H is degenerate; cannot define the overlap pair"
-        )
-    _, s1, w1, mult = map(sum, zip(*group))
-    return _record(gamma, e0, group[0][0], (s0, s1, w0, w1), mult)
+    return np.r_[True, weights[1:] > cut]
 
 
 def measure_overlaps(problem: SearchProblem, *,
@@ -358,11 +343,28 @@ def measure_overlaps(problem: SearchProblem, *,
                      ) -> OverlapRecord:
     """The record of :func:`overlaps` from the secular roots of the
     target's measure, under the same grouping tolerance: one decomposition
-    of L per graph and target, then O(K) per root-finder step."""
+    of L per graph and target, then O(K) per root-finder step.
+
+    The roots over the visible groups are the levels |w> sees; the rest
+    sit at gamma*lam_k (m_k - 1 per visible group, m_k per other one) with
+    no |s> or |w> weight.  Root i lies above the pole of visible group
+    i - 1, so roots are solved in order only while the next one can still
+    join E1's group."""
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
-    return _secular_overlaps(sums, problem.gamma,
-                             DEGENERACY_RTOL * _gershgorin_spread(problem))
+    gamma, lam = problem.gamma, sums.group_eigenvalues
+    tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
+    visible = _visible(sums, gamma)
+    poles, a = gamma * lam[visible], sums.group_amp_sq[visible]
+    hidden = sums.multiplicities - visible
+    roots = [_secular_root(poles, a, i) for i in range(min(poles.size, 2))]
+    while True:
+        levels = _merge_hidden(*np.array(roots).T, gamma * lam, hidden)
+        last = np.searchsorted(group_labels(levels[0], tol), 2) - 1
+        i = len(roots)
+        if i == poles.size or poles[i - 1] - levels[0][last] > tol:
+            return _lowest_levels(gamma, *levels, tol)
+        roots.append(_secular_root(poles, a, i))
 
 
 # -- critical coupling ----------------------------------------------------------
@@ -378,14 +380,6 @@ class CriticalGamma:
     residual: float
     xi1: float
     evaluations: int
-
-
-def _measure_difference(sums: SpectralSums, gamma: float) -> float:
-    """s_psi0_sq - s_psi1_sq from the secular roots, grouped under
-    DEGENERACY_RTOL times the width gamma*lam_max + 1 of H's spectrum."""
-    tol = DEGENERACY_RTOL * (gamma * float(sums.group_eigenvalues[-1]) + 1.0)
-    rec = _secular_overlaps(sums, gamma, tol)
-    return rec.s_psi0_sq - rec.s_psi1_sq
 
 
 def _sign_change_root(f, seed: float, gamma_floor: float,
@@ -426,30 +420,43 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     excited level to the ground level.
 
     A doubling search from xi1 (which approximates the crossing) brackets
-    a sign change of the overlap difference on the target's measure, and
-    Brent's method narrows it to a root r of relative width 1e-12.  Two
-    eigensolves of H at r*(1 -/+ d) then confirm the sign change, so
-    ``evaluations`` is 2.  When the measure came from the target's
-    equitable quotient, they are full solves of the quotient H (see
-    :func:`_quotient_overlaps`); otherwise they are dense window solves
-    (:func:`overlaps`).  Either is a route independent of the secular
-    roots.  d is 1e-10, or eps*lam_max/lam_1 when that is larger: LAPACK
-    gives the smallest nonzero Laplacian eigenvalue lam_1 only to an
-    absolute eps*lam_max, and the measure's root moves with it.  ``gamma``
-    is the root r, ``bracket`` the pair, its error bar, and ``residual``
-    the larger magnitude of the two confirming differences.
+    a sign change of the overlap difference of :func:`measure_overlaps`
+    records, and Brent's method narrows it to a root r of relative width
+    1e-12.  Two eigensolves of H on the measure's route at r*(1 -/+ d),
+    independent of the secular roots (:func:`_independent_overlaps`), then
+    confirm the sign change, so ``evaluations`` is 2.  d is 1e-10, or
+    eps*lam_max/lam_1 when that is larger: LAPACK gives the smallest
+    nonzero Laplacian eigenvalue lam_1 only to an absolute eps*lam_max, and
+    the measure's root moves with it.  ``gamma`` is the root r,
+    ``bracket`` the pair, its error bar, and ``residual`` the larger
+    magnitude of the two confirming differences.
 
-    Raises :class:`NoTransitionError` when there is no sign change inside
-    [gamma_floor, gamma_ceiling], and :class:`NumericalError` when the
-    difference at the root is not small (a jump, not a crossing) or the
-    confirming pair does not show the measure's root.
+    Raises :class:`NoTransitionError` before any search when lam_1 carries
+    no target weight (a Cayley tree's root, a T-fractal's centre): E1 is
+    then the hidden level gamma*lam_1 below the lowest visible root, and
+    the overlap difference jumps instead of crossing.  Raises it too when
+    there is no sign change inside [gamma_floor, gamma_ceiling], and
+    :class:`NumericalError` when the difference at the root is not small
+    or the confirming pair does not show the measure's root.
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
     lam = sums.group_eigenvalues
     seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
-    root, f_root = _sign_change_root(
-        lambda gamma: _measure_difference(sums, gamma), seed, gamma_floor,
-        gamma_ceiling)
+    if not _visible(sums, seed)[1]:
+        raise NoTransitionError(
+            f"no overlap crossing: the lowest nonzero Laplacian eigenvalue "
+            f"lam_1={float(lam[1])!r} (multiplicity "
+            f"{sums.multiplicities[1]}) carries no target weight, so E1 is "
+            f"the hidden level gamma*lam_1 below the lowest visible root")
+
+    def difference(gamma: float, measure: bool) -> float:
+        problem = SearchProblem(graph, target, gamma)
+        rec = measure_overlaps(problem, dense_guard=dense_guard) if measure \
+            else _independent_overlaps(problem, sums, dense_guard=dense_guard)
+        return rec.s_psi0_sq - rec.s_psi1_sq
+
+    root, f_root = _sign_change_root(lambda gamma: difference(gamma, True),
+                                     seed, gamma_floor, gamma_ceiling)
     if abs(f_root) > _RESIDUAL_TOL:
         raise NumericalError(
             f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
@@ -457,16 +464,9 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         )
     offset = max(_CONFIRM_RTOL, _EPS * lam[-1] / lam[1])
     lo, hi = root * (1.0 - offset), root * (1.0 + offset)
-    route = "dense" if sums.quotient is None else "quotient"
-
-    def confirm(gamma: float) -> float:
-        problem = SearchProblem(graph, target, gamma)
-        rec = overlaps(problem, dense_guard=dense_guard) \
-            if sums.quotient is None else _quotient_overlaps(problem, sums)
-        return rec.s_psi0_sq - rec.s_psi1_sq
-
-    f_lo, f_hi = confirm(lo), confirm(hi)
+    f_lo, f_hi = difference(lo, False), difference(hi, False)
     if not f_lo <= 0.0 <= f_hi:
+        route = "dense" if sums.quotient is None else "quotient"
         raise NumericalError(
             f"the measure route puts the crossing at gamma={root!r}, but the "
             f"{route} route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
@@ -742,7 +742,8 @@ def verify_bounds(graph: Graph, target: NodeId,
     1/N < |E0| < gamma / (N (gamma - xi1)); for gamma < xi1 the analogous
     floor applies to s_psi1_sq.  At every coupling the eigenvalue identity
     F(E_a) = 1 and the residue relation |<s|psi_a>|^2 = R_a / (N E_a^2)
-    are verified for the nondegenerate levels.
+    are verified for the nondegenerate levels.  The levels come from an
+    eigensolve of H on the measure's route (:func:`_independent_overlaps`).
     """
     sums = target_measure(graph, target, dense_guard=dense_guard)
     xi1, xi2 = sums.xi1, sums.xi2
@@ -752,8 +753,8 @@ def verify_bounds(graph: Graph, target: NodeId,
     checks: list[BoundCheck] = []
     for gamma in gammas:
         gamma = float(gamma)
-        rec = overlaps(SearchProblem(graph, target, gamma),
-                       dense_guard=dense_guard)
+        rec = _independent_overlaps(SearchProblem(graph, target, gamma),
+                                    sums, dense_guard=dense_guard)
         deg_note = "E1 degenerate: overlap summed over its eigenspace" \
             if rec.degenerate_e1 else ""
         if gamma > xi1:

@@ -280,12 +280,12 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class SpectralSums:
-    """Inverse-eigenvalue sums of a Laplacian, target-weighted and plain.
+    """The target's Laplacian spectral measure and its inverse-eigenvalue
+    sums.
 
     With a_k = <w|phi_k> over the nonzero Laplacian modes:
 
     * ``xi1``, ``xi2``  : sum of |a_k|^2 / lam_k^j (j = 1, 2)
-    * ``zeta1``, ``zeta2``: sum of 1 / lam_k^j
     * ``max_amp_sq``    : largest per-mode |a_k|^2, with degenerate groups
                           contributing their basis-independent average
                           (group-summed weight / multiplicity)
@@ -296,8 +296,6 @@ class SpectralSums:
 
     n: int
     target: NodeId
-    zeta1: float
-    zeta2: float
     xi1: float
     xi2: float
     max_amp_sq: float
@@ -349,8 +347,6 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
     group_amp_sq[0] = uniform
     lam = values[1:]
     w_sq = amp_sq[1:]
-    zeta1 = float(np.sum(1.0 / lam))
-    zeta2 = float(np.sum(1.0 / lam**2))
     xi1 = float(np.sum(w_sq / lam))
     xi2 = float(np.sum(w_sq / lam**2))
     per_mode = group_amp_sq[1:] / mults[1:]
@@ -358,7 +354,7 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
     for arr in (group_vals, mults, group_amp_sq):
         arr.flags.writeable = False
     return SpectralSums(
-        n=n, target=target, zeta1=zeta1, zeta2=zeta2, xi1=xi1, xi2=xi2,
+        n=n, target=target, xi1=xi1, xi2=xi2,
         max_amp_sq=float(per_mode.max()),
         group_eigenvalues=group_vals, multiplicities=mults,
         group_amp_sq=group_amp_sq, quotient=quotient,

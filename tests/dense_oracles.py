@@ -36,7 +36,7 @@ def full_solve_overlaps(problem: SearchProblem) -> OverlapRecord:
         gamma=problem.gamma, e0=values[0], e1=values[one][0],
         s_psi0_sq=s_sq[0], s_psi1_sq=s_sq[one].sum(),
         w_psi0_sq=w_sq[0], w_psi1_sq=w_sq[one].sum(),
-        degenerate_e1=one.sum() > 1, e1_multiplicity=int(one.sum()))
+        e1_multiplicity=int(one.sum()))
 
 
 def dense_success(problem: SearchProblem, times) -> np.ndarray:

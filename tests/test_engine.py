@@ -10,7 +10,7 @@ from ctqwlab.engine import (
     SearchProblem,
     SuccessGrid,
     _phase_product,
-    _quotient_overlaps,
+    _independent_overlaps,
     build_hamiltonian,
     critical_gamma,
     default_time_grid,
@@ -498,10 +498,8 @@ def _overlap_difference(graph, target, gamma):
 def _confirming_difference(graph, target, gamma):
     """The overlap difference on critical_gamma's confirming route: the
     quotient H when the measure has one, else the dense H."""
-    sums = target_measure(graph, target)
-    if sums.quotient is None:
-        return _overlap_difference(graph, target, gamma)
-    rec = _quotient_overlaps(SearchProblem(graph, target, gamma), sums)
+    rec = _independent_overlaps(SearchProblem(graph, target, gamma),
+                                target_measure(graph, target))
     return rec.s_psi0_sq - rec.s_psi1_sq
 
 
@@ -583,16 +581,17 @@ def synthetic_difference(monkeypatch):
     def install(diff, dense=None):
         dense = diff if dense is None else dense
 
-        def fake_measure(sums, gamma):
-            asked.append(gamma)
-            return diff(gamma)
+        def fake_measure(problem, **kwargs):
+            asked.append(problem.gamma)
+            return SimpleNamespace(s_psi0_sq=diff(problem.gamma),
+                                   s_psi1_sq=0.0)
 
         def fake_overlaps(problem, **kwargs):
             asked.append(problem.gamma)
             dense_asked.append(problem.gamma)
             return SimpleNamespace(s_psi0_sq=dense(problem.gamma),
                                    s_psi1_sq=0.0)
-        monkeypatch.setattr(engine, "_measure_difference", fake_measure)
+        monkeypatch.setattr(engine, "measure_overlaps", fake_measure)
         monkeypatch.setattr(engine, "overlaps", fake_overlaps)
         return _graph(Family.DSG, g=3), asked, dense_asked
 
@@ -658,6 +657,7 @@ def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
         lambda g: math.tanh((g - root) / (0.2 * root)))
     monkeypatch.setattr(engine, "target_measure", lambda *a, **k: (
         SimpleNamespace(xi1=1.0, group_eigenvalues=np.array([0.0, 1e-8, 4.0]),
+                        group_amp_sq=np.array([1.0 / 27, 0.5, 0.5 - 1.0 / 27]),
                         quotient=None)))
     res = critical_gamma(graph, 0)
     offset = np.finfo(float).eps * 4.0 / 1e-8
@@ -682,15 +682,15 @@ def test_critical_gamma_takes_the_measure_route_for_any_k(make_graph, target,
     from ctqwlab import engine
 
     measured = []
-    real = engine._measure_difference
+    real = engine.measure_overlaps
 
-    def spy(sums, gamma):
-        measured.append(gamma)
-        return real(sums, gamma)
+    def spy(problem, **kwargs):
+        measured.append(problem.gamma)
+        return real(problem, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a K x K eigensolve ran")
-    monkeypatch.setattr(engine, "_measure_difference", spy)
+    monkeypatch.setattr(engine, "measure_overlaps", spy)
     monkeypatch.setattr(engine, "eigh", refuse)
     res = critical_gamma(make_graph(), target)
     assert measured

@@ -2,6 +2,7 @@
 coupling's confirmations from the quotient Laplacian, each checked against
 the dense route, and the integer certificate that guards it."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,13 @@ import pytest
 from ctqwlab import engine, spectra
 from ctqwlab.engine import (
     SearchProblem,
-    _quotient_overlaps,
+    _independent_overlaps,
     critical_gamma,
+    measure_overlaps,
     overlaps,
+    verify_bounds,
 )
-from ctqwlab.errors import ConfigError, NumericalError
+from ctqwlab.errors import ConfigError, NoTransitionError, NumericalError
 from ctqwlab.graphs import (
     Family,
     Graph,
@@ -91,9 +94,14 @@ def test_quotient_measure_matches_the_dense_measure(make_graph, target):
     assert np.abs(got.group_eigenvalues - want.group_eigenvalues).max() \
         <= 1e-12
     assert np.abs(got.group_amp_sq - want.group_amp_sq).max() <= 1e-12
-    for field in ("xi1", "xi2", "max_amp_sq", "zeta1", "zeta2"):
+    for field in ("xi1", "xi2", "max_amp_sq"):
         assert getattr(got, field) == pytest.approx(getattr(want, field),
                                                     rel=1e-10), field
+    for j in (1, 2):  # sums of 1 / lam^j over the nonzero eigenvalues
+        got_sum, want_sum = (np.sum(m.multiplicities[1:]
+                                    / m.group_eigenvalues[1:] ** j)
+                             for m in (got, want))
+        assert got_sum == pytest.approx(want_sum, rel=1e-10), j
     # target_measure takes the quotient exactly when it halves N.
     cells = got.quotient.sizes.size
     measure = target_measure(graph, target)
@@ -246,7 +254,7 @@ def test_quotient_record_matches_dense_overlaps(make_graph, target):
     multiplicities = set()
     for gamma in np.geomspace(1e-3, 1e3, 25) * sums.xi1:
         problem = SearchProblem(graph, target, float(gamma))
-        got, want = _quotient_overlaps(problem, sums), overlaps(problem)
+        got, want = _independent_overlaps(problem, sums), overlaps(problem)
         assert (got.gamma, got.degenerate_e1, got.e1_multiplicity) == \
             (want.gamma, want.degenerate_e1, want.e1_multiplicity)
         for field in ("e0", "e1", "s_psi0_sq", "s_psi1_sq", "w_psi0_sq",
@@ -334,3 +342,74 @@ def test_quotient_route_solves_nothing_through_the_engine(
     assert (len(decompositions), len(overlaps_calls)) == (0, 0)
     assert (got.gamma, got.bracket, got.residual) == \
         (want.gamma, want.bracket, want.residual)
+
+
+@pytest.mark.parametrize("make_graph,target", [
+    _case(Family.DSG, 0, g=3),
+    _case(Family.TORUS, 0, L=4, d=2),
+    pytest.param(lambda: _star(12), 0, id="star12_hub"),
+    _case(Family.CAYLEY_TREE, 0, g=4),
+])
+@pytest.mark.parametrize("gamma", [1e-9, 1e-6])
+def test_routes_agree_on_a_group_of_poles_and_hidden_levels(
+        make_graph, target, gamma):
+    """At couplings this small E1's group spans several poles of the
+    measure and hidden levels (at 1e-9 every level above E0): the secular
+    roots, the quotient H and the dense H give the same group and the
+    same overlaps summed over it."""
+    graph = make_graph()
+    problem = SearchProblem(graph, target, gamma)
+    want = overlaps(problem)
+    if gamma == 1e-9:
+        assert want.e1_multiplicity == graph.n - 1
+    for got in (measure_overlaps(problem),
+                _independent_overlaps(problem,
+                                      _forced_quotient(graph, target))):
+        assert (got.e1_multiplicity, got.degenerate_e1) == \
+            (want.e1_multiplicity, want.degenerate_e1)
+        for field in ("s_psi0_sq", "s_psi1_sq", "w_psi0_sq", "w_psi1_sq"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=0.0, abs=1e-12), field
+
+
+@pytest.mark.parametrize("spec", [
+    *(GraphSpec(Family.CAYLEY_TREE, g=g) for g in (3, 4, 5, 6)),
+    *(GraphSpec(Family.TFRACTAL, g=g) for g in (3, 4, 5)),
+])
+def test_critical_gamma_refuses_a_hidden_first_level(spec, monkeypatch):
+    """The Cayley tree's root and the T-fractal's centre see no weight of
+    L's lowest nonzero eigenvalue, a double one: the hidden level
+    gamma*lam_1 then holds E1 and the overlaps do not cross.  The refusal
+    names it and comes before any secular root."""
+    graph = build(spec)
+    sums = target_measure(graph, 0)
+    assert (sums.group_amp_sq[1], sums.multiplicities[1]) == (0.0, 2)
+
+    def refuse(problem, **kwargs):
+        raise AssertionError("the crossing search ran")
+    monkeypatch.setattr(engine, "measure_overlaps", refuse)
+    named = f"lam_1={float(sums.group_eigenvalues[1])!r} (multiplicity 2)"
+    with pytest.raises(NoTransitionError, match=re.escape(named)):
+        critical_gamma(graph, 0)
+
+
+@pytest.mark.parametrize("spec,dense", [
+    (GraphSpec(Family.TFRACTAL, g=4), False),
+    (GraphSpec(Family.CAYLEY_TREE, g=5), False),
+    (GraphSpec(Family.DSG, g=3), True),
+])
+def test_verify_bounds_solves_on_the_measure_route(spec, dense, monkeypatch):
+    """verify_bounds forms the dense H only where the measure came from the
+    dense decomposition of L."""
+    formed = []
+    real = engine.build_hamiltonian
+
+    def spy(problem, **kwargs):
+        if not dense:
+            raise AssertionError("the dense H was formed")
+        formed.append(problem.gamma)
+        return real(problem, **kwargs)
+    monkeypatch.setattr(engine, "build_hamiltonian", spy)
+    report = verify_bounds(build(spec), default_target(spec))
+    assert len(formed) >= 6 if dense else not formed
+    assert report.checks

@@ -161,8 +161,10 @@ def test_product_spectrum_is_minkowski_sum():
 def test_complete_graph_closed_sums(n):
     dec = laplacian_decomposition(build(_spec(Family.COMPLETE, n=n)))
     sums = spectral_sums(dec, target=0)
-    assert math.isclose(sums.zeta1, (n - 1) / n, rel_tol=1e-12)
-    assert math.isclose(sums.zeta2, (n - 1) / n**2, rel_tol=1e-12)
+    nonzero = dec.eigenvalues[1:]
+    assert math.isclose(np.sum(1.0 / nonzero), (n - 1) / n, rel_tol=1e-12)
+    assert math.isclose(np.sum(1.0 / nonzero**2), (n - 1) / n**2,
+                        rel_tol=1e-12)
     assert math.isclose(sums.xi1, (n - 1) / n**2, rel_tol=1e-12)
     assert math.isclose(sums.xi2, (n - 1) / n**3, rel_tol=1e-12)
     assert math.isclose(sums.max_amp_sq, 1.0 / n, rel_tol=1e-12)
@@ -185,8 +187,11 @@ def test_sums_match_plain_eigenvalue_sums():
     g = build(_spec(Family.DSG, g=3))
     sums = spectral_sums(laplacian_decomposition(g), target=0)
     nonzero = np.linalg.eigvalsh(g.laplacian())[1:]
-    assert math.isclose(sums.zeta1, np.sum(1.0 / nonzero), rel_tol=1e-9)
-    assert math.isclose(sums.zeta2, np.sum(1.0 / nonzero**2), rel_tol=1e-9)
+    lam, mult = sums.group_eigenvalues[1:], sums.multiplicities[1:]
+    assert math.isclose(np.sum(mult / lam), np.sum(1.0 / nonzero),
+                        rel_tol=1e-9)
+    assert math.isclose(np.sum(mult / lam**2), np.sum(1.0 / nonzero**2),
+                        rel_tol=1e-9)
     # eigenvalues below one make the inverse-square sum dominate
     assert sums.xi2 > sums.xi1 > 0
 

@@ -1,0 +1,77 @@
+"""Print the sha256 of every file a fixed set of CLI operations writes.
+
+    python tools/output_digests.py OUT [--seed 7] > digests.txt
+
+The operations are every CLI operation of the benchmark's three workloads
+(``bench/workloads.operations(w, seed)``) and ``critgamma`` and ``fit``
+sweeps over dsg, tfractal, cayleytree, torus d3, open and periodic chains
+and complete graphs.  Operation i writes into ``OUT/<i>``.  Standard output
+gets one ``sha256  <i>/<file>`` line per artifact, sorted by path, so
+``diff`` on the output of two checkouts, run on the same machine with the
+same seed, names every artifact that changed.  Standard error gets each
+operation's exit code.
+
+The BLAS thread counts are pinned to 1 before numpy loads, because output
+digits depend on them.  Standard library plus ctqwlab, imported from this
+checkout's ``src``.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from ctqwlab import cli  # noqa: E402
+
+SWEEPS = (
+    ("--family", "dsg", "--g", "3..6"),
+    ("--family", "tfractal", "--g", "3..6"),
+    ("--family", "cayleytree", "--g", "3..9"),
+    ("--family", "torus", "--d", "3", "--sizes", "4,6,8"),
+    ("--family", "chain", "--sizes", "20,40,60", "--open"),
+    ("--family", "chain", "--sizes", "20,40,60"),
+    ("--family", "complete", "--sizes", "16,32,64"),
+)
+
+
+def operations(seed: int) -> list[tuple[str, ...]]:
+    """The argv of every distinct operation, without ``--out``."""
+    ops = [op.argv for w in workloads.WORKLOADS
+           for op in workloads.operations(w, seed) if op.kind == "cli"]
+    return list(dict.fromkeys(ops + [(cmd, *sweep)
+                                     for cmd in ("critgamma", "fit")
+                                     for sweep in SWEEPS]))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", type=Path, help="directory for the artifacts")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    for i, argv in enumerate(operations(args.seed)):
+        out = args.out / f"{i:02d}"
+        out.mkdir(parents=True)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--out", str(out)])
+        print(f"exit {code}  {i:02d}  {' '.join(argv)}", file=sys.stderr)
+    for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(args.out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
