@@ -275,7 +275,8 @@ def _route(measure: SpectralSums) -> str:
     """How the target's measure was computed, for the summary lines."""
     if measure.quotient is None:
         return "dense"
-    return f"quotient cells={measure.quotient.sizes.size}"
+    route = "tree" if measure.quotient.tree else "quotient"
+    return f"{route} cells={measure.quotient.sizes.size}"
 
 
 # ---------------------------------------------------------------- commands

@@ -10,8 +10,19 @@ products of two of its own entries, so no output depends on them.
 
 :func:`target_measure` hands the measure to the engine and the CLI, once
 per ``Graph`` object and target, and keeps only the K-sized
-:class:`SpectralSums`, never the eigenvectors.  It takes one of two routes.
+:class:`SpectralSums`, never the eigenvectors.  It takes one of three
+routes.
 
+* *Tree.*  When the graph is a tree and the equitable quotient below
+  applies, Lq is solved with eigenvectors and L's multiplicities are
+  counted: n(x), the number of eigenvalues of L below x, is the number of
+  negative pivots of L - xI eliminated from the leaves to the root
+  (Jacobs & Trevisan, LAA 434, 1006, 2011).  Rooted at the target, all
+  vertices of a cell share one pivot, so the pass costs O(cells) per x.
+  Counts on either side of each group of Lq give its multiplicity and the
+  number of eigenvalues of L between groups, which multisection locates.
+  No dense L is formed, and the dense guard applies to the number of
+  cells.
 * *Quotient.*  :func:`equitable_partition` finds the coarsest equitable
   partition with the target alone in its cell (Godsil & Royle, *Algebraic
   Graph Theory*, ch. 9) by hashed colour refinement and certifies it in
@@ -29,11 +40,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     DEFAULT_DENSE_GUARD,
@@ -51,6 +63,10 @@ SYMMETRY_RTOL = 1e-12
 # Seed of the colour-refinement hash words: fixed, so that every run refines
 # alike and every output repeats bit for bit.
 _HASH_SEED = 1002
+# Work entries (cells x points) of one batched pass of the tree count, and
+# the most subintervals of one multisection step.
+_COUNT_CHUNK = 1 << 20
+_SECTIONS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +238,15 @@ class Quotient:
     u_i = 1_{C_i} / sqrt(s_i): the symmetric Lq_ij = d_i [i=j] -
     M_ij / sqrt(s_i s_j), with d_i the common degree in cell i and M_ij the
     vertex pairs adjacent across cells i and j.  The target is alone in
-    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i."""
+    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i.  ``tree`` says
+    that L's multiplicities were counted on the tree, not read from
+    ``eigvalsh(L)``."""
 
     laplacian: np.ndarray  # (m, m) Lq
     sizes: np.ndarray      # (m,) int64 cell sizes s_i
     target_cell: int
     modes: np.ndarray      # per group of the measure, eigenvalues of Lq in it
+    tree: bool
 
     def levels(self, gamma: float) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray]:
@@ -242,18 +261,197 @@ class Quotient:
         return values, s_state @ vectors, vectors[self.target_cell]
 
 
+class _Level(NamedTuple):
+    """One breadth-first level of a tree's cells: per cell, its vertices'
+    common degree, its vertex count and the children in it of each vertex
+    of its parent cell; then the start of each cell's run of child cells in
+    the next level, and that cell's row in this one."""
+
+    degrees: np.ndarray  # float64
+    sizes: np.ndarray    # int64
+    links: np.ndarray    # float64
+    starts: np.ndarray
+    rows: np.ndarray
+
+
+def _cell_tree(graph: Graph, counts: np.ndarray, sizes: np.ndarray,
+               root: int) -> list[_Level] | None:
+    """The levels :func:`_count_below` reads, root first, or None unless
+    the graph is a tree: N - 1 edges, and a breadth-first search from node
+    0 reaches all N nodes.
+
+    ``counts`` and ``sizes`` describe an equitable partition with a vertex
+    alone in cell ``root``.  On a tree its cells refine the distance from
+    that vertex, and each other cell has one parent cell, so the cells form
+    a tree and all vertices of a cell share one pivot.  A breadth-first
+    search of the cells from ``root`` keeps each level, and each parent's
+    children, contiguous."""
+    n = graph.n
+    if graph.edge_count != n - 1 or csgraph.breadth_first_order(
+            graph.adjacency, 0, return_predecessors=False).size != n:
+        return None
+    order, pred = csgraph.breadth_first_order(sp.csr_matrix(counts), root,
+                                              directed=False)
+    m = order.size
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
+    parent = position[pred[order[1:]]]  # of positions 1..m-1
+    degrees = counts.sum(axis=1)[order].astype(np.float64)
+    links = np.r_[0, counts[pred[order[1:]], order[1:]]].astype(np.float64)
+    sizes = sizes[order]
+    bounds = [0, 1]
+    while bounds[-1] < m:
+        bounds.append(int(np.searchsorted(parent, bounds[-1])) + 1)
+    levels = []
+    for lo, hi, end in zip(bounds, bounds[1:], bounds[2:] + [m]):
+        rows = parent[hi - 1:end - 1] - lo
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        levels.append(_Level(degrees[lo:hi], sizes[lo:hi], links[lo:hi],
+                             starts, rows[starts]))
+    return levels
+
+
+def _count_below(levels: list[_Level], x: np.ndarray) -> np.ndarray:
+    """n(x), the number of eigenvalues of L below each x, on a tree.
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    L - xI eliminated from the leaves to the root: a vertex's pivot is
+    d - x - sum 1/p over its children's pivots p.  When a child's pivot is
+    0, the vertex's becomes -1/2 and it stops contributing to its own
+    parent (Jacobs & Trevisan, LAA 434, 1006, 2011).  The pass runs on the
+    cells of :func:`_cell_tree`, deepest level first, for up to
+    _COUNT_CHUNK / cells values of x at once.
+    """
+    cells = sum(level.sizes.size for level in levels)
+    out = np.empty(x.size, dtype=np.int64)
+    batch = max(1, _COUNT_CHUNK // cells)
+    for at in range(0, x.size, batch):
+        xs = x[at:at + batch]
+        below = np.zeros(xs.size, dtype=np.int64)
+        for level in reversed(levels):
+            pivots = level.degrees[:, None] - xs
+            if level.starts.size:
+                parents = pivots[level.rows] - np.add.reduceat(
+                    inv, level.starts, axis=0)
+                cut = np.logical_or.reduceat(zero, level.starts, axis=0)
+                parents[cut] = -0.5
+                pivots[level.rows] = parents
+            below += level.sizes @ (pivots < 0.0)
+            zero = pivots == 0.0
+            inv = np.divide(level.links[:, None], pivots,
+                            out=np.zeros_like(pivots), where=~zero)
+            if level.starts.size:
+                inv[level.rows] = np.where(cut, 0.0, inv[level.rows])
+        out[at:at + batch] = below
+    return out
+
+
+def _locate(levels: list[_Level], box: np.ndarray, width: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of L in intervals [lo, hi) of a tree, each row of
+    ``box`` being (lo, hi, n(lo), n(hi)), by multisection until each
+    interval holding some is at most ``width`` wide.  Each step cuts every
+    wider interval into as many parts (at least 2, at most _SECTIONS) as
+    fill one batch of :func:`_count_below` together.  Returns the ascending
+    midpoints and the count in each."""
+    batch = _COUNT_CHUNK // sum(level.sizes.size for level in levels)
+    while (wide := box[:, 1] - box[:, 0] > width).any():
+        parts = min(_SECTIONS, max(2, batch // int(wide.sum())))
+        lo, hi, n_lo, n_hi = box[wide].T
+        ends = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0,
+                                                                parts + 1)
+        ends[:, 0], ends[:, -1] = lo, hi
+        counts = np.column_stack((
+            n_lo, _count_below(levels, ends[:, 1:-1].ravel()).reshape(
+                lo.size, parts - 1), n_hi))
+        keep = np.diff(counts, axis=1) > 0
+        box = np.vstack((box[~wide], np.column_stack((
+            ends[:, :-1][keep], ends[:, 1:][keep],
+            counts[:, :-1][keep], counts[:, 1:][keep]))))
+    box = box[np.argsort(box[:, 0])]
+    return 0.5 * (box[:, 0] + box[:, 1]), box[:, 3] - box[:, 2]
+
+
+def _tree_groups(levels: list[_Level], values: np.ndarray, weights: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L's degeneracy groups on a tree from the quotient's ascending
+    eigenvalues ``values`` and their target weights: (eigenvalues,
+    multiplicities, eigenvalues of Lq, summed weights) per group.
+
+    The quotient's eigenvalues are grouped under DEGENERACY_RTOL times
+    their range, d.  One batched count at each group's ends -/+ d gives its
+    multiplicity and the eigenvalues of L in each gap between groups and
+    above the last; only gaps holding some are located, to 4 eps times the
+    Gershgorin bound, and grouped under d.  Each group of Lq must hold an
+    eigenvalue of L and no more of Lq's than L has, and the counts must add
+    up to N with a simple zero mode; otherwise NumericalError."""
+    n = sum(int(level.sizes.sum()) for level in levels)
+    top = 2.0 * max(float(level.degrees.max()) for level in levels) + 1.0
+    tol = DEGENERACY_RTOL * float(values[-1] - values[0])
+    starts = np.flatnonzero(np.diff(group_labels(values, tol), prepend=-1))
+    modes = np.diff(starts, append=values.size)
+    first, last = values[starts], values[np.r_[starts[1:], values.size] - 1]
+    # Windows [first - d, last + d], split at the midpoint where two meet.
+    mid = 0.5 * (last[:-1] + first[1:])
+    lo = np.r_[first[0] - tol, np.maximum(first[1:] - tol, mid)]
+    hi = np.r_[np.minimum(last[:-1] + tol, mid), last[-1] + tol]
+    counts = _count_below(levels, np.r_[np.column_stack((lo, hi)).ravel(),
+                                        top])
+    mults = counts[1::2] - counts[:-1:2]
+    if mults.min() <= 0:
+        g = int(mults.argmin())
+        raise NumericalError(
+            f"quotient eigenvalue {first[g]!r} is more than {tol:.3e} from "
+            f"every eigenvalue of L")
+    if np.any(modes > mults):
+        raise NumericalError("the quotient has more eigenvalues in a group "
+                             "than L has")
+    gaps = np.flatnonzero(np.diff(counts)[1::2])
+    seen, held = _locate(levels, np.column_stack((
+        hi[gaps], np.r_[lo[1:], top][gaps],
+        counts[1::2][gaps], counts[2::2][gaps])).astype(np.float64),
+        4.0 * np.finfo(float).eps * top)
+    hidden = np.flatnonzero(np.diff(group_labels(seen, tol), prepend=-1))
+    hidden_mults = np.add.reduceat(held, hidden).astype(np.int64)
+    if counts[0] != 0 or mults[0] != 1 or np.any(np.diff(counts) < 0) \
+            or mults.sum() + hidden_mults.sum() != n:
+        raise NumericalError(f"eigenvalue counts on the tree do not add up "
+                             f"to N = {n} with a simple zero mode")
+    group_values = np.r_[np.add.reduceat(values, starts) / modes,
+                         np.add.reduceat(seen * held, hidden) / hidden_mults]
+    order = np.argsort(group_values, kind="stable")
+    none = np.zeros(hidden.size, dtype=np.int64)
+    return (group_values[order], np.r_[mults, hidden_mults][order],
+            np.r_[modes, none][order],
+            np.r_[np.add.reduceat(weights, starts), none][order])
+
+
 def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
                       counts: np.ndarray, dense_guard: int | None
                       ) -> SpectralSums:
-    """The measure from the quotient's eigenpairs, on the groups and
-    multiplicities of ``eigvalsh(L)``.  Each eigenvalue of Lq must lie
-    within the grouping tolerance of one of L, and no group may receive
-    more of them than its multiplicity; otherwise NumericalError."""
+    """The measure from the quotient's eigenpairs, on L's groups and
+    multiplicities: counted on a tree (:func:`_tree_groups`, the guard on
+    the number of cells), else read from ``eigvalsh(L)`` (the guard on N).
+    Each eigenvalue of Lq must lie within the grouping tolerance of one of
+    L, and no group may receive more of them than its multiplicity;
+    otherwise NumericalError."""
     sizes = np.bincount(cells)
     cell = int(cells[target])
+    levels = _cell_tree(graph, counts, sizes, cell)
+    if levels is not None:
+        check_dense_guard(sizes.size, dense_guard, "dense eigendecomposition")
     lq = -(sizes[:, None] * counts) / np.sqrt(np.outer(sizes, sizes))
     lq[np.diag_indices_from(lq)] += counts.sum(axis=1)
     quo = eigh(lq, dense_guard=None)
+    weights = quo.eigenvectors[cell] ** 2
+    if levels is not None:
+        group_values, mults, modes, group_amp_sq = _tree_groups(
+            levels, quo.eigenvalues, weights)
+        for arr in (lq, sizes, modes):
+            arr.flags.writeable = False
+        return _group_measure(group_values, mults, group_amp_sq, target,
+                              quo.eigenvalues, weights,
+                              Quotient(lq, sizes, cell, modes, True))
     values = laplacian_eigenvalues(graph, dense_guard=dense_guard)
     groups = degeneracy_groups(values)
     # Nearest eigenvalue of L to each of Lq.
@@ -271,11 +469,11 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
         raise NumericalError("the quotient has more eigenvalues in a group "
                              "than L has")
     amp_sq = np.zeros(values.size)
-    np.add.at(amp_sq, near, quo.eigenvectors[cell] ** 2)
+    np.add.at(amp_sq, near, weights)
     for arr in (lq, sizes, modes):
         arr.flags.writeable = False
     return _measure(values, groups, amp_sq, target,
-                    Quotient(lq, sizes, cell, modes))
+                    Quotient(lq, sizes, cell, modes, False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,16 +526,27 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
              ) -> SpectralSums:
     """:class:`SpectralSums` from L's ascending eigenvalues, their group
     labels and the target weight |a_k|^2 of each."""
-    n = values.size
     starts = np.flatnonzero(np.diff(group_index, prepend=-1))
-    mults = np.diff(starts, append=n)
-    zero_scale = max(1.0, float(np.abs(values[-1])))
-    if abs(values[0]) > 1e-9 * zero_scale:
+    mults = np.diff(starts, append=values.size)
+    return _group_measure(np.add.reduceat(values, starts) / mults, mults,
+                          np.add.reduceat(amp_sq, starts), target,
+                          values, amp_sq, quotient)
+
+
+def _group_measure(group_vals: np.ndarray, mults: np.ndarray,
+                   group_amp_sq: np.ndarray, target: NodeId,
+                   lam: np.ndarray, w_sq: np.ndarray,
+                   quotient: Quotient | None = None) -> SpectralSums:
+    """:class:`SpectralSums` from L's groups (mean eigenvalue, multiplicity,
+    summed target weight), with xi1 and xi2 summed over the ascending
+    levels ``lam`` of target weights ``w_sq``, zero mode first: L's or the
+    quotient's eigenvalues."""
+    n = int(mults.sum())
+    zero_scale = max(1.0, float(np.abs(lam[-1])))
+    if abs(lam[0]) > 1e-9 * zero_scale:
         raise ConfigError("lowest eigenvalue is not zero: not a Laplacian")
     if mults[0] != 1:
         raise ConfigError("zero eigenvalue is degenerate: graph is disconnected")
-    group_amp_sq = np.add.reduceat(amp_sq, starts)
-    group_vals = np.add.reduceat(values, starts) / mults
     uniform = 1.0 / n
     if abs(group_amp_sq[0] - uniform) > 1e-10:
         raise NumericalError(
@@ -345,8 +554,7 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
         )
     group_vals[0] = 0.0
     group_amp_sq[0] = uniform
-    lam = values[1:]
-    w_sq = amp_sq[1:]
+    lam, w_sq = lam[1:], w_sq[1:]
     xi1 = float(np.sum(w_sq / lam))
     xi2 = float(np.sum(w_sq / lam**2))
     per_mode = group_amp_sq[1:] / mults[1:]
@@ -374,8 +582,11 @@ def target_measure(graph: Graph, target: NodeId, *,
     object and target: from the equitable quotient when
     :func:`equitable_partition` finds one of at most N/2 cells, else from
     the dense decomposition of L.  The dense guard is checked on every
-    call, a cached one included."""
-    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    call, a cached one included: on the number of cells when L's
+    multiplicities were counted on a tree, else on N.  A graph that is not
+    a tree is refused before the refinement."""
+    if graph.edge_count != graph.n - 1:
+        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
     per_graph = _MEASURES.setdefault(graph, {})
     if target not in per_graph:
         partition = equitable_partition(graph, target)
@@ -383,7 +594,11 @@ def target_measure(graph: Graph, target: NodeId, *,
             laplacian_decomposition(graph, dense_guard=dense_guard), target
         ) if partition is None else _quotient_measure(
             graph, target, *partition, dense_guard)
-    return per_graph[target]
+    sums = per_graph[target]
+    counted = sums.quotient is not None and sums.quotient.tree
+    check_dense_guard(sums.quotient.sizes.size if counted else graph.n,
+                      dense_guard, "dense eigendecomposition")
+    return sums
 
 
 # -- amplitude scaling --------------------------------------------------------

@@ -129,7 +129,7 @@ def test_critgamma_and_fit_name_the_route_on_stdout_only(tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "a") == 0
     out = capsys.readouterr().out
     assert "cayleytree_g3: N=22 gamma_crit=" in out
-    assert "route=quotient cells=10\n" in out
+    assert "route=tree cells=10\n" in out
     assert run(*argv, "--out", tmp_path / "b") == 0
     capsys.readouterr()
     text = (tmp_path / "a" / "critgamma_cayleytree.csv").read_text()
@@ -141,9 +141,9 @@ def test_critgamma_and_fit_name_the_route_on_stdout_only(tmp_path, capsys):
     assert run("fit", "--family", "tfractal", "--g", "3..5",
                "--out", tmp_path) == 0
     summary = capsys.readouterr().out.splitlines()[0]
-    assert summary.endswith(" route: tfractal_g3 quotient cells=14, "
-                            "tfractal_g4 quotient cells=35, "
-                            "tfractal_g5 quotient cells=90")
+    assert summary.endswith(" route: tfractal_g3 tree cells=14, "
+                            "tfractal_g4 tree cells=35, "
+                            "tfractal_g5 tree cells=90")
     assert "quotient" not in (tmp_path / "fit_tfractal_power.json").read_text()
 
 

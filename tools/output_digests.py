@@ -3,13 +3,14 @@
     python tools/output_digests.py OUT [--seed 7] > digests.txt
 
 The operations are every CLI operation of the benchmark's three workloads
-(``bench/workloads.operations(w, seed)``) and ``critgamma`` and ``fit``
+(``bench/workloads.operations(w, seed)``), ``critgamma`` and ``fit``
 sweeps over dsg, tfractal, cayleytree, torus d3, open and periodic chains
-and complete graphs.  Operation i writes into ``OUT/<i>``.  Standard output
-gets one ``sha256  <i>/<file>`` line per artifact, sorted by path, so
-``diff`` on the output of two checkouts, run on the same machine with the
-same seed, names every artifact that changed.  Standard error gets each
-operation's exit code.
+and complete graphs, and ``critgamma`` on Cayley trees past the dense
+guard (N = 3,070 to 24,574).  Operation i writes into ``OUT/<i>``.
+Standard output gets one ``sha256  <i>/<file>`` line per artifact, sorted
+by path, so ``diff`` on the output of two checkouts, run on the same
+machine with the same seed, names every artifact that changed.  Standard
+error gets each operation's exit code.
 
 The BLAS thread counts are pinned to 1 before numpy loads, because output
 digits depend on them.  Standard library plus ctqwlab, imported from this
@@ -44,6 +45,9 @@ SWEEPS = (
     ("--family", "chain", "--sizes", "20,40,60"),
     ("--family", "complete", "--sizes", "16,32,64"),
 )
+PAST_GUARD = (
+    ("critgamma", "--family", "cayleytree", "--g", "10..13"),
+)
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
@@ -52,7 +56,7 @@ def operations(seed: int) -> list[tuple[str, ...]]:
            for op in workloads.operations(w, seed) if op.kind == "cli"]
     return list(dict.fromkeys(ops + [(cmd, *sweep)
                                      for cmd in ("critgamma", "fit")
-                                     for sweep in SWEEPS]))
+                                     for sweep in SWEEPS] + list(PAST_GUARD)))
 
 
 def main() -> int:
