@@ -462,7 +462,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    offset = max(_CONFIRM_RTOL, _EPS * float(lam[-1] / lam[1]))
+    offset = max(_CONFIRM_RTOL, _EPS * lam[-1] / lam[1])
     lo, hi = root * (1.0 - offset), root * (1.0 + offset)
     f_lo, f_hi = difference(lo, False), difference(hi, False)
     if not f_lo <= 0.0 <= f_hi:

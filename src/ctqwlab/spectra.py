@@ -63,9 +63,12 @@ SYMMETRY_RTOL = 1e-12
 # Seed of the colour-refinement hash words: fixed, so that every run refines
 # alike and every output repeats bit for bit.
 _HASH_SEED = 1002
-# Work entries (cells x points) of one batched pass of the tree count, and
-# the most subintervals of one multisection step.
+# Work entries (cells x points) of one batched pass of the tree count.
 _COUNT_CHUNK = 1 << 20
+# Work entries of one multisection step, and its most subintervals.  More
+# parts per step mean fewer steps but more points in all: past about 2^16
+# entries the points cost more than the steps save.
+_LOCATE_CHUNK = 1 << 16
 _SECTIONS = 64
 
 
@@ -274,22 +277,16 @@ class _Level(NamedTuple):
     rows: np.ndarray
 
 
-def _cell_tree(graph: Graph, counts: np.ndarray, sizes: np.ndarray,
-               root: int) -> list[_Level] | None:
-    """The levels :func:`_count_below` reads, root first, or None unless
-    the graph is a tree: N - 1 edges, and a breadth-first search from node
-    0 reaches all N nodes.
+def _cell_tree(counts: np.ndarray, sizes: np.ndarray, root: int
+               ) -> list[_Level]:
+    """The levels :func:`_count_below` reads, root first.
 
-    ``counts`` and ``sizes`` describe an equitable partition with a vertex
-    alone in cell ``root``.  On a tree its cells refine the distance from
+    ``counts`` and ``sizes`` describe an equitable partition of a tree with
+    a vertex alone in cell ``root``.  Its cells refine the distance from
     that vertex, and each other cell has one parent cell, so the cells form
     a tree and all vertices of a cell share one pivot.  A breadth-first
     search of the cells from ``root`` keeps each level, and each parent's
     children, contiguous."""
-    n = graph.n
-    if graph.edge_count != n - 1 or csgraph.breadth_first_order(
-            graph.adjacency, 0, return_predecessors=False).size != n:
-        return None
     order, pred = csgraph.breadth_first_order(sp.csr_matrix(counts), root,
                                               directed=False)
     m = order.size
@@ -352,9 +349,9 @@ def _locate(levels: list[_Level], box: np.ndarray, width: float
     ``box`` being (lo, hi, n(lo), n(hi)), by multisection until each
     interval holding some is at most ``width`` wide.  Each step cuts every
     wider interval into as many parts (at least 2, at most _SECTIONS) as
-    fill one batch of :func:`_count_below` together.  Returns the ascending
+    fill _LOCATE_CHUNK cells x points together.  Returns the ascending
     midpoints and the count in each."""
-    batch = _COUNT_CHUNK // sum(level.sizes.size for level in levels)
+    batch = _LOCATE_CHUNK // sum(level.sizes.size for level in levels)
     while (wide := box[:, 1] - box[:, 0] > width).any():
         parts = min(_SECTIONS, max(2, batch // int(wide.sum())))
         lo, hi, n_lo, n_hi = box[wide].T
@@ -380,11 +377,18 @@ def _tree_groups(levels: list[_Level], values: np.ndarray, weights: np.ndarray
 
     The quotient's eigenvalues are grouped under DEGENERACY_RTOL times
     their range, d.  One batched count at each group's ends -/+ d gives its
-    multiplicity and the eigenvalues of L in each gap between groups and
-    above the last; only gaps holding some are located, to 4 eps times the
-    Gershgorin bound, and grouped under d.  Each group of Lq must hold an
-    eigenvalue of L and no more of Lq's than L has, and the counts must add
-    up to N with a simple zero mode; otherwise NumericalError."""
+    multiplicity and the eigenvalues of L in each gap between groups; only
+    gaps holding some are located, to 4 eps times the Gershgorin bound,
+    and grouped under d.  Each group of Lq must hold an eigenvalue of L and
+    no more of Lq's than L has, and the counts must add up to N, with a
+    simple zero mode and none above the last group; otherwise
+    NumericalError.
+
+    A tree is bipartite, so L is similar to the signless Laplacian D + A,
+    whose largest eigenvalue is simple with a positive eigenvector
+    (Perron-Frobenius): every target sees L's largest eigenvalue, the
+    quotient's range is L's, and d is the tolerance of the eigvalsh
+    route."""
     n = sum(int(level.sizes.sum()) for level in levels)
     top = 2.0 * max(float(level.degrees.max()) for level in levels) + 1.0
     tol = DEGENERACY_RTOL * float(values[-1] - values[0])
@@ -406,14 +410,15 @@ def _tree_groups(levels: list[_Level], values: np.ndarray, weights: np.ndarray
     if np.any(modes > mults):
         raise NumericalError("the quotient has more eigenvalues in a group "
                              "than L has")
-    gaps = np.flatnonzero(np.diff(counts)[1::2])
+    gaps = np.flatnonzero(np.diff(counts)[1:-1:2])
     seen, held = _locate(levels, np.column_stack((
-        hi[gaps], np.r_[lo[1:], top][gaps],
-        counts[1::2][gaps], counts[2::2][gaps])).astype(np.float64),
+        hi[gaps], lo[1:][gaps],
+        counts[1:-2:2][gaps], counts[2:-1:2][gaps])).astype(np.float64),
         4.0 * np.finfo(float).eps * top)
     hidden = np.flatnonzero(np.diff(group_labels(seen, tol), prepend=-1))
     hidden_mults = np.add.reduceat(held, hidden).astype(np.int64)
-    if counts[0] != 0 or mults[0] != 1 or np.any(np.diff(counts) < 0) \
+    if counts[0] != 0 or counts[-1] != n or mults[0] != 1 \
+            or np.any(np.diff(counts) < 0) \
             or mults.sum() + hidden_mults.sum() != n:
         raise NumericalError(f"eigenvalue counts on the tree do not add up "
                              f"to N = {n} with a simple zero mode")
@@ -427,26 +432,26 @@ def _tree_groups(levels: list[_Level], values: np.ndarray, weights: np.ndarray
 
 
 def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
-                      counts: np.ndarray, dense_guard: int | None
-                      ) -> SpectralSums:
+                      counts: np.ndarray, dense_guard: int | None, *,
+                      tree: bool | None = None) -> SpectralSums:
     """The measure from the quotient's eigenpairs, on L's groups and
-    multiplicities: counted on a tree (:func:`_tree_groups`, the guard on
-    the number of cells), else read from ``eigvalsh(L)`` (the guard on N).
-    Each eigenvalue of Lq must lie within the grouping tolerance of one of
-    L, and no group may receive more of them than its multiplicity;
-    otherwise NumericalError."""
+    multiplicities: counted when the graph is a ``tree``
+    (:func:`_tree_groups`, the guard on the number of cells), else read
+    from ``eigvalsh(L)`` (the guard on N); ``tree=None`` asks
+    :func:`_tree_search`.  Each eigenvalue of Lq must lie within the
+    grouping tolerance of one of L, and no group may receive more of them
+    than its multiplicity; otherwise NumericalError."""
+    if tree is None:
+        tree = _tree_search(graph, target) is not None
     sizes = np.bincount(cells)
     cell = int(cells[target])
-    levels = _cell_tree(graph, counts, sizes, cell)
-    if levels is not None:
-        check_dense_guard(sizes.size, dense_guard, "dense eigendecomposition")
     lq = -(sizes[:, None] * counts) / np.sqrt(np.outer(sizes, sizes))
     lq[np.diag_indices_from(lq)] += counts.sum(axis=1)
-    quo = eigh(lq, dense_guard=None)
+    quo = eigh(lq, dense_guard=dense_guard if tree else None)
     weights = quo.eigenvectors[cell] ** 2
-    if levels is not None:
+    if tree:
         group_values, mults, modes, group_amp_sq = _tree_groups(
-            levels, quo.eigenvalues, weights)
+            _cell_tree(counts, sizes, cell), quo.eigenvalues, weights)
         for arr in (lq, sizes, modes):
             arr.flags.writeable = False
         return _group_measure(group_values, mults, group_amp_sq, target,
@@ -583,22 +588,57 @@ def target_measure(graph: Graph, target: NodeId, *,
     :func:`equitable_partition` finds one of at most N/2 cells, else from
     the dense decomposition of L.  The dense guard is checked on every
     call, a cached one included: on the number of cells when L's
-    multiplicities were counted on a tree, else on N.  A graph that is not
-    a tree is refused before the refinement."""
-    if graph.edge_count != graph.n - 1:
-        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    multiplicities were counted on a tree, else on N."""
     per_graph = _MEASURES.setdefault(graph, {})
-    if target not in per_graph:
-        partition = equitable_partition(graph, target)
-        per_graph[target] = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target
-        ) if partition is None else _quotient_measure(
-            graph, target, *partition, dense_guard)
-    sums = per_graph[target]
-    counted = sums.quotient is not None and sums.quotient.tree
-    check_dense_guard(sums.quotient.sizes.size if counted else graph.n,
-                      dense_guard, "dense eigendecomposition")
+    sums = per_graph.get(target)
+    if sums is None:
+        sums = per_graph[target] = _new_measure(graph, target, dense_guard)
+    else:
+        counted = sums.quotient is not None and sums.quotient.tree
+        check_dense_guard(sums.quotient.sizes.size if counted else graph.n,
+                          dense_guard, "dense eigendecomposition")
     return sums
+
+
+def _new_measure(graph: Graph, target: NodeId, dense_guard: int | None
+                 ) -> SpectralSums:
+    """The measure of :func:`target_measure`, refused on N before the
+    refinement unless the graph is a tree whose farthest node from the
+    target lies fewer than ``dense_guard`` steps away.  An equitable
+    partition with the target alone in its cell refines the distance from
+    it, so on any other tree it has more cells than the guard."""
+    if not (0 <= target < graph.n):
+        raise ConfigError(f"target {target} out of range for {graph.n} nodes")
+    search = _tree_search(graph, target)
+    if dense_guard is not None and graph.n > dense_guard and (
+            search is None or _depth(*search, dense_guard) >= dense_guard):
+        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    partition = equitable_partition(graph, target)
+    if partition is None:
+        return spectral_sums(
+            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+    return _quotient_measure(graph, target, *partition, dense_guard,
+                             tree=search is not None)
+
+
+def _tree_search(graph: Graph, root: NodeId
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The order and predecessors of a breadth-first search from ``root``
+    when the graph is a tree (N - 1 edges, and the search reaches all N
+    nodes), else None."""
+    if graph.edge_count != graph.n - 1:
+        return None
+    order, pred = csgraph.breadth_first_order(graph.adjacency, root)
+    return (order, pred) if order.size == graph.n else None
+
+
+def _depth(order: np.ndarray, pred: np.ndarray, cap: int) -> int:
+    """Steps from the root of a breadth-first search to the last node it
+    reached, the farthest, counted up to ``cap``."""
+    node, depth = order[-1], 0
+    while depth < cap and pred[node] >= 0:
+        node, depth = pred[node], depth + 1
+    return depth
 
 
 # -- amplitude scaling --------------------------------------------------------

@@ -66,22 +66,21 @@ TREES = [
 ]
 
 
-def _levels(graph, cells, counts, target):
-    return spectra._cell_tree(graph, counts, np.bincount(cells),
-                              int(cells[target]))
+def _levels(cells, counts, target):
+    return spectra._cell_tree(counts, np.bincount(cells), int(cells[target]))
 
 
 def _partitions(graph):
     """The discrete partition (one vertex per cell) rooted at node 0, up to
     800 nodes, and the equitable partitions of the last node and of node 0
     when they exist."""
-    out = [_levels(graph, np.arange(graph.n),
+    out = [_levels(np.arange(graph.n),
                    graph.adjacency.toarray().astype(np.int64), 0)
            ] if graph.n <= 800 else []
     for target in (graph.n - 1, 0):
         partition = equitable_partition(graph, target)
         if partition is not None:
-            out.append(_levels(graph, *partition, target))
+            out.append(_levels(*partition, target))
     return out
 
 
@@ -153,8 +152,6 @@ def test_only_trees_count():
                         (build(GraphSpec(Family.COMPLETE, n=12)), False),
                         (build(GraphSpec(Family.CAYLEY_TREE, g=4)), True),
                         (_star(12), True)):
-        cells, counts = equitable_partition(graph, 0)
-        assert (_levels(graph, cells, counts, 0) is not None) == tree
         assert target_measure(graph, 0).quotient.tree == tree
 
 
@@ -189,6 +186,9 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
         want = spectral_sums(dec, target)
         assert got.quotient.tree
         assert got.multiplicities.tolist() == want.multiplicities.tolist()
+        # Every target sees L's largest eigenvalue, so the quotient's range,
+        # which sets the grouping tolerance, is L's.
+        assert got.quotient.modes[-1] > 0
         assert got.quotient.modes.sum() == partition[1].shape[0]
         assert np.abs(got.group_eigenvalues
                       - want.group_eigenvalues).max() <= 1e-12
@@ -219,6 +219,25 @@ def test_counts_that_do_not_add_up_raise(monkeypatch):
         counts[-1] -= 1
         return counts
     monkeypatch.setattr(spectra, "_count_below", lose_one)
+    with pytest.raises(NumericalError, match="do not add up"):
+        target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+
+
+def test_an_eigenvalue_above_the_quotients_largest_raises(monkeypatch):
+    """Every target of a tree sees L's largest eigenvalue.  Counts that
+    move one eigenvalue of a hidden level of the Cayley root up to the
+    Gershgorin bound 7 leave every group of Lq its count, yet do not add
+    up below the quotient's largest."""
+    sums = target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+    g = int(np.flatnonzero((sums.quotient.modes == 0)
+                           & (sums.multiplicities > 1))[0])
+    past = int(sums.multiplicities[:g + 1].sum())
+    real = spectra._count_below
+
+    def moved(levels, x):
+        counts = real(levels, x)
+        return counts - ((counts >= past) & (x < 7.0))
+    monkeypatch.setattr(spectra, "_count_below", moved)
     with pytest.raises(NumericalError, match="do not add up"):
         target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
 
@@ -313,9 +332,28 @@ def test_the_guard_reads_the_cells_on_a_tree(tmp_path, capsys):
     assert run(*argv, "--dense-guard", 60) == 0
     assert "route=tree cells=55\n" in capsys.readouterr().out
     graph = build(GraphSpec(Family.CAYLEY_TREE, g=9))
+    with pytest.raises(DenseGuardError, match="problem size 55 "):
+        target_measure(graph, graph.n - 1, dense_guard=40)
     target_measure(graph, graph.n - 1, dense_guard=60)
     with pytest.raises(DenseGuardError):  # cached, checked again
         target_measure(graph, graph.n - 1, dense_guard=40)
+
+
+@pytest.mark.parametrize("command,size", [
+    ("critgamma", "--sizes"), ("overlaps", "--L"), ("success", "--L")])
+def test_a_deep_tree_past_the_guard_is_refused_before_refining(
+        command, size, tmp_path, capsys, monkeypatch):
+    """The open chain's end is 199,999 steps from its far end, so its
+    partition has more cells than the guard: exit 4 on N, and the
+    colour refinement never runs."""
+    def refine(*args):
+        raise AssertionError("the colour refinement ran")
+    monkeypatch.setattr(spectra, "_refine", refine)
+    assert run(command, "--family", "chain", "--open", size, 200000,
+               "--out", tmp_path) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DenseGuardError"
+    assert "problem size 200000 " in err["message"]
 
 
 def test_cayley_trees_past_the_guard(tmp_path, capsys):
