@@ -57,6 +57,7 @@ from .spectra import (
     degeneracy_groups,
     fit_alpha,
     laplacian_eigenvalues,
+    laplacian_spectrum,
     spectrum_csv,
     target_measure,
 )
@@ -298,10 +299,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
-    values = laplacian_eigenvalues(graph, dense_guard=_dense_guard(args))
+    values, cells = laplacian_spectrum(graph, dense_guard=_dense_guard(args))
     text = spectrum_csv(values, degeneracy_groups(values))
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
+    print("route=dense" if cells is None else f"route=tree cells={cells}")
     return 0
 
 

@@ -13,24 +13,20 @@ per ``Graph`` object and target, and keeps only the K-sized
 :class:`SpectralSums`, never the eigenvectors.  It takes one of three
 routes.
 
-* *Tree.*  When the graph is a tree and the equitable quotient below
-  applies, Lq is solved with eigenvectors and L's multiplicities are
-  counted: n(x), the number of eigenvalues of L below x, is the number of
-  negative pivots of L - xI eliminated from the leaves to the root
-  (Jacobs & Trevisan, LAA 434, 1006, 2011).  Rooted at the target, all
-  vertices of a cell share one pivot, so the pass costs O(cells) per x.
-  Counts on either side of each group of Lq give its multiplicity and the
-  number of eigenvalues of L between groups, which multisection locates.
-  No dense L is formed, and the dense guard applies to the number of
-  cells.
 * *Quotient.*  :func:`equitable_partition` finds the coarsest equitable
   partition with the target alone in its cell (Godsil & Royle, *Algebraic
   Graph Theory*, ch. 9) by hashed colour refinement and certifies it in
   integer arithmetic.  Its cell-indicator vectors span an L-invariant
   space that holds |w> and |s>, so the symmetrised quotient
   Lq = D - S^-1/2 M S^-1/2 carries the target's whole measure.  When the
-  partition at least halves N, Lq is solved with eigenvectors and L with
-  eigenvalues only (``eigvalsh``), which give the multiplicities.
+  partition at least halves N, Lq is solved with eigenvectors, and L's
+  eigenvalues give the multiplicities.  They come from ``eigvalsh(L)``,
+  with the dense guard on N.
+* *Tree.*  The same, but on a tree L's eigenvalues come from Lq alone:
+  each branching cell's principal block of Lq gives eigenvalues of L of a
+  known multiplicity (:func:`_tree_spectrum`).  No dense L is formed, and
+  the dense guard applies to the number of cells.  The same blocks,
+  around the tree's centre, give :func:`laplacian_eigenvalues` on trees.
 * *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
   by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
   172, 1995), several times faster than scipy's default ``evr`` on the
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,13 +59,6 @@ SYMMETRY_RTOL = 1e-12
 # Seed of the colour-refinement hash words: fixed, so that every run refines
 # alike and every output repeats bit for bit.
 _HASH_SEED = 1002
-# Work entries (cells x points) of one batched pass of the tree count.
-_COUNT_CHUNK = 1 << 20
-# Work entries of one multisection step, and its most subintervals.  More
-# parts per step mean fewer steps but more points in all: past about 2^16
-# entries the points cost more than the steps save.
-_LOCATE_CHUNK = 1 << 16
-_SECTIONS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +133,36 @@ def laplacian_decomposition(graph: Graph, *,
 def laplacian_eigenvalues(graph: Graph, *,
                           dense_guard: int | None = DEFAULT_DENSE_GUARD
                           ) -> np.ndarray:
-    """Eigenvalues of L, ascending, without eigenvectors (LAPACK ``evr``),
-    computed in the memory of a fresh L."""
+    """Eigenvalues of L, ascending (see :func:`laplacian_spectrum`)."""
+    return laplacian_spectrum(graph, dense_guard=dense_guard)[0]
+
+
+def laplacian_spectrum(graph: Graph, *,
+                       dense_guard: int | None = DEFAULT_DENSE_GUARD
+                       ) -> tuple[np.ndarray, int | None]:
+    """Eigenvalues of L, ascending, and the number of quotient cells they
+    came from.
+
+    On a tree, rooted at its centre, whose equitable partition has at most
+    N/2 cells: from the quotient's blocks (:func:`_tree_spectrum`), the
+    dense guard on the cell count.  Otherwise values only (LAPACK ``evr``)
+    in the memory of a fresh L, the guard on N, and no cell count.
+    """
+    centre = _centre(graph)
+    if centre is not None:
+        _refuse_deep_trees(graph, _tree_search(graph, centre), dense_guard)
+        partition = equitable_partition(graph, centre)
+        if partition is not None:
+            cells, counts = partition
+            sizes = np.bincount(cells)
+            check_dense_guard(sizes.size, dense_guard,
+                              "dense eigendecomposition")
+            lq = _quotient_laplacian(counts, sizes)
+            return _tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
+                                  int(cells[centre])), sizes.size
     check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
     return sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
-                        check_finite=False)
+                        check_finite=False), None
 
 
 # -- equitable quotient ---------------------------------------------------------
@@ -242,8 +256,8 @@ class Quotient:
     M_ij / sqrt(s_i s_j), with d_i the common degree in cell i and M_ij the
     vertex pairs adjacent across cells i and j.  The target is alone in
     cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i.  ``tree`` says
-    that L's multiplicities were counted on the tree, not read from
-    ``eigvalsh(L)``."""
+    that L's eigenvalues came from the quotient's blocks on a tree, not
+    from ``eigvalsh(L)``."""
 
     laplacian: np.ndarray  # (m, m) Lq
     sizes: np.ndarray      # (m,) int64 cell sizes s_i
@@ -264,180 +278,67 @@ class Quotient:
         return values, s_state @ vectors, vectors[self.target_cell]
 
 
-class _Level(NamedTuple):
-    """One breadth-first level of a tree's cells: per cell, its vertices'
-    common degree, its vertex count and the children in it of each vertex
-    of its parent cell; then the start of each cell's run of child cells in
-    the next level, and that cell's row in this one."""
-
-    degrees: np.ndarray  # float64
-    sizes: np.ndarray    # int64
-    links: np.ndarray    # float64
-    starts: np.ndarray
-    rows: np.ndarray
+def _quotient_laplacian(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The symmetric quotient Lq of :class:`Quotient` from an equitable
+    partition's neighbour counts and cell sizes."""
+    lq = -(sizes[:, None] * counts) / np.sqrt(np.outer(sizes, sizes))
+    lq[np.diag_indices_from(lq)] += counts.sum(axis=1)
+    return lq
 
 
-def _cell_tree(counts: np.ndarray, sizes: np.ndarray, root: int
-               ) -> list[_Level]:
-    """The levels :func:`_count_below` reads, root first.
+def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
+                   sizes: np.ndarray, cell: int) -> np.ndarray:
+    """L's N eigenvalues, ascending, on a tree, from the principal blocks of
+    its quotient Lq (eigenvalues ``lq_values``).
 
-    ``counts`` and ``sizes`` describe an equitable partition of a tree with
-    a vertex alone in cell ``root``.  Its cells refine the distance from
-    that vertex, and each other cell has one parent cell, so the cells form
-    a tree and all vertices of a cell share one pivot.  A breadth-first
-    search of the cells from ``root`` keeps each level, and each parent's
-    children, contiguous."""
-    order, pred = csgraph.breadth_first_order(sp.csr_matrix(counts), root,
-                                              directed=False)
+    ``counts`` and ``sizes`` describe an equitable partition of the tree
+    with a vertex alone in cell ``cell``.  Its cells refine the distance
+    from that vertex and each other cell C has one parent cell P, so the
+    cells form a tree, and each vertex of P has |C| / |P| children in C.
+    The subtrees below those children carry one quotient: T_C, the
+    principal block of Lq on C and the cells below it.  T_C's eigenvectors,
+    lifted into the subtrees of one parent vertex with coefficients that
+    sum to 0, vanish at that vertex and are eigenvectors of L.  So each
+    eigenvalue of T_C is one of L with multiplicity |C| - |P|, and with
+    Lq's own these make N (Rojo & Robbiano, LAA 427, 138, 2007, on Bethe
+    trees).  A depth-first order of the cells makes each T_C a contiguous
+    block; only cells with |C| > |P| are solved, and a one-cell block is
+    its diagonal.  NumericalError unless the blocks give N eigenvalues,
+    none above Lq's largest, with a simple zero mode."""
+    order, pred = csgraph.depth_first_order(sp.csr_matrix(counts), cell,
+                                            directed=False)
     m = order.size
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
-    parent = position[pred[order[1:]]]  # of positions 1..m-1
-    degrees = counts.sum(axis=1)[order].astype(np.float64)
-    links = np.r_[0, counts[pred[order[1:]], order[1:]]].astype(np.float64)
-    sizes = sizes[order]
-    bounds = [0, 1]
-    while bounds[-1] < m:
-        bounds.append(int(np.searchsorted(parent, bounds[-1])) + 1)
-    levels = []
-    for lo, hi, end in zip(bounds, bounds[1:], bounds[2:] + [m]):
-        rows = parent[hi - 1:end - 1] - lo
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        levels.append(_Level(degrees[lo:hi], sizes[lo:hi], links[lo:hi],
-                             starts, rows[starts]))
-    return levels
-
-
-def _count_below(levels: list[_Level], x: np.ndarray) -> np.ndarray:
-    """n(x), the number of eigenvalues of L below each x, on a tree.
-
-    By Sylvester's law of inertia it is the number of negative pivots of
-    L - xI eliminated from the leaves to the root: a vertex's pivot is
-    d - x - sum 1/p over its children's pivots p.  When a child's pivot is
-    0, the vertex's becomes -1/2 and it stops contributing to its own
-    parent (Jacobs & Trevisan, LAA 434, 1006, 2011).  The pass runs on the
-    cells of :func:`_cell_tree`, deepest level first, for up to
-    _COUNT_CHUNK / cells values of x at once.
-    """
-    cells = sum(level.sizes.size for level in levels)
-    out = np.empty(x.size, dtype=np.int64)
-    batch = max(1, _COUNT_CHUNK // cells)
-    for at in range(0, x.size, batch):
-        xs = x[at:at + batch]
-        below = np.zeros(xs.size, dtype=np.int64)
-        for level in reversed(levels):
-            pivots = level.degrees[:, None] - xs
-            if level.starts.size:
-                parents = pivots[level.rows] - np.add.reduceat(
-                    inv, level.starts, axis=0)
-                cut = np.logical_or.reduceat(zero, level.starts, axis=0)
-                parents[cut] = -0.5
-                pivots[level.rows] = parents
-            below += level.sizes @ (pivots < 0.0)
-            zero = pivots == 0.0
-            inv = np.divide(level.links[:, None], pivots,
-                            out=np.zeros_like(pivots), where=~zero)
-            if level.starts.size:
-                inv[level.rows] = np.where(cut, 0.0, inv[level.rows])
-        out[at:at + batch] = below
-    return out
-
-
-def _locate(levels: list[_Level], box: np.ndarray, width: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of L in intervals [lo, hi) of a tree, each row of
-    ``box`` being (lo, hi, n(lo), n(hi)), by multisection until each
-    interval holding some is at most ``width`` wide.  Each step cuts every
-    wider interval into as many parts (at least 2, at most _SECTIONS) as
-    fill _LOCATE_CHUNK cells x points together.  Returns the ascending
-    midpoints and the count in each."""
-    batch = _LOCATE_CHUNK // sum(level.sizes.size for level in levels)
-    while (wide := box[:, 1] - box[:, 0] > width).any():
-        parts = min(_SECTIONS, max(2, batch // int(wide.sum())))
-        lo, hi, n_lo, n_hi = box[wide].T
-        ends = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0,
-                                                                parts + 1)
-        ends[:, 0], ends[:, -1] = lo, hi
-        counts = np.column_stack((
-            n_lo, _count_below(levels, ends[:, 1:-1].ravel()).reshape(
-                lo.size, parts - 1), n_hi))
-        keep = np.diff(counts, axis=1) > 0
-        box = np.vstack((box[~wide], np.column_stack((
-            ends[:, :-1][keep], ends[:, 1:][keep],
-            counts[:, :-1][keep], counts[:, 1:][keep]))))
-    box = box[np.argsort(box[:, 0])]
-    return 0.5 * (box[:, 0] + box[:, 1]), box[:, 3] - box[:, 2]
-
-
-def _tree_groups(levels: list[_Level], values: np.ndarray, weights: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """L's degeneracy groups on a tree from the quotient's ascending
-    eigenvalues ``values`` and their target weights: (eigenvalues,
-    multiplicities, eigenvalues of Lq, summed weights) per group.
-
-    The quotient's eigenvalues are grouped under DEGENERACY_RTOL times
-    their range, d.  One batched count at each group's ends -/+ d gives its
-    multiplicity and the eigenvalues of L in each gap between groups; only
-    gaps holding some are located, to 4 eps times the Gershgorin bound,
-    and grouped under d.  Each group of Lq must hold an eigenvalue of L and
-    no more of Lq's than L has, and the counts must add up to N, with a
-    simple zero mode and none above the last group; otherwise
-    NumericalError.
-
-    A tree is bipartite, so L is similar to the signless Laplacian D + A,
-    whose largest eigenvalue is simple with a positive eigenvector
-    (Perron-Frobenius): every target sees L's largest eigenvalue, the
-    quotient's range is L's, and d is the tolerance of the eigvalsh
-    route."""
-    n = sum(int(level.sizes.sum()) for level in levels)
-    top = 2.0 * max(float(level.degrees.max()) for level in levels) + 1.0
-    tol = DEGENERACY_RTOL * float(values[-1] - values[0])
-    starts = np.flatnonzero(np.diff(group_labels(values, tol), prepend=-1))
-    modes = np.diff(starts, append=values.size)
-    first, last = values[starts], values[np.r_[starts[1:], values.size] - 1]
-    # Windows [first - d, last + d], split at the midpoint where two meet.
-    mid = 0.5 * (last[:-1] + first[1:])
-    lo = np.r_[first[0] - tol, np.maximum(first[1:] - tol, mid)]
-    hi = np.r_[np.minimum(last[:-1] + tol, mid), last[-1] + tol]
-    counts = _count_below(levels, np.r_[np.column_stack((lo, hi)).ravel(),
-                                        top])
-    mults = counts[1::2] - counts[:-1:2]
-    if mults.min() <= 0:
-        g = int(mults.argmin())
+    parent = [0, *position[pred[order[1:]]].tolist()]
+    ends = list(range(1, m + 1))  # each subtree is positions [p, ends[p])
+    for p in range(m - 1, 0, -1):
+        ends[parent[p]] = max(ends[parent[p]], ends[p])
+    lq = lq[np.ix_(order, order)]
+    extra = sizes[order] - sizes[order[parent]]
+    parts = [lq_values]
+    for p in np.flatnonzero(extra > 0).tolist():
+        block = lq[p:ends[p], p:ends[p]]
+        parts.append(np.repeat(sla.eigvalsh(block, check_finite=False)
+                               if block.size > 1 else block[0], extra[p]))
+    values = np.sort(np.concatenate(parts))
+    n = int(sizes.sum())
+    top = float(lq_values[-1])
+    if values.size != n or values[1] <= 1e-9 * max(1.0, top) \
+            or values[-1] > top + DEGENERACY_RTOL * top:
         raise NumericalError(
-            f"quotient eigenvalue {first[g]!r} is more than {tol:.3e} from "
-            f"every eigenvalue of L")
-    if np.any(modes > mults):
-        raise NumericalError("the quotient has more eigenvalues in a group "
-                             "than L has")
-    gaps = np.flatnonzero(np.diff(counts)[1:-1:2])
-    seen, held = _locate(levels, np.column_stack((
-        hi[gaps], lo[1:][gaps],
-        counts[1:-2:2][gaps], counts[2:-1:2][gaps])).astype(np.float64),
-        4.0 * np.finfo(float).eps * top)
-    hidden = np.flatnonzero(np.diff(group_labels(seen, tol), prepend=-1))
-    hidden_mults = np.add.reduceat(held, hidden).astype(np.int64)
-    if counts[0] != 0 or counts[-1] != n or mults[0] != 1 \
-            or np.any(np.diff(counts) < 0) \
-            or mults.sum() + hidden_mults.sum() != n:
-        raise NumericalError(f"eigenvalue counts on the tree do not add up "
-                             f"to N = {n} with a simple zero mode")
-    group_values = np.r_[np.add.reduceat(values, starts) / modes,
-                         np.add.reduceat(seen * held, hidden) / hidden_mults]
-    order = np.argsort(group_values, kind="stable")
-    none = np.zeros(hidden.size, dtype=np.int64)
-    return (group_values[order], np.r_[mults, hidden_mults][order],
-            np.r_[modes, none][order],
-            np.r_[np.add.reduceat(weights, starts), none][order])
+            f"the quotient's blocks do not add up to N = {n} eigenvalues, "
+            f"none above the quotient's largest, with a simple zero mode")
+    return values
 
 
 def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
                       counts: np.ndarray, dense_guard: int | None, *,
                       tree: bool | None = None) -> SpectralSums:
-    """The measure from the quotient's eigenpairs, on L's groups and
-    multiplicities: counted when the graph is a ``tree``
-    (:func:`_tree_groups`, the guard on the number of cells), else read
-    from ``eigvalsh(L)`` (the guard on N); ``tree=None`` asks
+    """The measure from the quotient's eigenpairs, on L's eigenvalues: from
+    the quotient's blocks when the graph is a ``tree``
+    (:func:`_tree_spectrum`, the guard on the number of cells), else from
+    ``eigvalsh(L)`` (the guard on N); ``tree=None`` asks
     :func:`_tree_search`.  Each eigenvalue of Lq must lie within the
     grouping tolerance of one of L, and no group may receive more of them
     than its multiplicity; otherwise NumericalError."""
@@ -445,19 +346,12 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
         tree = _tree_search(graph, target) is not None
     sizes = np.bincount(cells)
     cell = int(cells[target])
-    lq = -(sizes[:, None] * counts) / np.sqrt(np.outer(sizes, sizes))
-    lq[np.diag_indices_from(lq)] += counts.sum(axis=1)
+    lq = _quotient_laplacian(counts, sizes)
     quo = eigh(lq, dense_guard=dense_guard if tree else None)
-    weights = quo.eigenvectors[cell] ** 2
     if tree:
-        group_values, mults, modes, group_amp_sq = _tree_groups(
-            _cell_tree(counts, sizes, cell), quo.eigenvalues, weights)
-        for arr in (lq, sizes, modes):
-            arr.flags.writeable = False
-        return _group_measure(group_values, mults, group_amp_sq, target,
-                              quo.eigenvalues, weights,
-                              Quotient(lq, sizes, cell, modes, True))
-    values = laplacian_eigenvalues(graph, dense_guard=dense_guard)
+        values = _tree_spectrum(lq, quo.eigenvalues, counts, sizes, cell)
+    else:
+        values = laplacian_eigenvalues(graph, dense_guard=dense_guard)
     groups = degeneracy_groups(values)
     # Nearest eigenvalue of L to each of Lq.
     above = np.searchsorted(values, quo.eigenvalues).clip(1, values.size - 1)
@@ -474,11 +368,11 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
         raise NumericalError("the quotient has more eigenvalues in a group "
                              "than L has")
     amp_sq = np.zeros(values.size)
-    np.add.at(amp_sq, near, weights)
+    np.add.at(amp_sq, near, quo.eigenvectors[cell] ** 2)
     for arr in (lq, sizes, modes):
         arr.flags.writeable = False
     return _measure(values, groups, amp_sq, target,
-                    Quotient(lq, sizes, cell, modes, False))
+                    Quotient(lq, sizes, cell, modes, tree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,27 +425,16 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
              ) -> SpectralSums:
     """:class:`SpectralSums` from L's ascending eigenvalues, their group
     labels and the target weight |a_k|^2 of each."""
+    n = values.size
     starts = np.flatnonzero(np.diff(group_index, prepend=-1))
-    mults = np.diff(starts, append=values.size)
-    return _group_measure(np.add.reduceat(values, starts) / mults, mults,
-                          np.add.reduceat(amp_sq, starts), target,
-                          values, amp_sq, quotient)
-
-
-def _group_measure(group_vals: np.ndarray, mults: np.ndarray,
-                   group_amp_sq: np.ndarray, target: NodeId,
-                   lam: np.ndarray, w_sq: np.ndarray,
-                   quotient: Quotient | None = None) -> SpectralSums:
-    """:class:`SpectralSums` from L's groups (mean eigenvalue, multiplicity,
-    summed target weight), with xi1 and xi2 summed over the ascending
-    levels ``lam`` of target weights ``w_sq``, zero mode first: L's or the
-    quotient's eigenvalues."""
-    n = int(mults.sum())
-    zero_scale = max(1.0, float(np.abs(lam[-1])))
-    if abs(lam[0]) > 1e-9 * zero_scale:
+    mults = np.diff(starts, append=n)
+    zero_scale = max(1.0, float(np.abs(values[-1])))
+    if abs(values[0]) > 1e-9 * zero_scale:
         raise ConfigError("lowest eigenvalue is not zero: not a Laplacian")
     if mults[0] != 1:
         raise ConfigError("zero eigenvalue is degenerate: graph is disconnected")
+    group_amp_sq = np.add.reduceat(amp_sq, starts)
+    group_vals = np.add.reduceat(values, starts) / mults
     uniform = 1.0 / n
     if abs(group_amp_sq[0] - uniform) > 1e-10:
         raise NumericalError(
@@ -559,7 +442,8 @@ def _group_measure(group_vals: np.ndarray, mults: np.ndarray,
         )
     group_vals[0] = 0.0
     group_amp_sq[0] = uniform
-    lam, w_sq = lam[1:], w_sq[1:]
+    lam = values[1:]
+    w_sq = amp_sq[1:]
     xi1 = float(np.sum(w_sq / lam))
     xi2 = float(np.sum(w_sq / lam**2))
     per_mode = group_amp_sq[1:] / mults[1:]
@@ -588,14 +472,14 @@ def target_measure(graph: Graph, target: NodeId, *,
     :func:`equitable_partition` finds one of at most N/2 cells, else from
     the dense decomposition of L.  The dense guard is checked on every
     call, a cached one included: on the number of cells when L's
-    multiplicities were counted on a tree, else on N."""
+    eigenvalues came from the quotient's blocks on a tree, else on N."""
     per_graph = _MEASURES.setdefault(graph, {})
     sums = per_graph.get(target)
     if sums is None:
         sums = per_graph[target] = _new_measure(graph, target, dense_guard)
     else:
-        counted = sums.quotient is not None and sums.quotient.tree
-        check_dense_guard(sums.quotient.sizes.size if counted else graph.n,
+        tree = sums.quotient is not None and sums.quotient.tree
+        check_dense_guard(sums.quotient.sizes.size if tree else graph.n,
                           dense_guard, "dense eigendecomposition")
     return sums
 
@@ -603,22 +487,45 @@ def target_measure(graph: Graph, target: NodeId, *,
 def _new_measure(graph: Graph, target: NodeId, dense_guard: int | None
                  ) -> SpectralSums:
     """The measure of :func:`target_measure`, refused on N before the
-    refinement unless the graph is a tree whose farthest node from the
-    target lies fewer than ``dense_guard`` steps away.  An equitable
-    partition with the target alone in its cell refines the distance from
-    it, so on any other tree it has more cells than the guard."""
+    refinement unless the graph is a tree shallow enough from the target
+    (:func:`_refuse_deep_trees`)."""
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
     search = _tree_search(graph, target)
-    if dense_guard is not None and graph.n > dense_guard and (
-            search is None or _depth(*search, dense_guard) >= dense_guard):
-        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    _refuse_deep_trees(graph, search, dense_guard)
     partition = equitable_partition(graph, target)
     if partition is None:
         return spectral_sums(
             laplacian_decomposition(graph, dense_guard=dense_guard), target)
     return _quotient_measure(graph, target, *partition, dense_guard,
                              tree=search is not None)
+
+
+def _refuse_deep_trees(graph: Graph,
+                       search: tuple[np.ndarray, np.ndarray] | None,
+                       dense_guard: int | None) -> None:
+    """Refuse on N, before any refinement, unless the graph is a tree
+    (``search`` from :func:`_tree_search`) whose farthest node from the
+    search's root lies fewer than ``dense_guard`` steps away.  An equitable
+    partition with the root alone in its cell refines the distance from
+    it, so on any other tree it has more cells than the guard."""
+    if dense_guard is not None and graph.n > dense_guard and (
+            search is None or _depth(*search, dense_guard) >= dense_guard):
+        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+
+
+def _centre(graph: Graph) -> NodeId | None:
+    """A centre of a tree, the middle node of a longest path, found by two
+    breadth-first searches: one from node 0 to a farthest node, one from
+    there; None when the graph is not a tree."""
+    search = _tree_search(graph, 0)
+    if search is None:
+        return None
+    order, pred = csgraph.breadth_first_order(graph.adjacency, search[0][-1])
+    path, pred = [int(order[-1])], pred.tolist()
+    while pred[path[-1]] >= 0:
+        path.append(pred[path[-1]])
+    return path[len(path) // 2]
 
 
 def _tree_search(graph: Graph, root: NodeId

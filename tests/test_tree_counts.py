@@ -1,20 +1,26 @@
-"""The tree route: L's eigenvalue counts from leaf-to-root elimination
-against eigvalsh, the measure built on them against the dense measure,
-and the command line on trees past the dense guard."""
+"""The tree route: L's spectrum from the quotient's blocks against
+eigvalsh and against the leaf-to-root eigenvalue counts of
+``tree_oracles``, those counts against eigvalsh, the measure built on the
+blocks against the dense measure, and the command line on trees past the
+dense guard."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import tree_oracles
 from ctqwlab import spectra
 from ctqwlab.cli import main
 from ctqwlab.errors import DEFAULT_DENSE_GUARD, DenseGuardError, NumericalError
 from ctqwlab.graphs import Family, Graph, GraphSpec, build, default_target
 from ctqwlab.spectra import (
+    degeneracy_groups,
     equitable_partition,
     laplacian_decomposition,
+    laplacian_spectrum,
     spectral_sums,
     target_measure,
 )
@@ -48,6 +54,29 @@ def _path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def _symmetric_tree(seed):
+    """A seeded random tree of depth at most 4 in which each vertex has up
+    to two kinds of child subtree (the root at least one), each kind
+    repeated one to three times."""
+    rng = np.random.default_rng(seed)
+
+    def shape(depth, least):
+        if depth == 0:
+            return []
+        return [(int(rng.integers(1, 4)), shape(depth - 1, 0))
+                for _ in range(int(rng.integers(least, 3)))]
+    edges = []
+
+    def grow(v, kinds):
+        for copies, kind in kinds:
+            for _ in range(copies):
+                u = len(edges) + 1
+                edges.append((v, u))
+                grow(u, kind)
+    grow(0, shape(4, 1))
+    return Graph.from_edges(len(edges) + 1, edges)
+
+
 # Every shipped tree under the default guard.
 SHIPPED = [
     *(GraphSpec(Family.CAYLEY_TREE, g=g) for g in range(1, 11)),
@@ -60,6 +89,8 @@ assert GraphSpec(Family.TFRACTAL, g=8).node_count > DEFAULT_DENSE_GUARD
 TREES = [
     *(pytest.param(lambda s=s, n=n: _prufer_tree(s, n), id=f"prufer{n}_s{s}")
       for s, n in ((1, 12), (2, 40), (3, 97), (4, 200), (5, 333))),
+    *(pytest.param(lambda s=s: _symmetric_tree(s), id=f"symmetric_s{s}")
+      for s in range(1, 6)),
     pytest.param(lambda: _star(9), id="star9"),
     pytest.param(lambda: _path(30), id="path30"),
     *(pytest.param(lambda s=s: build(s), id=s.label) for s in SHIPPED),
@@ -67,7 +98,8 @@ TREES = [
 
 
 def _levels(cells, counts, target):
-    return spectra._cell_tree(counts, np.bincount(cells), int(cells[target]))
+    return tree_oracles.cell_tree(counts, np.bincount(cells),
+                                  int(cells[target]))
 
 
 def _partitions(graph):
@@ -107,10 +139,10 @@ def test_counts_match_eigvalsh(make_graph):
     below = np.searchsorted(values, special - 1e-9)
     upto = np.searchsorted(values, special + 1e-9)
     for levels in _partitions(graph):
-        assert spectra._count_below(levels, generic).tolist() == \
+        assert tree_oracles.count_below(levels, generic).tolist() == \
             np.searchsorted(values, generic).tolist()
         with np.errstate(divide="raise", invalid="raise"):
-            got = spectra._count_below(levels, special)
+            got = tree_oracles.count_below(levels, special)
         assert np.all((below <= got) & (got <= upto))
         assert got[0] == 0  # all pivots of L are exact: 1 up to a 0 root
 
@@ -132,7 +164,7 @@ def test_zero_pivots_give_the_count_below(graph, x, count):
     assert np.count_nonzero(np.abs(values - x) < 1e-9) > 0
     for levels in _partitions(graph):
         with np.errstate(divide="raise", invalid="raise"):
-            assert spectra._count_below(levels, np.array([x])).tolist() == \
+            assert tree_oracles.count_below(levels, np.array([x])).tolist() == \
                 [want]
 
 
@@ -141,13 +173,84 @@ def test_counts_are_batched_in_chunks(monkeypatch):
     graph = build(GraphSpec(Family.TFRACTAL, g=4))
     levels = _partitions(graph)[0]
     x = np.linspace(-0.1, 7.0, 101)
-    whole = spectra._count_below(levels, x)
-    monkeypatch.setattr(spectra, "_COUNT_CHUNK", 3 * graph.n)
-    assert spectra._count_below(levels, x).tolist() == whole.tolist()
+    whole = tree_oracles.count_below(levels, x)
+    monkeypatch.setattr(tree_oracles, "COUNT_CHUNK", 3 * graph.n)
+    assert tree_oracles.count_below(levels, x).tolist() == whole.tolist()
+
+
+# -- the block spectrum ---------------------------------------------------------
+
+
+def _block_spectra(graph):
+    """L's spectrum from the quotient's blocks, rooted at node 0, at the
+    last node and at the centre, on the coarsest equitable partition
+    (not only one that halves N)."""
+    for root in (0, graph.n - 1, spectra._centre(graph)):
+        cells = spectra._refine(graph.adjacency, root, graph.n)
+        counts = spectra._certify(graph.adjacency, cells, root)
+        sizes = np.bincount(cells)
+        lq = spectra._quotient_laplacian(counts, sizes)
+        yield spectra._tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
+                                     int(cells[root]))
+
+
+@pytest.mark.parametrize("make_graph", TREES)
+def test_block_spectra_match_eigvalsh(make_graph):
+    """Within 1e-12 absolute, with the same degeneracy groups, from every
+    root and through ``laplacian_spectrum``, which roots a tree at its
+    centre and takes the evr route when no partition halves N."""
+    graph = make_graph()
+    want = sla.eigvalsh(graph.laplacian())
+    for got in (*_block_spectra(graph), laplacian_spectrum(graph)[0]):
+        assert np.abs(got - want).max() <= 1e-12
+        assert degeneracy_groups(got).tolist() == \
+            degeneracy_groups(want).tolist()
+
+
+def test_the_centre_is_the_middle_of_a_longest_path():
+    assert spectra._centre(_path(30)) in (14, 15)
+    assert spectra._centre(_path(31)) == 15
+    assert spectra._centre(_star(9)) == 0
+    for spec in SHIPPED[2:]:
+        assert spectra._centre(build(spec)) == 0
+    assert spectra._centre(build(GraphSpec(Family.TORUS, L=6, d=2))) is None
+    # Four legs of two edges from hub 8: rooted at the hub, 3 cells; from
+    # node 0, a leg's end, no partition halves N.
+    spider = Graph.from_edges(9, [(0, 1), (1, 8), (8, 2), (2, 3), (8, 4),
+                                  (4, 5), (8, 6), (6, 7)])
+    assert spectra._centre(spider) == 8
+    assert laplacian_spectrum(spider)[1] == 3
+    assert equitable_partition(spider, 0) is None
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(Family.CAYLEY_TREE, g=16),
+                                  GraphSpec(Family.TFRACTAL, g=9)],
+                         ids=lambda spec: spec.label)
+def test_block_spectra_past_the_guard_match_the_counts(spec, tmp_path,
+                                                       capsys):
+    """``spectrum`` runs at the default guard where eigvalsh cannot, and
+    the eigenvalues it writes give the oracle's count below each of 200
+    seeded x."""
+    assert spec.node_count > DEFAULT_DENSE_GUARD
+    assert run("spectrum", "--family", spec.family.value, "--g", spec.g,
+               "--out", tmp_path) == 0
+    capsys.readouterr()
+    rows = (tmp_path / f"spectrum_{spec.label}.csv").read_text() \
+        .splitlines()[1:]
+    values = np.array([float(row.split(",")[1]) for row in rows])
+    assert values.size == spec.node_count
+    graph = build(spec)
+    centre = spectra._centre(graph)
+    levels = _levels(*equitable_partition(graph, centre), centre)
+    x = np.random.default_rng(spec.node_count).uniform(
+        -0.5, 2.0 * graph.degrees.max() + 1.0, 200)
+    below = np.searchsorted(values, x)
+    assert tree_oracles.count_below(levels, x).tolist() == below.tolist()
 
 
 def test_only_trees_count():
-    """A graph with a cycle takes the eigvalsh route; a tree counts."""
+    """A graph with a cycle takes the eigvalsh route; a tree takes the
+    quotient's blocks."""
     for graph, tree in ((build(GraphSpec(Family.TORUS, L=6, d=2)), False),
                         (build(GraphSpec(Family.COMPLETE, n=12)), False),
                         (build(GraphSpec(Family.CAYLEY_TREE, g=4)), True),
@@ -186,8 +289,9 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
         want = spectral_sums(dec, target)
         assert got.quotient.tree
         assert got.multiplicities.tolist() == want.multiplicities.tolist()
-        # Every target sees L's largest eigenvalue, so the quotient's range,
-        # which sets the grouping tolerance, is L's.
+        # A tree is bipartite, so L is similar to D + A, whose largest
+        # eigenvalue is simple with a positive eigenvector: every target
+        # sees it.
         assert got.quotient.modes[-1] > 0
         assert got.quotient.modes.sum() == partition[1].shape[0]
         assert np.abs(got.group_eigenvalues
@@ -200,8 +304,8 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
 
 def test_gaps_between_groups_are_located():
     """The Cayley tree's root sees only its 9 shells; the other 35
-    distinct eigenvalues of L lie in the gaps between the quotient's
-    groups.  The leaf sees every distinct eigenvalue."""
+    distinct eigenvalues of L, in the gaps between the quotient's groups,
+    come from the blocks.  The leaf sees every distinct eigenvalue."""
     graph = build(GraphSpec(Family.CAYLEY_TREE, g=8))
     root, leaf = target_measure(graph, 0), target_measure(graph, graph.n - 1)
     assert root.quotient.sizes.size == 9
@@ -211,62 +315,53 @@ def test_gaps_between_groups_are_located():
     assert root.multiplicities.sum() == graph.n
 
 
-def test_counts_that_do_not_add_up_raise(monkeypatch):
-    real = spectra._count_below
+def _patch_a_block(monkeypatch, change):
+    """Pass the first block that ``_tree_spectrum`` solves through
+    ``change``."""
+    real = sla.eigvalsh
+    calls = []
 
-    def lose_one(levels, x):
-        counts = real(levels, x)
-        counts[-1] -= 1
-        return counts
-    monkeypatch.setattr(spectra, "_count_below", lose_one)
-    with pytest.raises(NumericalError, match="do not add up"):
+    def eigvalsh(block, **kwargs):
+        values = real(block, **kwargs)
+        calls.append(block.shape[0])
+        return change(values) if len(calls) == 1 else values
+    monkeypatch.setattr(sla, "eigvalsh", eigvalsh)
+    return calls
+
+
+def test_counts_that_do_not_add_up_raise(monkeypatch):
+    """A block that loses an eigenvalue leaves fewer than N."""
+    calls = _patch_a_block(monkeypatch, lambda values: values[1:])
+    with pytest.raises(NumericalError, match="do not add up to N = 46 "):
         target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+    assert calls[0] > 1
+
+
+def test_a_block_that_gains_an_eigenvalue_raises(monkeypatch):
+    calls = _patch_a_block(monkeypatch,
+                           lambda values: np.r_[values, values[-1]])
+    with pytest.raises(NumericalError, match="do not add up to N = 46 "):
+        target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+    assert calls[0] > 1
 
 
 def test_an_eigenvalue_above_the_quotients_largest_raises(monkeypatch):
-    """Every target of a tree sees L's largest eigenvalue.  Counts that
-    move one eigenvalue of a hidden level of the Cayley root up to the
-    Gershgorin bound 7 leave every group of Lq its count, yet do not add
-    up below the quotient's largest."""
-    sums = target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
-    g = int(np.flatnonzero((sums.quotient.modes == 0)
-                           & (sums.multiplicities > 1))[0])
-    past = int(sums.multiplicities[:g + 1].sum())
-    real = spectra._count_below
-
-    def moved(levels, x):
-        counts = real(levels, x)
-        return counts - ((counts >= past) & (x < 7.0))
-    monkeypatch.setattr(spectra, "_count_below", moved)
+    """A block's eigenvalues interlace the quotient's, so none may exceed
+    its largest: one moved up to the Gershgorin bound 7 raises, though the
+    count is N."""
+    calls = _patch_a_block(monkeypatch, lambda values: np.r_[values[:-1], 7.0])
     with pytest.raises(NumericalError, match="do not add up"):
         target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+    assert calls[0] > 1
 
 
-def test_a_quotient_eigenvalue_absent_from_the_counts_raises(monkeypatch):
-    real = spectra._count_below
-    monkeypatch.setattr(spectra, "_count_below",
-                        lambda levels, x: real(levels, x + 0.5))
-    with pytest.raises(NumericalError,
-                       match="from every eigenvalue of L"):
-        target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 45)
-
-
-def test_more_quotient_eigenvalues_than_counted_raise(monkeypatch):
-    """Leave a group that holds two eigenvalues of Lq only one of L."""
-    spec = GraphSpec(Family.CAYLEY_TREE, g=5)
-    sums = target_measure(build(spec), default_target(spec))
-    g = int(np.argmax(sums.quotient.modes))
-    assert sums.quotient.modes[g] == 2
-    assert sums.multiplicities.size == sums.quotient.sizes.size - 1
-    real = spectra._count_below
-
-    def thinned(levels, x):
-        counts = real(levels, x)
-        counts[2 * g + 1:] -= sums.multiplicities[g] - 1
-        return counts
-    monkeypatch.setattr(spectra, "_count_below", thinned)
-    with pytest.raises(NumericalError, match="more eigenvalues in a group"):
-        target_measure(build(spec), default_target(spec))
+def test_a_block_with_a_zero_eigenvalue_raises(monkeypatch):
+    """A block of a connected tree is positive definite: an eigenvalue
+    moved to 0 would make the zero mode degenerate."""
+    calls = _patch_a_block(monkeypatch, lambda values: np.r_[0.0, values[1:]])
+    with pytest.raises(NumericalError, match="simple zero mode"):
+        target_measure(build(GraphSpec(Family.CAYLEY_TREE, g=4)), 0)
+    assert calls[0] > 1
 
 
 # -- the command line ---------------------------------------------------------
@@ -339,18 +434,38 @@ def test_the_guard_reads_the_cells_on_a_tree(tmp_path, capsys):
         target_measure(graph, graph.n - 1, dense_guard=40)
 
 
+@pytest.mark.parametrize("guard,size", [(16, 244), (20, 35), (40, None)])
+def test_spectrum_reads_the_cells_on_a_tree(guard, size, tmp_path, capsys):
+    """tfractal g5: N = 244 nodes, 16 steps from the centre to a leaf, 35
+    cells around the centre.  A guard of at most 16 refuses on N before
+    refining, one below 35 on the cells."""
+    code = run("spectrum", "--family", "tfractal", "--g", 5,
+               "--dense-guard", guard, "--out", tmp_path)
+    out, err = capsys.readouterr()
+    if size is None:
+        assert code == 0
+        assert out.endswith("route=tree cells=35\n")
+    else:
+        assert code == 4
+        assert f"problem size {size} " in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("command,size", [
-    ("critgamma", "--sizes"), ("overlaps", "--L"), ("success", "--L")])
+    ("critgamma", "--sizes"), ("overlaps", "--L"), ("success", "--L"),
+    ("spectrum", "--L")])
 def test_a_deep_tree_past_the_guard_is_refused_before_refining(
         command, size, tmp_path, capsys, monkeypatch):
-    """The open chain's end is 199,999 steps from its far end, so its
-    partition has more cells than the guard: exit 4 on N, and the
-    colour refinement never runs."""
+    """The open chain's end is 199,999 steps from its far end, and its
+    centre 100,000 steps from either end, so its partition has more cells
+    than the guard: exit 4 on N, well under a second, and the colour
+    refinement never runs."""
     def refine(*args):
         raise AssertionError("the colour refinement ran")
     monkeypatch.setattr(spectra, "_refine", refine)
+    start = time.perf_counter()
     assert run(command, "--family", "chain", "--open", size, 200000,
                "--out", tmp_path) == 4
+    assert time.perf_counter() - start < 1.0
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DenseGuardError"
     assert "problem size 200000 " in err["message"]

@@ -5,8 +5,10 @@
 The operations are every CLI operation of the benchmark's three workloads
 (``bench/workloads.operations(w, seed)``), ``critgamma`` and ``fit``
 sweeps over dsg, tfractal, cayleytree, torus d3, open and periodic chains
-and complete graphs, and ``critgamma`` on Cayley trees past the dense
-guard (N = 3,070 to 24,574).  Operation i writes into ``OUT/<i>``.
+and complete graphs, ``critgamma`` on Cayley trees past the dense guard
+on N (N = 3,070 to 24,574), and ``spectrum`` of the T-fractal at g = 9
+and the Cayley tree at g = 16 (N = 19,684 and 196,606).  Operation i
+writes into ``OUT/<i>``.
 Standard output gets one ``sha256  <i>/<file>`` line per artifact, sorted
 by path, so ``diff`` on the output of two checkouts, run on the same
 machine with the same seed, names every artifact that changed.  Standard
@@ -47,6 +49,8 @@ SWEEPS = (
 )
 PAST_GUARD = (
     ("critgamma", "--family", "cayleytree", "--g", "10..13"),
+    ("spectrum", "--family", "tfractal", "--g", "9"),
+    ("spectrum", "--family", "cayleytree", "--g", "16"),
 )
 
 
