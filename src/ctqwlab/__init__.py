@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     CtqwError,
     DenseGuardError,
-    DenseSizeWarning,
     NoTransitionError,
     NumericalError,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ConfigError",
     "CtqwError",
     "DenseGuardError",
-    "DenseSizeWarning",
     "NoTransitionError",
     "NumericalError",
     "Family",

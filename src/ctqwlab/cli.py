@@ -53,7 +53,6 @@ from .oracles import (
     dsg_zeta_direct,
 )
 from .spectra import (
-    SpectralSums,
     degeneracy_groups,
     fit_alpha,
     laplacian_eigenvalues,
@@ -272,14 +271,6 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
     return rows
 
 
-def _route(measure: SpectralSums) -> str:
-    """How the target's measure was computed, for the summary lines."""
-    if measure.quotient is None:
-        return "dense"
-    route = "tree" if measure.quotient.tree else "quotient"
-    return f"{route} cells={measure.quotient.sizes.size}"
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -299,11 +290,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
-    values, cells = laplacian_spectrum(graph, dense_guard=_dense_guard(args))
+    values, route = laplacian_spectrum(graph, dense_guard=_dense_guard(args))
     text = spectrum_csv(values, degeneracy_groups(values))
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
-    print("route=dense" if cells is None else f"route=tree cells={cells}")
+    print(f"route={route}")
     return 0
 
 
@@ -341,7 +332,7 @@ def cmd_critgamma(args: argparse.Namespace) -> int:
     for row in rows:
         print(f"{row['label']}: N={row['n']} "
               f"gamma_crit={row['gamma_crit']:.8g} "
-              f"route={_route(row['measure'])}")
+              f"route={row['measure'].route}")
     print(f"wrote {path}")
     return 0
 
@@ -402,7 +393,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
           f"residual={fit.residual:.3g}"
           + (f" predicted_exponent={prediction:.8g}"
              if prediction is not None else "")
-          + " route: " + ", ".join(f"{row['label']} {_route(row['measure'])}"
+          + " route: " + ", ".join(f"{row['label']} {row['measure'].route}"
                                    for row in rows))
     print(f"wrote {path}")
     return 0

@@ -437,8 +437,14 @@ def critical_gamma(graph: Graph, target: NodeId, *,
     the overlap difference jumps instead of crossing.  Raises it too when
     there is no sign change inside [gamma_floor, gamma_ceiling], and
     :class:`NumericalError` when the difference at the root is not small
-    or the confirming pair does not show the measure's root.
+    or the confirming pair does not show the measure's root, and
+    :class:`ConfigError` unless 0 < gamma_floor < gamma_ceiling, both
+    finite.
     """
+    if not 0.0 < gamma_floor < gamma_ceiling < math.inf:
+        raise ConfigError(
+            f"coupling window needs 0 < gamma_floor < gamma_ceiling, both "
+            f"finite: got [{gamma_floor}, {gamma_ceiling}]")
     sums = target_measure(graph, target, dense_guard=dense_guard)
     lam = sums.group_eigenvalues
     seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
@@ -514,13 +520,15 @@ def success_probability(problem: SearchProblem, t, *,
     0, the zero mode.  The levels outside that span are invisible to |w>
     and |s>, so this is exact.  One K x K eigensolve serves every time.
     """
+    scalar = np.isscalar(t)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.all(np.isfinite(t_arr)):
+        raise ConfigError("times must be finite")
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
     z = np.sqrt(sums.group_amp_sq)
     dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
                - np.outer(z, z), dense_guard=dense_guard)
-    scalar = np.isscalar(t)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
     probs = np.abs(_phase_product(t_arr, dec.eigenvalues, coef)) ** 2
     bad_lo = float(probs.min())
@@ -575,6 +583,8 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
         raise ConfigError("success grid needs nonempty coupling and time grids")
     if np.any(gam <= 0.0) or not np.all(np.isfinite(gam)):
         raise ConfigError("couplings must be positive and finite")
+    if not np.all(np.isfinite(t_arr)):
+        raise ConfigError("times must be finite")
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
     probs = np.vstack([
@@ -597,11 +607,12 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
 def oscillation_period(times: np.ndarray, probs: np.ndarray) -> float | None:
     """Distance between the first two local maxima of pi(t), each refined
     by a quadratic fit through its three surrounding samples.  None when
-    fewer than two interior maxima exist."""
+    fewer than two interior maxima exist, as on grids of fewer than three
+    samples."""
     t = np.asarray(times, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
-    if t.shape != p.shape or t.size < 3:
-        raise ConfigError("period estimate needs matching grids of >= 3 points")
+    if t.shape != p.shape:
+        raise ConfigError("period estimate needs matching grids")
     peaks = np.flatnonzero((p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:]))[:2] + 1
     if peaks.size < 2:
         return None
@@ -642,8 +653,12 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     contract."""
     if not (gamma_center > 0.0 and np.isfinite(gamma_center)):
         raise ConfigError("gamma_center must be positive and finite")
+    if not 1.0 < span < math.inf:
+        raise ConfigError("span must be finite and above 1")
     if coarse < 3:
         raise ConfigError("coarse grid needs at least three points")
+    if not rel_tol > 0.0:
+        raise ConfigError("rel_tol must be positive")
     grid = np.geomspace(gamma_center / span, gamma_center * span, coarse)
     sweep = success_grid(graph, target, grid, times, dense_guard=dense_guard)
     best = int(np.argmax(sweep.pi_star))
@@ -876,6 +891,8 @@ def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
     t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
     if t_arr.size == 0:
         raise ConfigError("no times requested")
+    if not np.all(np.isfinite(t_arr)):
+        raise ConfigError("times must be finite")
     if np.any(np.diff(t_arr) < 0.0) or t_arr[0] < 0.0:
         raise ConfigError("time grid must be ascending and nonnegative")
     n = graph.n

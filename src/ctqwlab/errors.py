@@ -32,11 +32,6 @@ class NoTransitionError(NumericalError):
     """No overlap crossing was found inside the allowed coupling range."""
 
 
-class DenseSizeWarning(UserWarning):
-    """A constructed object exceeds the dense guard; solves on it will fail
-    unless the guard is raised."""
-
-
 def check_dense_guard(n: int, guard: int | None, what: str) -> None:
     """Raise :class:`DenseGuardError` if ``n`` exceeds ``guard``.
 

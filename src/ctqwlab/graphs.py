@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import log
@@ -33,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
+from .errors import ConfigError
 
 NodeId = int
 
@@ -481,18 +480,10 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
     """Cartesian product with node (i, j) -> i * b.n + j.
 
     Degrees add across factors and the product Laplacian spectrum is the
-    pairwise-sum composition of the factor spectra.  Oversized products are
-    built anyway but flagged, since only dense solves are barred at that
-    size, not the graph itself.
+    pairwise-sum composition of the factor spectra.  Any size is built: the
+    dense guard bars dense solves, not graphs, and is checked at the solve.
     """
     n = a.n * b.n
-    if n > DEFAULT_DENSE_GUARD:
-        warnings.warn(
-            f"product has {n} nodes, above the dense guard "
-            f"{DEFAULT_DENSE_GUARD}; dense eigensolves on it will be refused",
-            DenseSizeWarning,
-            stacklevel=2,
-        )
     ea = a.edge_array()
     eb = b.edge_array()
     j = np.arange(b.n, dtype=np.int64)

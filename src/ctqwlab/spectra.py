@@ -11,7 +11,7 @@ products of two of its own entries, so no output depends on them.
 :func:`target_measure` hands the measure to the engine and the CLI, once
 per ``Graph`` object and target, and keeps only the K-sized
 :class:`SpectralSums`, never the eigenvectors.  It takes one of three
-routes.
+routes, which :attr:`SpectralSums.route` names.
 
 * *Quotient.*  :func:`equitable_partition` finds the coarsest equitable
   partition with the target alone in its cell (Godsil & Royle, *Algebraic
@@ -22,11 +22,13 @@ routes.
   partition at least halves N, Lq is solved with eigenvectors, and L's
   eigenvalues give the multiplicities.  They come from ``eigvalsh(L)``,
   with the dense guard on N.
-* *Tree.*  The same, but on a tree L's eigenvalues come from Lq alone:
-  each branching cell's principal block of Lq gives eigenvalues of L of a
-  known multiplicity (:func:`_tree_spectrum`).  No dense L is formed, and
-  the dense guard applies to the number of cells.  The same blocks,
-  around the tree's centre, give :func:`laplacian_eigenvalues` on trees.
+* *Tree.*  The same, but on a tree (N - 1 edges: every ``Graph`` is
+  connected) L's eigenvalues come from Lq alone: each branching cell's
+  principal block of Lq gives eigenvalues of L of a known multiplicity
+  (:func:`_tree_spectrum`).  No dense L is formed, and the dense guard
+  applies to the number of cells; above the guard on N, one breadth-first
+  search first refuses a tree too deep for that.  The same blocks, around
+  the tree's centre, give :func:`laplacian_eigenvalues` on trees.
 * *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
   by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
   172, 1995), several times faster than scipy's default ``evr`` on the
@@ -139,18 +141,18 @@ def laplacian_eigenvalues(graph: Graph, *,
 
 def laplacian_spectrum(graph: Graph, *,
                        dense_guard: int | None = DEFAULT_DENSE_GUARD
-                       ) -> tuple[np.ndarray, int | None]:
-    """Eigenvalues of L, ascending, and the number of quotient cells they
-    came from.
+                       ) -> tuple[np.ndarray, str]:
+    """Eigenvalues of L, ascending, and the route they came from.
 
     On a tree, rooted at its centre, whose equitable partition has at most
     N/2 cells: from the quotient's blocks (:func:`_tree_spectrum`), the
-    dense guard on the cell count.  Otherwise values only (LAPACK ``evr``)
-    in the memory of a fresh L, the guard on N, and no cell count.
+    dense guard on the cell count, route ``tree cells=m``.  Otherwise
+    values only (LAPACK ``evr``) in the memory of a fresh L, the guard on
+    N, route ``dense``.
     """
     centre = _centre(graph)
     if centre is not None:
-        _refuse_deep_trees(graph, _tree_search(graph, centre), dense_guard)
+        _refuse_deep_trees(graph, centre, dense_guard)
         partition = equitable_partition(graph, centre)
         if partition is not None:
             cells, counts = partition
@@ -158,11 +160,12 @@ def laplacian_spectrum(graph: Graph, *,
             check_dense_guard(sizes.size, dense_guard,
                               "dense eigendecomposition")
             lq = _quotient_laplacian(counts, sizes)
-            return _tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
-                                  int(cells[centre])), sizes.size
+            values = _tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
+                                    int(cells[centre]))
+            return values, f"tree cells={sizes.size}"
     check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
     return sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
-                        check_finite=False), None
+                        check_finite=False), "dense"
 
 
 # -- equitable quotient ---------------------------------------------------------
@@ -304,10 +307,14 @@ def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
     trees).  A depth-first order of the cells makes each T_C a contiguous
     block; only cells with |C| > |P| are solved, and a one-cell block is
     its diagonal.  NumericalError unless the blocks give N eigenvalues,
-    none above Lq's largest, with a simple zero mode."""
+    none above Lq's largest, with a simple zero mode; ConfigError when the
+    cells are not connected, as on a disconnected graph with N - 1
+    edges."""
     order, pred = csgraph.depth_first_order(sp.csr_matrix(counts), cell,
                                             directed=False)
     m = order.size
+    if m < sizes.size:
+        raise ConfigError("graph is disconnected")
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
     parent = [0, *position[pred[order[1:]]].tolist()]
@@ -333,17 +340,15 @@ def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
 
 
 def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
-                      counts: np.ndarray, dense_guard: int | None, *,
-                      tree: bool | None = None) -> SpectralSums:
+                      counts: np.ndarray, dense_guard: int | None
+                      ) -> SpectralSums:
     """The measure from the quotient's eigenpairs, on L's eigenvalues: from
-    the quotient's blocks when the graph is a ``tree``
-    (:func:`_tree_spectrum`, the guard on the number of cells), else from
-    ``eigvalsh(L)`` (the guard on N); ``tree=None`` asks
-    :func:`_tree_search`.  Each eigenvalue of Lq must lie within the
-    grouping tolerance of one of L, and no group may receive more of them
-    than its multiplicity; otherwise NumericalError."""
-    if tree is None:
-        tree = _tree_search(graph, target) is not None
+    the quotient's blocks on a tree (:func:`_tree_spectrum`, the guard on
+    the number of cells), else from ``eigvalsh(L)`` (the guard on N).  Each
+    eigenvalue of Lq must lie within the grouping tolerance of one of L,
+    and no group may receive more of them than its multiplicity; otherwise
+    NumericalError."""
+    tree = _is_tree(graph)
     sizes = np.bincount(cells)
     cell = int(cells[target])
     lq = _quotient_laplacian(counts, sizes)
@@ -401,6 +406,16 @@ class SpectralSums:
     group_amp_sq: np.ndarray       # summed |a_k|^2 per group; first 1/N
     # The equitable quotient the weights came from; None on the dense route.
     quotient: Quotient | None = None
+
+    @property
+    def route(self) -> str:
+        """How the measure was computed: ``dense``, or ``quotient cells=m``
+        or ``tree cells=m`` on the m-cell quotient (L's eigenvalues from
+        ``eigvalsh(L)`` or from the quotient's blocks)."""
+        if self.quotient is None:
+            return "dense"
+        kind = "tree" if self.quotient.tree else "quotient"
+        return f"{kind} cells={self.quotient.sizes.size}"
 
 
 def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
@@ -491,61 +506,52 @@ def _new_measure(graph: Graph, target: NodeId, dense_guard: int | None
     (:func:`_refuse_deep_trees`)."""
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
-    search = _tree_search(graph, target)
-    _refuse_deep_trees(graph, search, dense_guard)
+    _refuse_deep_trees(graph, target, dense_guard)
     partition = equitable_partition(graph, target)
     if partition is None:
         return spectral_sums(
             laplacian_decomposition(graph, dense_guard=dense_guard), target)
-    return _quotient_measure(graph, target, *partition, dense_guard,
-                             tree=search is not None)
+    return _quotient_measure(graph, target, *partition, dense_guard)
 
 
-def _refuse_deep_trees(graph: Graph,
-                       search: tuple[np.ndarray, np.ndarray] | None,
+def _is_tree(graph: Graph) -> bool:
+    """Whether the graph is a tree: N - 1 edges, since every ``Graph`` from
+    :meth:`Graph.from_edges` is connected."""
+    return graph.edge_count == graph.n - 1
+
+
+def _refuse_deep_trees(graph: Graph, root: NodeId,
                        dense_guard: int | None) -> None:
-    """Refuse on N, before any refinement, unless the graph is a tree
-    (``search`` from :func:`_tree_search`) whose farthest node from the
-    search's root lies fewer than ``dense_guard`` steps away.  An equitable
+    """Above the guard, refuse on N before any refinement unless the graph
+    is a tree whose farthest node from ``root`` lies fewer than
+    ``dense_guard`` steps away (one breadth-first search).  An equitable
     partition with the root alone in its cell refines the distance from
     it, so on any other tree it has more cells than the guard."""
-    if dense_guard is not None and graph.n > dense_guard and (
-            search is None or _depth(*search, dense_guard) >= dense_guard):
-        check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    if dense_guard is None or graph.n <= dense_guard:
+        return
+    if _is_tree(graph):
+        order, pred = csgraph.breadth_first_order(graph.adjacency, root)
+        node, depth = order[-1], 0
+        while depth < dense_guard and pred[node] >= 0:
+            node, depth = pred[node], depth + 1
+        if depth < dense_guard:
+            return
+    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
 
 
 def _centre(graph: Graph) -> NodeId | None:
     """A centre of a tree, the middle node of a longest path, found by two
     breadth-first searches: one from node 0 to a farthest node, one from
     there; None when the graph is not a tree."""
-    search = _tree_search(graph, 0)
-    if search is None:
+    if not _is_tree(graph):
         return None
-    order, pred = csgraph.breadth_first_order(graph.adjacency, search[0][-1])
+    far = csgraph.breadth_first_order(graph.adjacency, 0,
+                                      return_predecessors=False)[-1]
+    order, pred = csgraph.breadth_first_order(graph.adjacency, far)
     path, pred = [int(order[-1])], pred.tolist()
     while pred[path[-1]] >= 0:
         path.append(pred[path[-1]])
     return path[len(path) // 2]
-
-
-def _tree_search(graph: Graph, root: NodeId
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The order and predecessors of a breadth-first search from ``root``
-    when the graph is a tree (N - 1 edges, and the search reaches all N
-    nodes), else None."""
-    if graph.edge_count != graph.n - 1:
-        return None
-    order, pred = csgraph.breadth_first_order(graph.adjacency, root)
-    return (order, pred) if order.size == graph.n else None
-
-
-def _depth(order: np.ndarray, pred: np.ndarray, cap: int) -> int:
-    """Steps from the root of a breadth-first search to the last node it
-    reached, the farthest, counted up to ``cap``."""
-    node, depth = order[-1], 0
-    while depth < cap and pred[node] >= 0:
-        node, depth = pred[node], depth + 1
-    return depth
 
 
 # -- amplitude scaling --------------------------------------------------------

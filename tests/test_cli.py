@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ def test_success_single_gamma_reports_period(tmp_path, capsys):
     assert stated == pytest.approx(math.pi * math.sqrt(n), rel=0.02)
 
 
+def test_success_with_two_times_prints_no_period(tmp_path, capsys):
+    """Two samples have no interior maximum: the peak and no period."""
+    assert run("success", "--family", "complete", "--n", "3", "--gamma", "1",
+               "--t-count", "2", "--out", tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("peak pi=")
+    assert "oscillation period" not in out and err == ""
+    for name in ("success_complete_n3_matrix.csv",
+                 "success_complete_n3_long.csv"):
+        assert (tmp_path / name).exists()
+
+
 def test_success_rerun_is_byte_identical(tmp_path):
     base = ["success", "--family", "dsg", "--g", "3",
             "--gamma-count", "4", "--tmax", "20", "--t-count", "9"]
@@ -380,6 +393,24 @@ def test_exit_code_3_when_no_crossing(tmp_path, capsys):
     assert err["error"] == "NoTransitionError"
 
 
+@pytest.mark.parametrize("window", [
+    ("--gamma-floor", "nan"),
+    ("--gamma-floor", "10", "--gamma-ceiling", "1"),
+    ("--gamma-floor", "-1"),
+    ("--gamma-ceiling", "inf"),
+])
+def test_exit_code_2_on_a_bad_coupling_window(window, tmp_path, capsys):
+    code = run("critgamma", "--family", "dsg", "--g", "3", *window,
+               "--out", tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert "gamma_floor < gamma_ceiling" in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_3_when_verify_fails(tmp_path, capsys):
     # The default couplings include gamma = xi1/8 = 0.5453, where
     # s_psi1_sq = 0.92224 misses the perturbative floor 0.92284: a genuine
@@ -404,6 +435,33 @@ def test_exit_code_4_dense_guard_flag(tmp_path, capsys):
     assert code == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DenseGuardError"
+
+
+def test_a_product_past_the_guard_builds_silently(tmp_path, capsys,
+                                                  monkeypatch):
+    """``spectrum --dense-guard 0`` on an 80 x 80 open-chain product
+    (6,400 nodes, above the default guard) writes nothing to stderr, with
+    warnings turned into errors.  The solve, a dense 6,400-node eigvalsh
+    of about 17 s on two cores, is stood in for: it warns of nothing."""
+    from ctqwlab import cli
+
+    solved = []
+
+    def spectrum(graph, dense_guard):
+        solved.append((graph.n, dense_guard))
+        return np.zeros(graph.n), "dense"
+
+    monkeypatch.setattr(cli, "laplacian_spectrum", spectrum)
+    chain = {"family": "chain", "L": 80, "periodic": False}
+    spec = json.dumps({"family": "product", "factors": [chain, chain]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("spectrum", "--spec", spec, "--dense-guard", "0",
+                   "--out", tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("route=dense\n")
+    assert solved == [(6400, None)]
 
 
 def test_dense_guard_env_var(tmp_path, capsys, monkeypatch):

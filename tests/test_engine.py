@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ctqwlab import engine
 from ctqwlab.engine import (
     SearchProblem,
     SuccessGrid,
@@ -255,7 +256,6 @@ def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
     a fresh H; when that raises too, overlaps raises NumericalError."""
     from types import SimpleNamespace
 
-    from ctqwlab import engine
 
     real = engine.sla.eigh
     full_calls = []
@@ -320,7 +320,6 @@ def test_overlap_sweeps_make_no_dense_or_k_by_k_solve(monkeypatch, tmp_path):
     form at any coupling."""
     from types import SimpleNamespace
 
-    from ctqwlab import engine
     from ctqwlab.cli import main
 
     def refuse(*args, **kwargs):
@@ -490,6 +489,23 @@ def test_critical_gamma_no_transition_window():
         critical_gamma(g, 0, gamma_floor=100.0, gamma_ceiling=1000.0)
 
 
+def _no_measure(*args, **kwargs):
+    raise AssertionError("the target's measure was computed")
+
+
+@pytest.mark.parametrize("floor,ceiling", [
+    (math.nan, 1e6), (1e-6, math.nan), (10.0, 1.0), (1.0, 1.0),
+    (-1.0, 1e6), (0.0, 1e6), (1e-6, math.inf), (-math.inf, 1e6),
+])
+def test_critical_gamma_refuses_a_bad_window(floor, ceiling, monkeypatch):
+    """ConfigError before the measure, unless 0 < floor < ceiling, both
+    finite."""
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    with pytest.raises(ConfigError, match="gamma_floor < gamma_ceiling"):
+        critical_gamma(_graph(Family.DSG, g=3), 0, gamma_floor=floor,
+                       gamma_ceiling=ceiling)
+
+
 def _overlap_difference(graph, target, gamma):
     rec = overlaps(SearchProblem(graph, target, gamma))
     return rec.s_psi0_sq - rec.s_psi1_sq
@@ -574,7 +590,6 @@ def synthetic_difference(monkeypatch):
     asked on either route, and the list asked of the dense route."""
     from types import SimpleNamespace
 
-    from ctqwlab import engine
 
     asked, dense_asked = [], []
 
@@ -650,7 +665,6 @@ def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
     1e-10."""
     from types import SimpleNamespace
 
-    from ctqwlab import engine
 
     root = 0.8123
     graph, _, dense_asked = synthetic_difference(
@@ -679,7 +693,6 @@ def test_critical_gamma_takes_the_measure_route_for_any_k(make_graph, target,
     """Whatever K, the number of distinct Laplacian eigenvalues, the root
     search runs on the measure, runs no K x K eigensolve, and makes exactly
     2 confirmations (quotient on tfractal g3, dense on the others)."""
-    from ctqwlab import engine
 
     measured = []
     real = engine.measure_overlaps
@@ -907,6 +920,14 @@ def test_oscillation_period_flat_signal():
     assert oscillation_period(times, np.full(101, 0.25)) is None
 
 
+def test_oscillation_period_of_fewer_than_three_samples_is_none():
+    for size in (0, 1, 2):
+        times = np.linspace(0.0, 1.0, size)
+        assert oscillation_period(times, np.full(size, 0.5)) is None
+    with pytest.raises(ConfigError, match="matching grids"):
+        oscillation_period(np.zeros(4), np.zeros(5))
+
+
 def _direct_phase_product(t, energies, coef):
     """The T x K exponentials summed row by row: the reference for the
     factored product and the route every non-uniform grid takes."""
@@ -1022,6 +1043,35 @@ def test_gamma_max_search_complete_smoke():
     assert res.gamma == pytest.approx(1.0 / n, rel=0.05)
     assert res.pi_max > 0.99
     assert res.coarse_gammas.shape == res.coarse_peaks.shape
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": math.nan},
+    {"span": 1.0}, {"span": 0.5}, {"span": math.inf}, {"span": math.nan},
+    {"times": [0.0, math.nan, 2.0]}, {"times": [0.0, 1.0, math.inf]},
+], ids=str)
+def test_gamma_max_search_refuses_bad_inputs(kwargs, monkeypatch):
+    """ConfigError before any work; with rel_tol <= 0 the golden-section
+    loop would never end."""
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    kwargs = {"times": np.linspace(0.0, 10.0, 5), **kwargs}
+    times = kwargs.pop("times")
+    with pytest.raises(ConfigError):
+        gamma_max_search(_graph(Family.COMPLETE, n=8), 0, 0.1, times,
+                         **kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(bad, monkeypatch):
+    graph = _graph(Family.COMPLETE, n=8)
+    problem = SearchProblem(graph, 0, 0.1)
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    for call in (lambda: success_grid(graph, 0, [0.1], [0.0, bad]),
+                 lambda: success_probability(problem, bad),
+                 lambda: success_probability(problem, [0.0, bad]),
+                 lambda: propagate_krylov(graph, 0, 0.1, [0.0, 1.0, bad])):
+        with pytest.raises(ConfigError, match="times must be finite"):
+            call()
 
 
 def test_verify_bounds_clean_on_generic_target():

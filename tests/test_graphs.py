@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from ctqwlab import graphs
-from ctqwlab.errors import DEFAULT_DENSE_GUARD, ConfigError, DenseSizeWarning
+from ctqwlab.errors import DEFAULT_DENSE_GUARD, ConfigError
 from ctqwlab.graphs import (
     Family,
     Graph,
@@ -162,9 +163,12 @@ def test_product_spec_node_count():
     assert spec.node_count == 81 * 64
 
 
-def test_product_guard_warning():
+def test_products_past_the_guard_build_without_a_warning():
+    """The dense guard bars dense solves, not graphs: a product above it
+    builds silently."""
     a = build(GraphSpec(Family.CHAIN, L=80, periodic=False))
-    with pytest.warns(DenseSizeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         prod = cartesian_product(a, a)
     assert prod.n == 6400 > DEFAULT_DENSE_GUARD
 

@@ -10,11 +10,17 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import tree_oracles
 from ctqwlab import spectra
 from ctqwlab.cli import main
-from ctqwlab.errors import DEFAULT_DENSE_GUARD, DenseGuardError, NumericalError
+from ctqwlab.errors import (
+    DEFAULT_DENSE_GUARD,
+    ConfigError,
+    DenseGuardError,
+    NumericalError,
+)
 from ctqwlab.graphs import Family, Graph, GraphSpec, build, default_target
 from ctqwlab.spectra import (
     degeneracy_groups,
@@ -219,7 +225,7 @@ def test_the_centre_is_the_middle_of_a_longest_path():
     spider = Graph.from_edges(9, [(0, 1), (1, 8), (8, 2), (2, 3), (8, 4),
                                   (4, 5), (8, 6), (6, 7)])
     assert spectra._centre(spider) == 8
-    assert laplacian_spectrum(spider)[1] == 3
+    assert laplacian_spectrum(spider)[1] == "tree cells=3"
     assert equitable_partition(spider, 0) is None
 
 
@@ -256,6 +262,68 @@ def test_only_trees_count():
                         (build(GraphSpec(Family.CAYLEY_TREE, g=4)), True),
                         (_star(12), True)):
         assert target_measure(graph, 0).quotient.tree == tree
+
+
+@pytest.mark.parametrize("spec,tree", [
+    (GraphSpec(Family.CAYLEY_TREE, g=5), True),
+    (GraphSpec(Family.TFRACTAL, g=4), True),
+    (GraphSpec(Family.CHAIN, L=30, periodic=False), True),
+    (GraphSpec(Family.COMPLETE, n=2), True),
+    (GraphSpec(Family.DSG, g=3), False),
+    (GraphSpec(Family.TORUS, L=5, d=2), False),
+    (GraphSpec(Family.CHAIN, L=30), False),
+    (GraphSpec(Family.COMPLETE, n=3), False),
+    (GraphSpec(Family.COMPLETE, n=9), False),
+    (GraphSpec(Family.PRODUCT, factors=(
+        GraphSpec(Family.CHAIN, L=3, periodic=False),
+        GraphSpec(Family.CAYLEY_TREE, g=2))), False),
+], ids=lambda v: v.label if isinstance(v, GraphSpec) else str(v))
+def test_the_tree_predicate_on_every_shipped_family(spec, tree):
+    """A tree is a Graph with N - 1 edges."""
+    graph = build(spec)
+    assert spectra._is_tree(graph) == tree
+    assert (spectra._centre(graph) is not None) == tree
+
+
+def test_each_route_is_named():
+    """``SpectralSums.route`` and ``laplacian_spectrum``'s second value on
+    one graph of each route."""
+    dsg = build(GraphSpec(Family.DSG, g=3))
+    torus = build(GraphSpec(Family.TORUS, L=6, d=2))
+    cayley = build(GraphSpec(Family.CAYLEY_TREE, g=3))
+    chain = build(GraphSpec(Family.CHAIN, L=40, periodic=False))
+    cells = np.bincount(equitable_partition(torus, 0)[0]).size
+    leaf = cayley.n - 1
+    tree_cells = np.bincount(equitable_partition(cayley, leaf)[0]).size
+    assert target_measure(dsg, 0).route == "dense"
+    assert target_measure(torus, 0).route == f"quotient cells={cells}"
+    assert target_measure(cayley, leaf).route == f"tree cells={tree_cells}"
+    assert laplacian_spectrum(dsg)[1] == "dense"
+    assert laplacian_spectrum(torus)[1] == "dense"
+    assert laplacian_spectrum(cayley)[1] == "tree cells=4"
+    # The even path's centre sees 21 cells, more than N/2.
+    values, route = laplacian_spectrum(chain)
+    assert route == "dense"
+    assert np.abs(values - sla.eigvalsh(chain.laplacian())).max() <= 1e-12
+
+
+def test_a_disconnected_graph_with_n_minus_1_edges_is_refused():
+    """A 20-cycle beside a 6-node star, built by hand past the connectivity
+    check of ``Graph.from_edges``: 26 nodes, 25 edges, and a target whose
+    partition halves N."""
+    edges = np.array([(i, (i + 1) % 20) for i in range(20)]
+                     + [(20, 21 + k) for k in range(5)])
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adjacency = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                              shape=(26, 26))
+    adjacency.sort_indices()
+    graph = Graph(n=26, adjacency=adjacency)
+    assert spectra._is_tree(graph)
+    with pytest.raises(ConfigError, match="disconnected"):
+        target_measure(graph, 0)
+    with pytest.raises(ConfigError, match="disconnected"):
+        laplacian_spectrum(graph)
 
 
 # -- the measure --------------------------------------------------------------

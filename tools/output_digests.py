@@ -8,7 +8,9 @@ sweeps over dsg, tfractal, cayleytree, torus d3, open and periodic chains
 and complete graphs, ``critgamma`` on Cayley trees past the dense guard
 on N (N = 3,070 to 24,574), and ``spectrum`` of the T-fractal at g = 9
 and the Cayley tree at g = 16 (N = 19,684 and 196,606).  Operation i
-writes into ``OUT/<i>``.
+writes into ``OUT/<i>``, and its standard output, without the
+``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
+and route labels are digested with the artifacts.
 Standard output gets one ``sha256  <i>/<file>`` line per artifact, sorted
 by path, so ``diff`` on the output of two checkouts, run on the same
 machine with the same seed, names every artifact that changed.  Standard
@@ -71,9 +73,13 @@ def main() -> int:
     for i, argv in enumerate(operations(args.seed)):
         out = args.out / f"{i:02d}"
         out.mkdir(parents=True)
-        with contextlib.redirect_stdout(io.StringIO()), \
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([*argv, "--out", str(out)])
+        (out / "stdout.txt").write_text("".join(
+            line for line in printed.getvalue().splitlines(keepends=True)
+            if not line.startswith("wrote ")))
         print(f"exit {code}  {i:02d}  {' '.join(argv)}", file=sys.stderr)
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
