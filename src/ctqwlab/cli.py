@@ -43,8 +43,9 @@ from .errors import (
     CtqwError,
     DenseGuardError,
     NumericalError,
+    check_dense_guard,
 )
-from .graphs import _RECORDS, Family, Graph, GraphSpec, build, default_target
+from .graphs import _RECORDS, Family, GraphSpec, build, default_target
 from .oracles import (
     complete_success,
     decimation_identity_residuals,
@@ -158,15 +159,10 @@ def _spec_from_args(args: argparse.Namespace) -> GraphSpec:
     return GraphSpec(family=Family(args.family), **kwargs)
 
 
-def _resolve_target(spec: GraphSpec, graph: Graph,
-                    args: argparse.Namespace) -> int:
+def _resolve_target(spec: GraphSpec, args: argparse.Namespace) -> int:
+    """``--target`` or the family's default; the library checks its range."""
     override = getattr(args, "target", None)
-    if override is None:
-        return default_target(spec)
-    if not 0 <= override < graph.n:
-        raise ConfigError(f"target {override} out of range for "
-                          f"{graph.n} nodes")
-    return int(override)
+    return default_target(spec) if override is None else int(override)
 
 
 def _gamma_grid(args: argparse.Namespace,
@@ -179,8 +175,6 @@ def _gamma_grid(args: argparse.Namespace,
         if lo is not None or hi is not None:
             raise ConfigError("give either --gamma or a --gamma-min/"
                               "--gamma-max window, not both")
-        if single <= 0:
-            raise ConfigError("--gamma must be positive")
         return np.array([float(single)])
     if (lo is None) != (hi is None):
         raise ConfigError("--gamma-min and --gamma-max go together")
@@ -276,10 +270,8 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
 
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    guard = _dense_guard(args)
-    if guard is not None and spec.node_count > guard:
-        raise DenseGuardError(f"{spec.label} has {spec.node_count} nodes, "
-                              f"above the guard {guard}")
+    check_dense_guard(spec.node_count, _dense_guard(args),
+                      f"generate {spec.label}")
     graph = build(spec)
     path = _write_atomic(Path(args.out) / f"edges_{spec.label}.txt",
                          graph.to_edge_list())
@@ -302,7 +294,7 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     guard = _dense_guard(args)
     graph = build(spec)
-    target = _resolve_target(spec, graph, args)
+    target = _resolve_target(spec, args)
     gammas = _gamma_grid(
         args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
     records = [measure_overlaps(SearchProblem(graph, target, float(g)),
@@ -341,7 +333,7 @@ def cmd_success(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     guard = _dense_guard(args)
     graph = build(spec)
-    target = _resolve_target(spec, graph, args)
+    target = _resolve_target(spec, args)
     gammas = _gamma_grid(
         args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
     times = _time_grid(args, graph.n)
@@ -403,7 +395,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     guard = _dense_guard(args)
     graph = build(spec)
-    target = _resolve_target(spec, graph, args)
+    target = _resolve_target(spec, args)
     gammas = None
     if args.gammas is not None:
         gammas = _parse_list(args.gammas, "--gammas", float)

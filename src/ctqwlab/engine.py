@@ -67,7 +67,8 @@ _X_FLOOR = 1e-100
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """One search instance: a graph, a target node, and a coupling."""
+    """One search instance: a graph, a target node, and a coupling.  The
+    coupling must be positive, with H's bound 2 gamma max_degree + 1 finite."""
 
     graph: Graph
     target: NodeId
@@ -78,8 +79,12 @@ class SearchProblem:
             raise ConfigError(
                 f"target {self.target} out of range for {self.graph.n} nodes"
             )
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+        gamma = float(self.gamma)
+        if not (math.isfinite(gamma) and gamma > 0.0):
             raise ConfigError("gamma must be positive and finite")
+        if not math.isfinite(2.0 * gamma * int(self.graph.degrees.max()) + 1.0):
+            raise ConfigError(f"gamma={gamma!r} overflows H: its bound "
+                              f"2 gamma max_degree + 1 is not finite")
 
     @property
     def n(self) -> int:
@@ -100,6 +105,27 @@ def build_hamiltonian(problem: SearchProblem, *,
 
 def _uniform_state(n: int) -> np.ndarray:
     return np.full(n, 1.0 / math.sqrt(n))
+
+
+def _probabilities(probs: np.ndarray, what: str) -> np.ndarray:
+    """``probs`` clipped into [0, 1] in place, after a check that each lies
+    in it within _PROB_SLACK (eigensolver roundoff); NumericalError on any
+    other value, NaN included."""
+    lo, hi = float(probs.min()), float(probs.max())
+    if not (lo >= -_PROB_SLACK and hi <= 1.0 + _PROB_SLACK):
+        raise NumericalError(f"{what} left [0, 1]: range [{lo}, {hi}]")
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _times(times) -> np.ndarray:
+    """``times`` as a new 1-D float64 array; ConfigError unless it is
+    nonempty and finite.  Each caller adds its own order rule."""
+    t = np.array(times, dtype=np.float64, ndmin=1)
+    if t.size == 0:
+        raise ConfigError("no times requested")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError("times must be finite")
+    return t
 
 
 def _gershgorin_spread(problem: SearchProblem) -> float:
@@ -194,15 +220,11 @@ def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
     e0 = float(values[0])
     if e0 < -1.0 - 1e-9 or e0 >= 0.0:
         raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
-    probs = {"s_psi0_sq": s_sq[0], "s_psi1_sq": np.sum(s_sq[group1]),
-             "w_psi0_sq": w_sq[0], "w_psi1_sq": np.sum(w_sq[group1])}
-    for what, value in probs.items():
-        value = float(value)
-        if not -_PROB_SLACK <= value <= 1.0 + _PROB_SLACK:
-            raise NumericalError(f"{what} = {value!r} outside [0, 1]")
-        probs[what] = min(max(value, 0.0), 1.0)
-    return OverlapRecord(gamma=gamma, e0=e0, e1=float(values[group1.start]),
-                         e1_multiplicity=int(counts[group1].sum()), **probs)
+    # s_psi0_sq, s_psi1_sq, w_psi0_sq and w_psi1_sq, in the record's order
+    probs = _probabilities(np.array([s_sq[0], np.sum(s_sq[group1]), w_sq[0],
+                                     np.sum(w_sq[group1])]), "an overlap")
+    return OverlapRecord(gamma, e0, float(values[group1.start]),
+                         *probs.tolist(), int(counts[group1].sum()))
 
 
 def _merge_hidden(values: np.ndarray, s_sq: np.ndarray, w_sq: np.ndarray,
@@ -468,14 +490,14 @@ def critical_gamma(graph: Graph, target: NodeId, *,
             f"crossing residual {abs(f_root):.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             f"the overlap difference is discontinuous at this coupling"
         )
-    offset = max(_CONFIRM_RTOL, _EPS * lam[-1] / lam[1])
+    offset = max(_CONFIRM_RTOL, float(_EPS * lam[-1] / lam[1]))
     lo, hi = root * (1.0 - offset), root * (1.0 + offset)
     f_lo, f_hi = difference(lo, False), difference(hi, False)
     if not f_lo <= 0.0 <= f_hi:
-        route = "dense" if sums.quotient is None else "quotient"
         raise NumericalError(
             f"the measure route puts the crossing at gamma={root!r}, but the "
-            f"{route} route gives {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r}"
+            f"{sums.route} route gives {f_lo!r} at {lo!r} and {f_hi!r} at "
+            f"{hi!r}"
         )
     return CriticalGamma(gamma=root, bracket=(lo, hi),
                          residual=max(-f_lo, f_hi), xi1=sums.xi1,
@@ -521,23 +543,16 @@ def success_probability(problem: SearchProblem, t, *,
     and |s>, so this is exact.  One K x K eigensolve serves every time.
     """
     scalar = np.isscalar(t)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not np.all(np.isfinite(t_arr)):
-        raise ConfigError("times must be finite")
+    t_arr = _times(t)
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
     z = np.sqrt(sums.group_amp_sq)
     dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
                - np.outer(z, z), dense_guard=dense_guard)
     coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
-    probs = np.abs(_phase_product(t_arr, dec.eigenvalues, coef)) ** 2
-    bad_lo = float(probs.min())
-    bad_hi = float(probs.max())
-    if bad_lo < -_PROB_SLACK or bad_hi > 1.0 + _PROB_SLACK:
-        raise NumericalError(
-            f"success probability left [0, 1]: range [{bad_lo}, {bad_hi}]"
-        )
-    np.clip(probs, 0.0, 1.0, out=probs)
+    probs = _probabilities(
+        np.abs(_phase_product(t_arr, dec.eigenvalues, coef)) ** 2,
+        "success probability")
     return float(probs[0]) if scalar else probs
 
 
@@ -576,22 +591,16 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
                  times: Sequence[float], *,
                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SuccessGrid:
     """Sweep couplings; every row works from the target's one Laplacian
-    measure."""
+    measure.  Every coupling is checked before the first row."""
     gam = np.asarray([float(g) for g in gammas], dtype=np.float64)
-    t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
-    if gam.size == 0 or t_arr.size == 0:
-        raise ConfigError("success grid needs nonempty coupling and time grids")
-    if np.any(gam <= 0.0) or not np.all(np.isfinite(gam)):
-        raise ConfigError("couplings must be positive and finite")
-    if not np.all(np.isfinite(t_arr)):
-        raise ConfigError("times must be finite")
+    t_arr = _times(times)
+    if gam.size == 0:
+        raise ConfigError("success grid needs a nonempty coupling grid")
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
-    probs = np.vstack([
-        success_probability(SearchProblem(graph, target, g), t_arr,
-                            dense_guard=dense_guard)
-        for g in gam.tolist()
-    ])
+    problems = [SearchProblem(graph, target, g) for g in gam.tolist()]
+    probs = np.vstack([success_probability(p, t_arr, dense_guard=dense_guard)
+                       for p in problems])
     best = np.argmax(probs, axis=1)
     grid = SuccessGrid(
         gammas=gam, times=t_arr, probabilities=probs,
@@ -888,11 +897,7 @@ def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
     sums then cost O(K) per time and the phase exp(-ict) drops out of pi.
     """
     problem = SearchProblem(graph, target, gamma)  # validates target and gamma
-    t_arr = np.asarray([float(t) for t in times], dtype=np.float64)
-    if t_arr.size == 0:
-        raise ConfigError("no times requested")
-    if not np.all(np.isfinite(t_arr)):
-        raise ConfigError("times must be finite")
+    t_arr = _times(times)
     if np.any(np.diff(t_arr) < 0.0) or t_arr[0] < 0.0:
         raise ConfigError("time grid must be ascending and nonnegative")
     n = graph.n
@@ -923,6 +928,4 @@ def propagate_krylov(graph: Graph, target: NodeId, gamma: float,
     moving = x >= _X_FLOOR
     re, im = _bessel_series(x[moving], mu)
     out[moving] = re * re + im * im
-    if not (out.min() >= -_PROB_SLACK and out.max() <= 1.0 + _PROB_SLACK):
-        raise NumericalError("propagated probability left [0, 1]")
-    return np.clip(out, 0.0, 1.0, out=out)
+    return _probabilities(out, "propagated probability")

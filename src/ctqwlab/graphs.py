@@ -202,21 +202,29 @@ class GraphSpec:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph stored as a CSR adjacency matrix."""
+    """Immutable simple undirected graph stored as a CSR adjacency matrix.
+    Every ``Graph`` has a node and is connected, however it was built: one
+    breadth-first search from node 0 checks it on construction."""
 
     n: int
     adjacency: sp.csr_matrix
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigError("graph needs at least one node")
+        if csgraph.breadth_first_order(self.adjacency, 0,
+                                       return_predecessors=False).size != self.n:
+            ncomp = csgraph.connected_components(self.adjacency, directed=False,
+                                                 return_labels=False)
+            raise ConfigError(f"graph is disconnected ({ncomp} components)")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build and validate a graph from an iterable of (u, v) pairs.
 
-        Rejects self-loops, duplicate edges, out-of-range endpoints, and
-        disconnected results: every produced graph is safe to hand to the
-        spectral machinery without re-checking.
+        Rejects self-loops, duplicate edges and out-of-range endpoints here,
+        and an empty or disconnected result on construction.
         """
-        if n < 1:
-            raise ConfigError("graph needs at least one node")
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64)
         if arr.size == 0:
@@ -231,17 +239,14 @@ class Graph:
         hi = np.maximum(arr[:, 0], arr[:, 1])
         # The conversion sums repeated entries, so a duplicate edge, in
         # either orientation, leaves the upper triangle an entry short.
-        upper = sp.csr_matrix((np.ones(len(arr)), (lo, hi)), shape=(n, n))
+        # A negative n is left for the node-count check on construction.
+        upper = sp.csr_matrix((np.ones(len(arr)), (lo, hi)),
+                              shape=(max(n, 0),) * 2)
         if upper.nnz != len(arr):
             raise ConfigError("duplicate edges are not allowed")
         # The transpose comes out sorted, so the sum of the two triangles is
         # canonical: row-major with sorted columns.
-        adj = upper + upper.T
-        if csgraph.breadth_first_order(adj, 0, return_predecessors=False).size != n:
-            ncomp = csgraph.connected_components(adj, directed=False,
-                                                 return_labels=False)
-            raise ConfigError(f"graph is disconnected ({ncomp} components)")
-        return cls(n=n, adjacency=adj)
+        return cls(n=n, adjacency=upper + upper.T)
 
     # -- structure ----------------------------------------------------------
 

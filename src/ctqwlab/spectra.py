@@ -11,7 +11,9 @@ products of two of its own entries, so no output depends on them.
 :func:`target_measure` hands the measure to the engine and the CLI, once
 per ``Graph`` object and target, and keeps only the K-sized
 :class:`SpectralSums`, never the eigenvectors.  It takes one of three
-routes, which :attr:`SpectralSums.route` names.
+routes.  The function that builds the measure on a route records it in
+:attr:`SpectralSums.route`, and the order of its largest dense solve, which
+the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
 
 * *Quotient.*  :func:`equitable_partition` finds the coarsest equitable
   partition with the target alone in its cell (Godsil & Royle, *Algebraic
@@ -186,7 +188,7 @@ def _refine(adjacency: sp.csr_matrix, target: NodeId,
     their neighbours' colours) and numbers the distinct pairs; a colour is
     only ever split.  Returns the stable colouring, cells numbered by their
     first vertex, or None once it has more than ``limit`` cells.  Every
-    vertex needs a neighbour (a connected graph with N >= 2)."""
+    vertex needs a neighbour, as in every ``Graph`` of N >= 2 nodes."""
     n = adjacency.shape[0]
     words = _hash_words(n)
     starts = adjacency.indptr[:-1]
@@ -258,15 +260,12 @@ class Quotient:
     u_i = 1_{C_i} / sqrt(s_i): the symmetric Lq_ij = d_i [i=j] -
     M_ij / sqrt(s_i s_j), with d_i the common degree in cell i and M_ij the
     vertex pairs adjacent across cells i and j.  The target is alone in
-    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i.  ``tree`` says
-    that L's eigenvalues came from the quotient's blocks on a tree, not
-    from ``eigvalsh(L)``."""
+    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i."""
 
     laplacian: np.ndarray  # (m, m) Lq
     sizes: np.ndarray      # (m,) int64 cell sizes s_i
     target_cell: int
     modes: np.ndarray      # per group of the measure, eigenvalues of Lq in it
-    tree: bool
 
     def levels(self, gamma: float) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray]:
@@ -307,14 +306,10 @@ def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
     trees).  A depth-first order of the cells makes each T_C a contiguous
     block; only cells with |C| > |P| are solved, and a one-cell block is
     its diagonal.  NumericalError unless the blocks give N eigenvalues,
-    none above Lq's largest, with a simple zero mode; ConfigError when the
-    cells are not connected, as on a disconnected graph with N - 1
-    edges."""
+    none above Lq's largest, with a simple zero mode."""
     order, pred = csgraph.depth_first_order(sp.csr_matrix(counts), cell,
                                             directed=False)
     m = order.size
-    if m < sizes.size:
-        raise ConfigError("graph is disconnected")
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
     parent = [0, *position[pred[order[1:]]].tolist()]
@@ -343,8 +338,9 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
                       counts: np.ndarray, dense_guard: int | None
                       ) -> SpectralSums:
     """The measure from the quotient's eigenpairs, on L's eigenvalues: from
-    the quotient's blocks on a tree (:func:`_tree_spectrum`, the guard on
-    the number of cells), else from ``eigvalsh(L)`` (the guard on N).  Each
+    the quotient's blocks on a tree (:func:`_tree_spectrum`, route ``tree
+    cells=m``, the guard on the number of cells m), else from
+    ``eigvalsh(L)`` (route ``quotient cells=m``, the guard on N).  Each
     eigenvalue of Lq must lie within the grouping tolerance of one of L,
     and no group may receive more of them than its multiplicity; otherwise
     NumericalError."""
@@ -376,8 +372,10 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     np.add.at(amp_sq, near, quo.eigenvectors[cell] ** 2)
     for arr in (lq, sizes, modes):
         arr.flags.writeable = False
-    return _measure(values, groups, amp_sq, target,
-                    Quotient(lq, sizes, cell, modes, tree))
+    route = f"{'tree' if tree else 'quotient'} cells={sizes.size}"
+    return _measure(values, groups, amp_sq, target, route,
+                    sizes.size if tree else graph.n,
+                    Quotient(lq, sizes, cell, modes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,18 +402,13 @@ class SpectralSums:
     group_eigenvalues: np.ndarray  # per group, ascending; first entry 0
     multiplicities: np.ndarray     # int64 per group
     group_amp_sq: np.ndarray       # summed |a_k|^2 per group; first 1/N
+    # "dense", or "quotient cells=m" or "tree cells=m" on the m-cell
+    # quotient (L's eigenvalues from eigvalsh(L) or from its blocks), and
+    # the order of the route's largest dense solve: m on a tree, else N.
+    route: str
+    dense_order: int
     # The equitable quotient the weights came from; None on the dense route.
     quotient: Quotient | None = None
-
-    @property
-    def route(self) -> str:
-        """How the measure was computed: ``dense``, or ``quotient cells=m``
-        or ``tree cells=m`` on the m-cell quotient (L's eigenvalues from
-        ``eigvalsh(L)`` or from the quotient's blocks)."""
-        if self.quotient is None:
-            return "dense"
-        kind = "tree" if self.quotient.tree else "quotient"
-        return f"{kind} cells={self.quotient.sizes.size}"
 
 
 def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
@@ -432,15 +425,19 @@ def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
     if not (0 <= target < n):
         raise ConfigError(f"target {target} out of range for {n} nodes")
     amps = dec.eigenvectors[target, :]
-    return _measure(dec.eigenvalues, dec.group_index, amps * amps, target)
+    return _measure(dec.eigenvalues, dec.group_index, amps * amps, target,
+                    "dense", n)
 
 
 def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
-             target: NodeId, quotient: Quotient | None = None
-             ) -> SpectralSums:
+             target: NodeId, route: str, dense_order: int,
+             quotient: Quotient | None = None) -> SpectralSums:
     """:class:`SpectralSums` from L's ascending eigenvalues, their group
-    labels and the target weight |a_k|^2 of each."""
+    labels and the target weight |a_k|^2 of each.  A search needs a
+    nonzero mode, so ConfigError on a graph of one node."""
     n = values.size
+    if n < 2:
+        raise ConfigError("a search needs at least two nodes")
     starts = np.flatnonzero(np.diff(group_index, prepend=-1))
     mults = np.diff(starts, append=n)
     zero_scale = max(1.0, float(np.abs(values[-1])))
@@ -469,7 +466,8 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
         n=n, target=target, xi1=xi1, xi2=xi2,
         max_amp_sq=float(per_mode.max()),
         group_eigenvalues=group_vals, multiplicities=mults,
-        group_amp_sq=group_amp_sq, quotient=quotient,
+        group_amp_sq=group_amp_sq, route=route, dense_order=dense_order,
+        quotient=quotient,
     )
 
 
@@ -485,38 +483,32 @@ def target_measure(graph: Graph, target: NodeId, *,
     """The target's Laplacian spectral measure, computed once per ``Graph``
     object and target: from the equitable quotient when
     :func:`equitable_partition` finds one of at most N/2 cells, else from
-    the dense decomposition of L.  The dense guard is checked on every
-    call, a cached one included: on the number of cells when L's
-    eigenvalues came from the quotient's blocks on a tree, else on N."""
+    the dense decomposition of L.  A new measure is refused on N before the
+    refinement unless the graph is a tree shallow enough from the target
+    (:func:`_refuse_deep_trees`), then at each dense solve of its route.
+    A cached one is checked again on :attr:`SpectralSums.dense_order`."""
     per_graph = _MEASURES.setdefault(graph, {})
     sums = per_graph.get(target)
-    if sums is None:
-        sums = per_graph[target] = _new_measure(graph, target, dense_guard)
-    else:
-        tree = sums.quotient is not None and sums.quotient.tree
-        check_dense_guard(sums.quotient.sizes.size if tree else graph.n,
-                          dense_guard, "dense eigendecomposition")
-    return sums
-
-
-def _new_measure(graph: Graph, target: NodeId, dense_guard: int | None
-                 ) -> SpectralSums:
-    """The measure of :func:`target_measure`, refused on N before the
-    refinement unless the graph is a tree shallow enough from the target
-    (:func:`_refuse_deep_trees`)."""
+    if sums is not None:
+        check_dense_guard(sums.dense_order, dense_guard,
+                          "dense eigendecomposition")
+        return sums
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
     _refuse_deep_trees(graph, target, dense_guard)
     partition = equitable_partition(graph, target)
     if partition is None:
-        return spectral_sums(
+        sums = spectral_sums(
             laplacian_decomposition(graph, dense_guard=dense_guard), target)
-    return _quotient_measure(graph, target, *partition, dense_guard)
+    else:
+        sums = _quotient_measure(graph, target, *partition, dense_guard)
+    per_graph[target] = sums
+    return sums
 
 
 def _is_tree(graph: Graph) -> bool:
-    """Whether the graph is a tree: N - 1 edges, since every ``Graph`` from
-    :meth:`Graph.from_edges` is connected."""
+    """Whether the graph is a tree: N - 1 edges, since every ``Graph`` is
+    connected."""
     return graph.edge_count == graph.n - 1
 
 

@@ -411,6 +411,51 @@ def test_exit_code_2_on_a_bad_coupling_window(window, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("success", "--family", "complete", "--n", "5", "--gamma", "1e308"),
+     "overflows H"),
+    (("overlaps", "--family", "dsg", "--g", "3", "--gamma", "1e308"),
+     "overflows H"),
+    (("success", "--family", "dsg", "--g", "3", "--gamma", "-1"),
+     "gamma must be positive and finite"),
+    (("overlaps", "--family", "dsg", "--g", "3", "--gamma", "-1"),
+     "gamma must be positive and finite"),
+    (("success", "--family", "dsg", "--g", "3", "--target", "99"),
+     "target 99 out of range for 27 nodes"),
+    (("overlaps", "--family", "dsg", "--g", "3", "--target", "99",
+      "--gamma", "1"), "target 99 out of range for 27 nodes"),
+    (("verify", "--family", "dsg", "--g", "3", "--target", "-1"),
+     "target -1 out of range for 27 nodes"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_the_library_refuses_couplings_and_targets(argv, message, tmp_path,
+                                                    capsys):
+    """Exit 2, one JSON line and no file, from the library's one check of
+    each; gamma = 1e308 is finite, but H's bound 2 gamma d + 1 is not."""
+    code = run(*argv, "--out", tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert message in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_non_finite_pi_exits_3_and_writes_no_csv(tmp_path, capsys):
+    """gamma = 1e306 passes its check, but the phases gamma lam t overflow
+    at t = 1e5 and pi(t) is NaN: exit 3, not a CSV of nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("success", "--family", "complete", "--n", 5,
+                   "--gamma", "1e306", "--tmax", "1e5", "--t-count", 3,
+                   "--out", tmp_path)
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "NumericalError"
+    assert payload["message"] == ("success probability left [0, 1]: "
+                                  "range [nan, nan]")
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_3_when_verify_fails(tmp_path, capsys):
     # The default couplings include gamma = xi1/8 = 0.5453, where
     # s_psi1_sq = 0.92224 misses the perturbative floor 0.92284: a genuine

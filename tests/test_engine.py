@@ -1074,6 +1074,62 @@ def test_non_finite_times_are_refused(bad, monkeypatch):
             call()
 
 
+def test_an_empty_time_list_is_refused():
+    graph = _graph(Family.COMPLETE, n=8)
+    for call in (lambda: success_probability(SearchProblem(graph, 0, 0.1), []),
+                 lambda: success_grid(graph, 0, [0.1], []),
+                 lambda: propagate_krylov(graph, 0, 0.1, [])):
+        with pytest.raises(ConfigError, match="no times requested"):
+            call()
+
+
+def test_probabilities_are_checked_clipped_and_refused_on_nan():
+    """Roundoff past [0, 1] within 1e-9 is clipped; anything else, NaN
+    included, is a NumericalError whose message prints plain floats."""
+    probs = np.array([-1e-10, 0.5, 1.0 + 1e-10])
+    assert engine._probabilities(probs, "p").tolist() == [0.0, 0.5, 1.0]
+    for bad, shown in (([0.5, math.nan], "[nan, nan]"),
+                       ([np.float64(1.1)], "[1.1, 1.1]"),
+                       ([-0.25, 0.5], "[-0.25, 0.5]")):
+        with pytest.raises(NumericalError) as info:
+            engine._probabilities(np.array(bad), "p")
+        assert str(info.value) == f"p left [0, 1]: range {shown}"
+
+
+def test_a_search_needs_two_nodes():
+    """Every measure-based observable of a one-node graph is a ConfigError;
+    the propagator, which needs no measure, gives pi = 1."""
+    graph = Graph.from_edges(1, [])
+    problem = SearchProblem(graph, 0, 1.0)
+    for call in (lambda: target_measure(graph, 0),
+                 lambda: spectral_sums(laplacian_decomposition(graph), 0),
+                 lambda: critical_gamma(graph, 0),
+                 lambda: measure_overlaps(problem),
+                 lambda: success_probability(problem, [0.0, 1.0])):
+        with pytest.raises(ConfigError, match="a search needs at least two "
+                                              "nodes"):
+            call()
+    assert propagate_krylov(graph, 0, 1.0, [0.0, 2.0]).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("gamma", [1e308, 4.5e307])
+def test_a_coupling_whose_h_overflows_is_refused(gamma, monkeypatch):
+    """dsg g3 has degree 4 at most: 2 gamma 4 + 1 overflows for both, while
+    gamma itself is finite.  The refusal comes before any measure."""
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    graph = _graph(Family.DSG, g=3)
+    message = (f"gamma={gamma!r} overflows H: its bound 2 gamma max_degree "
+               f"+ 1 is not finite")
+    for call in (lambda: SearchProblem(graph, 0, gamma),
+                 lambda: SearchProblem(graph, 0, np.float64(gamma)),
+                 lambda: success_grid(graph, 0, [1.0, gamma], [0.0, 1.0]),
+                 lambda: propagate_krylov(graph, 0, gamma, [0.0, 1.0])):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
+    SearchProblem(graph, 0, 1e307)
+
+
 def test_verify_bounds_clean_on_generic_target():
     g = _graph(Family.DSG, g=3)
     report = verify_bounds(g, 0)

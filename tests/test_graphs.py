@@ -433,6 +433,23 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(5, [(0, 1), (3, 2)])
 
 
+def test_every_graph_is_connected_however_it_is_built():
+    """A triangle beside a lone vertex, built without ``from_edges``, is
+    refused on construction, as is a graph of no nodes."""
+    rows, cols = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+    adjacency = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(4, 4))
+    with pytest.raises(ConfigError, match=r"disconnected \(2 components\)"):
+        Graph(n=4, adjacency=adjacency)
+    with pytest.raises(ConfigError, match="at least one node"):
+        Graph(n=0, adjacency=sp.csr_matrix((0, 0)))
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match="at least one node"):
+            Graph.from_edges(n, [])
+    with pytest.raises(ConfigError, match="at least one node"):
+        Graph.from_edge_list("# N=0\n")
+    assert Graph(n=3, adjacency=adjacency[:3, :3].tocsr()).edge_count == 3
+
+
 @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_from_edges_matches_coo_reference(n, p, seed):
     """G(n, p) edges, shuffled and each in a random orientation, against a

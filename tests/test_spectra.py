@@ -197,13 +197,14 @@ def test_sums_match_plain_eigenvalue_sums():
 
 
 def test_spectral_sums_rejects_disconnected():
-    # two disjoint edges; build the adjacency directly to bypass the
-    # from_edges connectivity check
+    # two disjoint edges: no Graph holds them, so the Laplacian is
+    # decomposed directly
     adj = sp.csr_matrix(
         (np.ones(4), ([0, 1, 2, 3], [1, 0, 3, 2])), shape=(4, 4))
-    g = Graph(n=4, adjacency=adj)
-    dec = laplacian_decomposition(g)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="disconnected"):
+        Graph(n=4, adjacency=adj)
+    dec = eigh(np.diag(np.ones(4)) - adj.toarray())
+    with pytest.raises(ConfigError, match="degenerate"):
         spectral_sums(dec, target=0)
 
 

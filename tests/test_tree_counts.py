@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import tree_oracles
 from ctqwlab import spectra
 from ctqwlab.cli import main
+from ctqwlab.engine import critical_gamma
 from ctqwlab.errors import (
     DEFAULT_DENSE_GUARD,
     ConfigError,
@@ -261,7 +262,7 @@ def test_only_trees_count():
                         (build(GraphSpec(Family.COMPLETE, n=12)), False),
                         (build(GraphSpec(Family.CAYLEY_TREE, g=4)), True),
                         (_star(12), True)):
-        assert target_measure(graph, 0).quotient.tree == tree
+        assert target_measure(graph, 0).route.startswith("tree") == tree
 
 
 @pytest.mark.parametrize("spec,tree", [
@@ -307,10 +308,45 @@ def test_each_route_is_named():
     assert np.abs(values - sla.eigvalsh(chain.laplacian())).max() <= 1e-12
 
 
+def test_each_measure_records_its_route_and_dense_order():
+    """The order of the route's largest dense solve: N on the dense and
+    quotient routes, the cells on the tree route.  A cached measure is
+    refused at a guard one below it and served at the guard equal to it."""
+    dsg = build(GraphSpec(Family.DSG, g=3))
+    torus = build(GraphSpec(Family.TORUS, L=6, d=2))
+    cayley = build(GraphSpec(Family.CAYLEY_TREE, g=3))
+    leaf = cayley.n - 1
+    cells = np.bincount(equitable_partition(torus, 0)[0]).size
+    tree_cells = np.bincount(equitable_partition(cayley, leaf)[0]).size
+    assert tree_cells < cayley.n
+    for graph, target, route, order in (
+            (dsg, 0, "dense", 27),
+            (torus, 0, f"quotient cells={cells}", 36),
+            (cayley, leaf, f"tree cells={tree_cells}", tree_cells)):
+        sums = target_measure(graph, target)
+        assert (sums.route, sums.dense_order) == (route, order)
+        with pytest.raises(DenseGuardError, match=f"problem size {order} "):
+            target_measure(graph, target, dense_guard=order - 1)
+        assert target_measure(graph, target, dense_guard=order) is sums
+    sums = spectral_sums(laplacian_decomposition(torus), 0)
+    assert (sums.route, sums.dense_order) == ("dense", 36)
+
+
+def test_the_critical_coupling_holds_plain_floats():
+    """Cayley tree g16: eps lam_max / lam_1 = 1.7e-10 is the confirmation
+    offset, above 1e-10, and every value of the result is a float, not a
+    numpy scalar."""
+    spec = GraphSpec(Family.CAYLEY_TREE, g=16)
+    res = critical_gamma(build(spec), default_target(spec))
+    assert res.bracket[1] / res.gamma - 1.0 > 1.5e-10
+    values = (res.gamma, *res.bracket, res.residual, res.xi1)
+    assert [type(v) for v in values] == [float] * 5
+    assert "np.float64" not in repr(res)
+
+
 def test_a_disconnected_graph_with_n_minus_1_edges_is_refused():
-    """A 20-cycle beside a 6-node star, built by hand past the connectivity
-    check of ``Graph.from_edges``: 26 nodes, 25 edges, and a target whose
-    partition halves N."""
+    """A 20-cycle beside a 6-node star, built by hand: 26 nodes, 25 edges.
+    Every ``Graph`` is connected, so it is refused on construction."""
     edges = np.array([(i, (i + 1) % 20) for i in range(20)]
                      + [(20, 21 + k) for k in range(5)])
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -318,12 +354,8 @@ def test_a_disconnected_graph_with_n_minus_1_edges_is_refused():
     adjacency = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                               shape=(26, 26))
     adjacency.sort_indices()
-    graph = Graph(n=26, adjacency=adjacency)
-    assert spectra._is_tree(graph)
-    with pytest.raises(ConfigError, match="disconnected"):
-        target_measure(graph, 0)
-    with pytest.raises(ConfigError, match="disconnected"):
-        laplacian_spectrum(graph)
+    with pytest.raises(ConfigError, match=r"disconnected \(2 components\)"):
+        Graph(n=26, adjacency=adjacency)
 
 
 # -- the measure --------------------------------------------------------------
@@ -355,7 +387,7 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
             continue
         got = spectra._quotient_measure(graph, target, *partition, None)
         want = spectral_sums(dec, target)
-        assert got.quotient.tree
+        assert got.route == f"tree cells={partition[1].shape[0]}"
         assert got.multiplicities.tolist() == want.multiplicities.tolist()
         # A tree is bipartite, so L is similar to D + A, whose largest
         # eigenvalue is simple with a positive eigenvector: every target
@@ -556,7 +588,7 @@ def test_cayley_trees_past_the_guard(tmp_path, capsys):
 def test_tfractal_g8_fails_its_confirmation_cleanly(tmp_path, capsys):
     """The quotient confirmations around the measure's root give the same
     sign at both ends (a known defect): exit 3, one JSON line, no
-    traceback."""
+    traceback, the tree route named and plain floats."""
     assert run("critgamma", "--family", "tfractal", "--g", 8,
                "--out", tmp_path) == 3
     err = capsys.readouterr().err
@@ -565,4 +597,5 @@ def test_tfractal_g8_fails_its_confirmation_cleanly(tmp_path, capsys):
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == "NumericalError"
-    assert "quotient route gives" in payload["message"]
+    assert "tree cells=1598 route gives" in payload["message"]
+    assert "np.float64" not in payload["message"]

@@ -6,15 +6,21 @@ The operations are every CLI operation of the benchmark's three workloads
 (``bench/workloads.operations(w, seed)``), ``critgamma`` and ``fit``
 sweeps over dsg, tfractal, cayleytree, torus d3, open and periodic chains
 and complete graphs, ``critgamma`` on Cayley trees past the dense guard
-on N (N = 3,070 to 24,574), and ``spectrum`` of the T-fractal at g = 9
-and the Cayley tree at g = 16 (N = 19,684 and 196,606).  Operation i
-writes into ``OUT/<i>``, and its standard output, without the
+on N (N = 3,070 to 24,574), ``spectrum`` of the T-fractal at g = 9
+and the Cayley tree at g = 16 (N = 19,684 and 196,606), every ``oracle``
+check, ``verify``, ``overlaps`` and ``success`` on one graph of the dense
+route (dsg g4), one of the quotient route (the 6 x 6 torus) and one
+``--spec`` product, and invalid inputs that must end in an exit code: a
+negative coupling, a target out of range, ``generate`` above the guard,
+a coupling whose H overflows and one whose pi(t) is not finite.
+Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.
 Standard output gets one ``sha256  <i>/<file>`` line per artifact, sorted
 by path, so ``diff`` on the output of two checkouts, run on the same
 machine with the same seed, names every artifact that changed.  Standard
-error gets each operation's exit code.
+error gets each operation's exit code, or ``raised <Type>`` for an
+exception that escapes ``cli.main``.
 
 The BLAS thread counts are pinned to 1 before numpy loads, because output
 digits depend on them.  Standard library plus ctqwlab, imported from this
@@ -54,15 +60,32 @@ PAST_GUARD = (
     ("spectrum", "--family", "tfractal", "--g", "9"),
     ("spectrum", "--family", "cayleytree", "--g", "16"),
 )
+ROUTES = (
+    ("--family", "dsg", "--g", "4"),
+    ("--family", "torus", "--d", "2", "--L", "6"),
+    ("--spec", '{"family": "product", "factors": [{"family": "dsg", "g": 2}, '
+               '{"family": "chain", "L": 4, "periodic": false}]}'),
+)
+INVALID = (
+    ("overlaps", "--family", "dsg", "--g", "3", "--gamma", "-1"),
+    ("overlaps", "--family", "dsg", "--g", "3", "--target", "99"),
+    ("generate", "--family", "dsg", "--g", "9"),
+    ("success", "--family", "complete", "--n", "5", "--gamma", "1e308"),
+    ("success", "--family", "complete", "--n", "5", "--gamma", "1e306",
+     "--tmax", "1e5", "--t-count", "3"),
+)
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
     """The argv of every distinct operation, without ``--out``."""
     ops = [op.argv for w in workloads.WORKLOADS
            for op in workloads.operations(w, seed) if op.kind == "cli"]
-    return list(dict.fromkeys(ops + [(cmd, *sweep)
-                                     for cmd in ("critgamma", "fit")
-                                     for sweep in SWEEPS] + list(PAST_GUARD)))
+    ops += [(cmd, *sweep) for cmd in ("critgamma", "fit") for sweep in SWEEPS]
+    ops += [*PAST_GUARD, *(("oracle", "--check", check)
+                           for check in cli._ORACLES)]
+    ops += [(cmd, *graph) for cmd in ("verify", "overlaps", "success")
+            for graph in ROUTES]
+    return list(dict.fromkeys(ops + list(INVALID)))
 
 
 def main() -> int:
@@ -76,7 +99,10 @@ def main() -> int:
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*argv, "--out", str(out)])
+            try:
+                code = cli.main([*argv, "--out", str(out)])
+            except Exception as exc:  # a defect, recorded and passed over
+                code = f"raised {type(exc).__name__}"
         (out / "stdout.txt").write_text("".join(
             line for line in printed.getvalue().splitlines(keepends=True)
             if not line.startswith("wrote ")))
