@@ -416,14 +416,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _complete_error(n: int, guard: int | None) -> float:
     graph = build(GraphSpec(Family.COMPLETE, n=n))
     times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), 64)
-    worst = 0.0
-    for scale in (0.5, 1.0, 1.7, 2.0):
-        gamma = scale / n
-        probs = success_probability(SearchProblem(graph, 0, gamma), times,
-                                    dense_guard=guard)
-        exact = complete_success(n, gamma, times)
-        worst = max(worst, float(np.max(np.abs(probs - exact))))
-    return worst
+    gammas = [scale / n for scale in (0.5, 1.0, 1.7, 2.0)]
+    grid = success_grid(graph, 0, gammas, times, dense_guard=guard)
+    return max(float(np.max(np.abs(probs - complete_success(n, gamma, times))))
+               for gamma, probs in zip(gammas, grid.probabilities))
 
 
 def _dsg_spectrum_error(g: int, guard: int | None) -> float:

@@ -12,12 +12,13 @@ confirmations and the bound audit solve H on the measure's route: the
 quotient H when the measure came from the quotient, a window of the dense
 H otherwise.  One function groups every route's levels, under one
 tolerance, and builds the :class:`OverlapRecord`.  Success
-probabilities come from the K x K matrix of the measure, on a uniform time
-grid (|t_j - t0 - j*h| <= 8 eps max|t|) as one complex product of the
-factored phases.  Past the dense guard, :func:`propagate_krylov` reads
-pi(t) from Chebyshev moments <w|T_k|s> of the sparse H, scaled by its
-Gershgorin interval: one real recurrence in O(N) memory, no
-``expm_multiply``.
+probabilities come from the K x K matrix of the measure: all couplings of
+a grid in one stacked eigensolve, then every row's phase sums as one
+batched complex product, of the factored phases on a uniform time grid
+(|t_j - t0 - j*h| <= 8 eps max|t|).  Past the dense guard,
+:func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
+the sparse H, scaled by its Gershgorin interval: one real recurrence in
+O(N) memory, no ``expm_multiply``.
 """
 from __future__ import annotations
 
@@ -63,6 +64,10 @@ _CONFIRM_RTOL = 1e-10
 # below _X_FLOOR = a*t the propagator returns pi(0) = 1/N.
 _MILLER_BIG = 2.0 ** 600
 _X_FLOOR = 1e-100
+# Largest temporary of one chunk of success-grid rows, in array elements:
+# rows x K x K for the stack of H, or rows x K x (exponentials per row) for
+# the phases: T of them, or B + Q on a uniform grid.
+_CHUNK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -513,46 +518,84 @@ def default_time_grid(n: int, count: int = 512) -> np.ndarray:
     return np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), count)
 
 
-def _phase_product(t: np.ndarray, energies: np.ndarray,
-                   coef: np.ndarray) -> np.ndarray:
-    """sum_a coef_a exp(-i E_a t_j) for every t_j.  On a uniform grid,
-    |t_j - (t0 + j*h)| <= 8 eps max|t|, j = B*q + r with B = ceil(sqrt(T))
-    factors the phase as exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one (Q x K)(K x B)
-    product, (B + Q)*K exponentials instead of the direct T*K."""
+def _phase_block(t: np.ndarray) -> int:
+    """B = isqrt(T - 1) + 1 when the T > 1 times form a uniform grid,
+    |t_j - (t0 + j*h)| <= 8 eps max|t|, else 0."""
     count = t.size
     if count > 1:
         h = (t[-1] - t[0]) / (count - 1)
+        if np.abs(t - (t[0] + np.arange(count) * h)).max() \
+                <= 8.0 * _EPS * np.abs(t).max():
+            return math.isqrt(count - 1) + 1
+    return 0
+
+
+def _phase_product(t: np.ndarray, block: int, energies: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """sum_a coef[g, a] exp(-i energies[g, a] t_j): the (G, T) sums of G
+    rows of energies and coefficients.  On a uniform grid (``block`` = B of
+    :func:`_phase_block`), j = B*q + r factors the phase as
+    exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one (Q x K)(K x B) product per row,
+    (B + Q)*K exponentials instead of the direct T*K."""
+    count = t.size
+    if block:
+        h = (t[-1] - t[0]) / (count - 1)
         j = np.arange(count)
-        if np.abs(t - (t[0] + j * h)).max() <= 8.0 * _EPS * np.abs(t).max():
-            block = math.isqrt(count - 1) + 1
-            inner = np.exp(-1j * np.outer(t[0] + j[:block] * h, energies)) * coef
-            outer = np.exp(-1j * np.outer(j[:-(-count // block)] * (block * h),
-                                          energies))
-            return (outer @ inner.T).ravel()[:count]
-    return np.exp(-1j * np.outer(t, energies)) @ coef.astype(complex)
+        e = energies[:, None, :]
+        inner = np.exp(-1j * ((t[0] + j[:block] * h)[:, None] * e)) \
+            * coef[:, None, :]
+        outer = np.exp(-1j * ((j[:-(-count // block)] * (block * h))[:, None]
+                              * e))
+        return (outer @ inner.transpose(0, 2, 1)).reshape(
+            len(energies), -1)[:, :count]
+    phases = np.exp(-1j * (t[:, None] * energies[:, None, :]))
+    return (phases @ coef[:, :, None].astype(complex))[..., 0]
 
 
-def success_probability(problem: SearchProblem, t, *,
-                        dense_guard: int | None = DEFAULT_DENSE_GUARD):
-    """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out.
+def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
+                  t: np.ndarray, dense_guard: int | None) -> np.ndarray:
+    """pi(t) = |<w| exp(-i H t) |s>|^2 at each coupling of ``gammas`` and
+    time of ``t``, as a (G, T) array.
 
     With one basis vector per group of the target's Laplacian measure
     (eigenvalue lam_k, target weight a_k), H acts as the K x K matrix
     gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is basis vector
     0, the zero mode.  The levels outside that span are invisible to |w>
-    and |s>, so this is exact.  One K x K eigensolve serves every time.
+    and |s>, so this is exact.  The rows' K x K matrices are solved as one
+    stack (:func:`spectra.eigh`) and their phase sums taken as one batched
+    product, in chunks of rows within _CHUNK_ELEMENTS; a chunk holds at
+    least one row.  A row's bits do not depend on the rows beside it.
+    Phases that overflow give NaN, which :func:`_probabilities` refuses,
+    and on a grid that starts at t = 0, pi(0) must be 1/N within 1e-12.
     """
-    scalar = np.isscalar(t)
-    t_arr = _times(t)
-    sums = target_measure(problem.graph, problem.target,
-                          dense_guard=dense_guard)
+    sums = target_measure(graph, target, dense_guard=dense_guard)
     z = np.sqrt(sums.group_amp_sq)
-    dec = eigh(problem.gamma * np.diag(sums.group_eigenvalues)
-               - np.outer(z, z), dense_guard=dense_guard)
-    coef = (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
-    probs = _probabilities(
-        np.abs(_phase_product(t_arr, dec.eigenvalues, coef)) ** 2,
-        "success probability")
+    diag, zz = np.diag(sums.group_eigenvalues), np.outer(z, z)
+    block = _phase_block(t)
+    phases = block + -(-t.size // block) if block else t.size
+    rows = max(1, _CHUNK_ELEMENTS // (z.size * max(z.size, phases)))
+    probs = np.empty((gammas.size, t.size))
+    for start in range(0, gammas.size, rows):
+        dec = eigh(gammas[start:start + rows, None, None] * diag - zz,
+                   dense_guard=dense_guard)
+        coef = (z @ dec.eigenvectors) * dec.eigenvectors[:, 0, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs[start:start + rows] = np.abs(
+                _phase_product(t, block, dec.eigenvalues, coef)) ** 2
+    _probabilities(probs, "success probability")
+    if t[0] == 0.0 and np.abs(probs[:, 0] - 1.0 / graph.n).max() > 1e-12:
+        raise NumericalError("pi(0) deviates from 1/N")
+    return probs
+
+
+def success_probability(problem: SearchProblem, t, *,
+                        dense_guard: int | None = DEFAULT_DENSE_GUARD):
+    """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out: the one-row
+    case of :func:`success_grid`, from one K x K eigensolve."""
+    scalar = np.isscalar(t)
+    probs = _success_rows(problem.graph, problem.target,
+                          np.array([problem.gamma], dtype=np.float64),
+                          _times(t), dense_guard)[0]
     return float(probs[0]) if scalar else probs
 
 
@@ -590,27 +633,26 @@ class SuccessGrid:
 def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
                  times: Sequence[float], *,
                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SuccessGrid:
-    """Sweep couplings; every row works from the target's one Laplacian
-    measure.  Every coupling is checked before the first row."""
+    """pi(t) at every coupling and time of the grid, every row from the
+    target's one Laplacian measure and all rows from one stacked K x K
+    eigensolve (in chunks of rows on large grids; see
+    :func:`_success_rows`).  Every coupling is checked before the first
+    row, and each row equals :func:`success_probability` at its coupling
+    bit for bit."""
     gam = np.asarray([float(g) for g in gammas], dtype=np.float64)
     t_arr = _times(times)
     if gam.size == 0:
         raise ConfigError("success grid needs a nonempty coupling grid")
     if np.any(np.diff(t_arr) < 0.0):
         raise ConfigError("time grid must be ascending")
-    problems = [SearchProblem(graph, target, g) for g in gam.tolist()]
-    probs = np.vstack([success_probability(p, t_arr, dense_guard=dense_guard)
-                       for p in problems])
+    for g in gam.tolist():
+        SearchProblem(graph, target, g)
+    probs = _success_rows(graph, target, gam, t_arr, dense_guard)
     best = np.argmax(probs, axis=1)
-    grid = SuccessGrid(
+    return SuccessGrid(
         gammas=gam, times=t_arr, probabilities=probs,
         t_star=t_arr[best], pi_star=probs[np.arange(gam.size), best],
     )
-    if t_arr[0] == 0.0:
-        start = probs[:, 0]
-        if np.abs(start - 1.0 / graph.n).max() > 1e-12:
-            raise NumericalError("pi(0) deviates from 1/N")
-    return grid
 
 
 def oscillation_period(times: np.ndarray, probs: np.ndarray) -> float | None:

@@ -4,9 +4,10 @@ target's Laplacian spectral measure that controls the search transition.
 Degenerate subspaces deserve care: individual eigenvectors inside one are
 basis-dependent noise, so amplitude information is only ever reported
 summed over a degeneracy group.  Groups are detected with a relative
-tolerance of 1e-8 times the spectral range.  Eigenvector signs are left
-as LAPACK returns them: every observable reads a column only through
-products of two of its own entries, so no output depends on them.
+tolerance of 1e-10 times the spectral range (``GROUP_RTOL``).  Eigenvector
+signs are left as LAPACK returns them: every observable reads a column
+only through products of two of its own entries, so no output depends on
+them.
 
 :func:`target_measure` hands the measure to the engine and the CLI, once
 per ``Graph`` object and target, and keeps only the K-sized
@@ -55,9 +56,15 @@ from .errors import (
 )
 from .graphs import Graph, NodeId
 
-# Relative spacing below which adjacent eigenvalues are treated as one
-# degenerate group.
+# Relative spacing below which adjacent levels of H are treated as one
+# degenerate group (the engine's overlap records).
 DEGENERACY_RTOL = 1e-8
+# The same for the eigenvalues of one decomposition, L's among them, and
+# so for the poles of the measure.  Finer than DEGENERACY_RTOL: tfractal
+# g8 has eigenvalues of L 4.2e-8 apart (range 5.4), which the quotient H
+# keeps apart; merged into one pole, they moved the measure's crossing off
+# the one the quotient H confirms.
+GROUP_RTOL = 1e-10
 # Required symmetry of eigh inputs, relative to the largest entry.
 SYMMETRY_RTOL = 1e-12
 # Seed of the colour-refinement hash words: fixed, so that every run refines
@@ -68,7 +75,8 @@ _HASH_SEED = 1002
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenpairs of a real symmetric matrix, ascending, with eigenvector
-    signs as LAPACK returns them.
+    signs as LAPACK returns them; of a stack of them, each array carries the
+    stack's leading axes.
 
     ``group_index[k]`` labels the degeneracy group of eigenvalue k (see
     :func:`degeneracy_groups`).
@@ -79,38 +87,42 @@ class SpectralDecomposition:
     group_index: np.ndarray   # (n,) int64
 
 
-def group_labels(values: np.ndarray, tol: float) -> np.ndarray:
-    """Degeneracy-group label of each ascending eigenvalue: a new group
-    starts wherever the gap to the previous value exceeds ``tol``."""
-    labels = np.zeros(values.size, dtype=np.int64)
-    labels[1:] = np.cumsum(np.diff(values) > tol)
+def group_labels(values: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """Degeneracy-group label of each ascending eigenvalue along the last
+    axis: a new group starts wherever the gap to the previous value
+    exceeds ``tol`` (a scalar, or one per spectrum of a stack)."""
+    labels = np.zeros(values.shape, dtype=np.int64)
+    labels[..., 1:] = np.cumsum(np.diff(values) > tol, axis=-1)
     return labels
 
 
 def degeneracy_groups(values: np.ndarray) -> np.ndarray:
-    """Group labels of an ascending spectrum under the relative tolerance
-    ``DEGENERACY_RTOL`` times its range."""
-    spread = float(values[-1] - values[0]) if values.size else 0.0
-    return group_labels(values, DEGENERACY_RTOL * spread)
+    """Group labels of an ascending spectrum, or of each of a stack, under
+    the relative tolerance ``GROUP_RTOL`` times its range."""
+    spread = values[..., -1:] - values[..., :1]
+    return group_labels(values, GROUP_RTOL * spread)
 
 
 def eigh(matrix: np.ndarray, *,
          dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SpectralDecomposition:
-    """Full eigendecomposition of a real symmetric matrix (LAPACK ``evd``).
+    """Full eigendecomposition of a real symmetric matrix (LAPACK ``evd``),
+    or of each of a (..., n, n) stack of them in one call, with stacked
+    results.
 
-    Refuses matrices above the dense guard and inputs that are not
-    symmetric to within 1e-12 of their largest entry.
+    Refuses matrices above the dense guard on n and any matrix that is not
+    symmetric to within 1e-12 of its largest entry.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError("eigh needs a square matrix")
-    check_dense_guard(m.shape[0], dense_guard, "dense eigendecomposition")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if asym > SYMMETRY_RTOL * scale:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ConfigError("eigh needs a square matrix or a stack of them")
+    check_dense_guard(m.shape[-1], dense_guard, "dense eigendecomposition")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
+    if asym[worst] > SYMMETRY_RTOL * scale[worst]:
         raise ConfigError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * {scale:.3e}"
+            f"matrix is not symmetric: max asymmetry {asym[worst]:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * {scale[worst]:.3e}"
         )
     values, vectors = sla.eigh(m, driver="evd")
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
@@ -359,7 +371,7 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     near = np.where(quo.eigenvalues - values[above - 1]
                     <= values[above] - quo.eigenvalues, above - 1, above)
     miss = np.abs(values[near] - quo.eigenvalues)
-    tol = DEGENERACY_RTOL * float(values[-1] - values[0])
+    tol = GROUP_RTOL * float(values[-1] - values[0])
     if miss.max() > tol:
         raise NumericalError(
             f"quotient eigenvalue {quo.eigenvalues[miss.argmax()]!r} is "

@@ -456,6 +456,47 @@ def test_a_non_finite_pi_exits_3_and_writes_no_csv(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_overflowing_phases_print_one_json_line_and_no_warning(tmp_path,
+                                                               capsys):
+    """The phases gamma lam t of gamma = 1e306 overflow at t = 1e5: with
+    warnings turned into errors the run still exits 3, and stderr holds
+    the one JSON line and nothing else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("success", "--family", "complete", "--n", 5,
+                   "--gamma", "1e306", "--tmax", "1e5", "--t-count", 3,
+                   "--out", tmp_path)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NumericalError"
+
+
+def test_success_grid_is_one_stacked_eigensolve(tmp_path, capsys,
+                                                monkeypatch):
+    """``success --gamma-count 16`` on dsg g5 makes two eigh calls: the
+    dense L of its measure and one (16, K, K) stack of every coupling."""
+    import scipy.linalg as sla
+
+    from ctqwlab.graphs import GraphSpec, build, default_target
+    from ctqwlab.spectra import target_measure
+
+    spec = GraphSpec(family="dsg", g=5)
+    k = target_measure(build(spec), default_target(spec)) \
+        .group_eigenvalues.size
+    shapes = []
+    real = sla.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", spy)
+    assert run("success", "--family", "dsg", "--g", 5, "--gamma-count", 16,
+               "--out", tmp_path) == 0
+    assert shapes == [(243, 243), (16, k, k)]
+
+
 def test_exit_code_3_when_verify_fails(tmp_path, capsys):
     # The default couplings include gamma = xi1/8 = 0.5453, where
     # s_psi1_sq = 0.92224 misses the perturbative floor 0.92284: a genuine

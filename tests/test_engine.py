@@ -10,6 +10,7 @@ from ctqwlab import engine
 from ctqwlab.engine import (
     SearchProblem,
     SuccessGrid,
+    _phase_block,
     _phase_product,
     _independent_overlaps,
     build_hamiltonian,
@@ -893,6 +894,57 @@ def test_success_from_measure_matches_dense_hamiltonian(make_graph, target):
         assert np.abs(got - want).max() <= 1e-12, gamma
 
 
+SUCCESS_GRID_CASES = [
+    _family_case(family=Family.DSG, g=5),
+    _family_case(family=Family.TORUS, L=5, d=4),
+    _family_case(family=Family.TFRACTAL, g=5),
+]
+
+
+def _one_row_at_a_time(graph, target, gammas, times):
+    return np.vstack([success_probability(SearchProblem(graph, target, g),
+                                          times) for g in gammas])
+
+
+@pytest.mark.parametrize("make_graph,target", SUCCESS_GRID_CASES)
+def test_success_grid_rows_equal_one_row_calls(make_graph, target):
+    """Every row of a grid, all rows solved as one stack, has the bits of
+    the one-row call at its coupling, on a uniform and a geometric grid."""
+    graph = make_graph()
+    xi1 = target_measure(graph, target).xi1
+    gammas = np.geomspace(xi1 / 8.0, 8.0 * xi1, 16)
+    for times in (np.linspace(0.0, 160.0, 1025),
+                  np.geomspace(1e-3, 500.0, 300)):
+        grid = success_grid(graph, target, gammas, times)
+        assert np.array_equal(grid.probabilities,
+                              _one_row_at_a_time(graph, target, gammas, times))
+
+
+def test_success_grid_chunks_keep_every_row(monkeypatch):
+    """Rows split into chunks by _CHUNK_ELEMENTS (rows x K x T on a
+    geometric grid here, T > K) keep their bits, and a chunk holds at least
+    one row however small the bound."""
+    graph = _graph(Family.DSG, g=5)
+    k = target_measure(graph, 0).group_eigenvalues.size
+    gammas = np.geomspace(0.5, 20.0, 7)
+    times = np.geomspace(1e-3, 500.0, 300)
+    assert times.size > k and _phase_block(times) == 0
+    want = _one_row_at_a_time(graph, target=0, gammas=gammas, times=times)
+    stacks = []
+
+    def spy(matrix, **kwargs):
+        stacks.append(matrix.shape)
+        return eigh(matrix, **kwargs)
+
+    monkeypatch.setattr(engine, "eigh", spy)
+    for bound, rows in ((3 * k * times.size, [3, 3, 1]), (1, [1] * 7)):
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", bound)
+        stacks.clear()
+        grid = success_grid(graph, 0, gammas, times)
+        assert stacks == [(r, k, k) for r in rows]
+        assert np.array_equal(grid.probabilities, want)
+
+
 def test_success_grid_csv_headers():
     g = _graph(Family.COMPLETE, n=8)
     grid = success_grid(g, 0, [0.1, 0.2], np.linspace(0.0, 5.0, 6))
@@ -947,17 +999,22 @@ def _success_spectrum(prob):
 @pytest.mark.parametrize("t0", [-3.25, 17.0])
 def test_factored_phase_product_matches_direct(count, t0):
     """On uniform grids, t0 != 0 and |E| t up to ~1e4, the factored
-    (Q x K)(K x B) product equals the direct sums within 1e-12."""
+    (Q x K)(K x B) product of each stacked row equals that row's direct
+    sums within 1e-12."""
     rng = np.random.default_rng(count)
-    energies = np.sort(rng.uniform(-1.0, 5.0, 40))
-    coef = rng.normal(size=40)
-    coef /= np.abs(coef).sum()
+    energies = np.sort(rng.uniform(-1.0, 5.0, (3, 40)), axis=1)
+    coef = rng.normal(size=(3, 40))
+    coef /= np.abs(coef).sum(axis=1, keepdims=True)
     times = np.linspace(t0, 2000.0, count)
     assert np.abs(energies).max() * np.abs(times).max() > 9e3
-    got = _phase_product(times, energies, coef)
-    want = _direct_phase_product(times, energies, coef)
-    assert np.abs(got - want).max() <= 1e-12
-    assert np.abs(np.abs(got) ** 2 - np.abs(want) ** 2).max() <= 1e-12
+    block = _phase_block(times)
+    assert block > 0
+    got = _phase_product(times, block, energies, coef)
+    assert got.shape == (3, count)
+    for row, e, c in zip(got, energies, coef):
+        want = _direct_phase_product(times, e, c)
+        assert np.abs(row - want).max() <= 1e-12
+        assert np.abs(np.abs(row) ** 2 - np.abs(want) ** 2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec,target", [

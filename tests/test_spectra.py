@@ -91,6 +91,30 @@ def test_eigh_rejects_nonsymmetric():
         eigh(m)
 
 
+def test_eigh_solves_a_stack_and_checks_every_slice():
+    """A (2, 3, n, n) stack gives each slice's own decomposition and group
+    labels bit for bit; one asymmetric slice, or one past the guard on n,
+    refuses the whole stack."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 3, 6, 6))
+    stack = a + np.swapaxes(a, -1, -2)
+    stack[1, 2] = np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+    dec = eigh(stack)
+    assert dec.eigenvalues.shape == (2, 3, 6)
+    assert dec.eigenvectors.shape == (2, 3, 6, 6)
+    for index in np.ndindex(2, 3):
+        one = eigh(stack[index])
+        assert np.array_equal(dec.eigenvalues[index], one.eigenvalues)
+        assert np.array_equal(dec.eigenvectors[index], one.eigenvectors)
+        assert np.array_equal(dec.group_index[index], one.group_index)
+    assert dec.group_index[1, 2].tolist() == [0, 1, 1, 2, 3, 3]
+    stack[0, 1, 0, 5] += 1e-6
+    with pytest.raises(ConfigError, match="not symmetric"):
+        eigh(stack)
+    with pytest.raises(DenseGuardError):
+        eigh(np.zeros((4, 20, 20)), dense_guard=10)
+
+
 def test_eigh_dense_guard():
     m = np.eye(20)
     with pytest.raises(DenseGuardError):

@@ -585,17 +585,16 @@ def test_cayley_trees_past_the_guard(tmp_path, capsys):
     assert np.abs(np.diff(gamma) - 1.0).max() < 1e-3
 
 
-def test_tfractal_g8_fails_its_confirmation_cleanly(tmp_path, capsys):
-    """The quotient confirmations around the measure's root give the same
-    sign at both ends (a known defect): exit 3, one JSON line, no
-    traceback, the tree route named and plain floats."""
+def test_tfractal_g8_confirms_its_critical_coupling(tmp_path, capsys):
+    """The measure's groups (1e-10 x range) keep apart L's eigenvalues at
+    4.801566e-5 and 4.805784e-5, as the quotient H does, so both quotient
+    confirmations bracket the measure's root: exit 0 on the tree route,
+    gamma_crit = 85.32329511."""
     assert run("critgamma", "--family", "tfractal", "--g", 8,
-               "--out", tmp_path) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "NumericalError"
-    assert "tree cells=1598 route gives" in payload["message"]
-    assert "np.float64" not in payload["message"]
+               "--out", tmp_path) == 0
+    assert "route=tree cells=1598" in capsys.readouterr().out
+    row = (tmp_path / "critgamma_tfractal.csv").read_text() \
+        .splitlines()[1].split(",")
+    assert row[:2] == ["tfractal_g8", "6562"]
+    assert float(row[2]) == pytest.approx(85.32329511, rel=1e-8)
+    assert row[5] == "2"
