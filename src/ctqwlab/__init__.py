@@ -49,7 +49,6 @@ from .oracles import (
     dsg_zeta_direct,
 )
 from .spectra import (
-    AlphaFit,
     SpectralDecomposition,
     SpectralSums,
     fit_alpha,
@@ -80,7 +79,6 @@ __all__ = [
     "dsg_exact_spectrum",
     "dsg_zeta_closed",
     "dsg_zeta_direct",
-    "AlphaFit",
     "SpectralDecomposition",
     "SpectralSums",
     "fit_alpha",

@@ -5,7 +5,9 @@ Two empirical models cover the families of interest: a power law
 lattices, and a linear-in-generation law ``gamma_crit = a * g + b``
 (logarithmic in N) for the tree family.  The measured power-law exponent
 can be compared against the value predicted from the low-frequency
-spectral data, ``alpha + 2 / d_s`` with ``d_s`` the spectral dimension.
+spectral data, ``alpha + 2 / d_s`` with ``d_s`` the spectral dimension;
+alpha, the exponent of the largest squared target amplitude against N,
+is the same power fit (:func:`spectra.fit_alpha`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .graphs import GraphSpec
-from .spectra import loglog_fit
 
 __all__ = [
     "ScalingModel",
@@ -104,10 +105,13 @@ def fit_scaling(points, model: ScalingModel | str, *, label: str = "",
                 alpha_used: float | None = None) -> ScalingFit:
     """Fit (x, y) pairs with the requested scaling model.
 
-    For ``POWER`` the abscissa is the node count and both coordinates
-    must be positive; for ``LOG`` the abscissa is the generation index.
-    Inputs are taken as-is (unweighted), so identical inputs always
-    reproduce identical parameters.
+    At least three points with distinct, finite abscissae and finite
+    ordinates, else ConfigError.  For ``POWER`` the abscissa is the node
+    count and both coordinates must be positive; log(y) is fitted against
+    log(x) by one ``lstsq`` solve.  It also gives the amplitude exponent
+    alpha of :func:`spectra.fit_alpha`.  For ``LOG`` the abscissa is the
+    generation index.  Inputs are taken as-is (unweighted), so identical
+    inputs always reproduce identical parameters.
     """
     try:
         model = ScalingModel(model)
@@ -119,9 +123,12 @@ def fit_scaling(points, model: ScalingModel | str, *, label: str = "",
     if model is ScalingModel.POWER:
         if (x <= 0).any() or (y <= 0).any():
             raise ConfigError("power-law fit requires positive sizes and "
-                              "positive critical couplings")
-        slope, intercept, rms = loglog_fit(x, y)
-        params = {"c": math.exp(intercept), "beta": slope}
+                              "positive values")
+        ly = np.log(y)
+        design = np.column_stack([np.log(x), np.ones_like(x)])
+        coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
+        rms = np.sqrt(np.mean((ly - design @ coef) ** 2))
+        params = {"c": math.exp(coef[1]), "beta": float(coef[0])}
     else:
         slope, intercept = (float(v) for v in np.polyfit(x, y, 1))
         rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))

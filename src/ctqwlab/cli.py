@@ -56,7 +56,6 @@ from .oracles import (
 from .spectra import (
     degeneracy_groups,
     fit_alpha,
-    laplacian_eigenvalues,
     laplacian_spectrum,
     spectrum_csv,
     target_measure,
@@ -181,8 +180,8 @@ def _gamma_grid(args: argparse.Namespace,
     if lo is None:
         scale = xi1()
         lo, hi = scale / 8.0, scale * 8.0
-    if not (0 < lo < hi):
-        raise ConfigError(f"need 0 < gamma-min < gamma-max, got "
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"need 0 < gamma-min < gamma-max < inf, got "
                           f"[{lo}, {hi}]")
     count = args.gamma_count
     if count < 1:
@@ -372,7 +371,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if model is ScalingModel.POWER and specs[0].spectral_dimension is not None:
         alpha_used = args.alpha
         if alpha_used is None:
-            alpha_used = fit_alpha([row["measure"] for row in rows]).alpha
+            alpha_used = fit_alpha([row["measure"] for row in rows])
         prediction = exponent_prediction(specs[0], alpha_used)
     fit = fit_scaling(points, model, label=family.value,
                       prediction=prediction, alpha_used=alpha_used)
@@ -424,7 +423,7 @@ def _complete_error(n: int, guard: int | None) -> float:
 
 def _dsg_spectrum_error(g: int, guard: int | None) -> float:
     graph = build(GraphSpec(Family.DSG, g=g))
-    values = laplacian_eigenvalues(graph, dense_guard=guard)
+    values = laplacian_spectrum(graph, dense_guard=guard)[0]
     return float(np.max(np.abs(values - dsg_exact_spectrum(g).expand())))
 
 

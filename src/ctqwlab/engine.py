@@ -15,7 +15,8 @@ tolerance, and builds the :class:`OverlapRecord`.  Success
 probabilities come from the K x K matrix of the measure: all couplings of
 a grid in one stacked eigensolve, then every row's phase sums as one
 batched complex product, of the factored phases on a uniform time grid
-(|t_j - t0 - j*h| <= 8 eps max|t|).  Past the dense guard,
+(|t_j - t0 - j*h| <= 8 eps max|t|); :func:`gamma_max_search` narrows its
+coupling bracket by further such grids.  Past the dense guard,
 :func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
 the sparse H, scaled by its Gershgorin interval: one real recurrence in
 O(N) memory, no ``expm_multiply``.
@@ -351,9 +352,15 @@ def _secular_root(poles: np.ndarray, weights: np.ndarray, i: int
     f_far = min(scaled(far), 0.0) if i == 0 else half * g_mid
     tau, _ = _brent(scaled, far, f_far, 0.0, -math.copysign(weights[o], far),
                     _SECULAR_RTOL)
-    q = weights / (gaps - tau) ** 2
+    # The distances are scaled by 2**-e, e the exponent of the nearest one,
+    # -tau, so their squares do not underflow at tiny couplings.  A power
+    # of two scales exactly, so at every other coupling the overlaps keep
+    # their bits.
+    e = math.frexp(tau)[1]
+    q = weights / np.ldexp(gaps - tau, -e) ** 2
     slope = float(q.sum())
-    return float(poles[o] + tau), float(q[0]) / slope, 1.0 / slope
+    return float(poles[o] + tau), float(q[0]) / slope, math.ldexp(1.0 / slope,
+                                                                  2 * e)
 
 
 def _visible(sums: SpectralSums, gamma: float) -> np.ndarray:
@@ -376,7 +383,10 @@ def measure_overlaps(problem: SearchProblem, *,
     sit at gamma*lam_k (m_k - 1 per visible group, m_k per other one) with
     no |s> or |w> weight.  Root i lies above the pole of visible group
     i - 1, so roots are solved in order only while the next one can still
-    join E1's group."""
+    join E1's group.  Each root's squared distances to the poles are
+    scaled by a power of two, so they do not underflow down to gamma ~
+    1e-305; below ~1e-307 the secular equation itself overflows, and any
+    overflow or invalid operation in a root gives NumericalError."""
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
     gamma, lam = problem.gamma, sums.group_eigenvalues
@@ -384,14 +394,23 @@ def measure_overlaps(problem: SearchProblem, *,
     visible = _visible(sums, gamma)
     poles, a = gamma * lam[visible], sums.group_amp_sq[visible]
     hidden = sums.multiplicities - visible
-    roots = [_secular_root(poles, a, i) for i in range(min(poles.size, 2))]
+
+    def root(i: int) -> tuple[float, float, float]:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return _secular_root(poles, a, i)
+        except FloatingPointError as exc:
+            raise NumericalError(f"the secular equation leaves the float "
+                                 f"range at gamma={gamma!r}: {exc}") from None
+
+    roots = [root(i) for i in range(min(poles.size, 2))]
     while True:
         levels = _merge_hidden(*np.array(roots).T, gamma * lam, hidden)
         last = np.searchsorted(group_labels(levels[0], tol), 2) - 1
         i = len(roots)
         if i == poles.size or poles[i - 1] - levels[0][last] > tol:
             return _lowest_levels(gamma, *levels, tol)
-        roots.append(_secular_root(poles, a, i))
+        roots.append(root(i))
 
 
 # -- critical coupling ----------------------------------------------------------
@@ -697,11 +716,20 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
                      rel_tol: float = 1e-3,
                      dense_guard: int | None = DEFAULT_DENSE_GUARD
                      ) -> GammaMaxResult:
-    """Two-stage search for the best coupling over a fixed time horizon:
-    a log-spaced coarse grid around ``gamma_center`` followed by
-    golden-section refinement between the coarse neighbors of the best
-    point.  The optimum depends on the horizon; times are part of the
-    contract."""
+    """The coupling, of a log-spaced grid, that maximizes max_t pi(t) over
+    a fixed time horizon.
+
+    A coarse grid of ``coarse`` points spans [gamma_center / span,
+    gamma_center * span].  While the bracket around the best point, its
+    two grid neighbours, is wider than ``rel_tol`` in log(gamma), a grid
+    of max(coarse, 5) points spans the bracket.  On five or more points
+    the bracket is at most half the grid's width, so every grid narrows
+    it, until the floats cannot.  Every grid is one :func:`success_grid`,
+    one stacked eigensolve.  The result is the best row of the last grid,
+    so ``pi_max`` is :func:`success_probability`'s maximum at ``gamma``
+    bit for bit.  The optimum depends on the horizon; times are part of
+    the contract.  ConfigError unless gamma_center > 0 and 1 < span are
+    finite, coarse >= 3 and rel_tol > 0."""
     if not (gamma_center > 0.0 and np.isfinite(gamma_center)):
         raise ConfigError("gamma_center must be positive and finite")
     if not 1.0 < span < math.inf:
@@ -711,36 +739,24 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     if not rel_tol > 0.0:
         raise ConfigError("rel_tol must be positive")
     grid = np.geomspace(gamma_center / span, gamma_center * span, coarse)
-    sweep = success_grid(graph, target, grid, times, dense_guard=dense_guard)
-    best = int(np.argmax(sweep.pi_star))
-
-    def pi_row(gamma: float) -> np.ndarray:
-        return success_probability(SearchProblem(graph, target, gamma),
-                                   np.asarray(times),
-                                   dense_guard=dense_guard)
-
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, coarse - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = pi_row(math.exp(c)).max(), pi_row(math.exp(d)).max()
-    while (b - a) > rel_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = pi_row(math.exp(c)).max()
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = pi_row(math.exp(d)).max()
-    gamma_best = math.exp(0.5 * (a + b))
-    probs = pi_row(gamma_best)
-    k = int(np.argmax(probs))
+    sweep = coarse_sweep = success_grid(graph, target, grid, times,
+                                        dense_guard=dense_guard)
+    width = math.inf
+    while True:
+        best = int(np.argmax(sweep.pi_star))
+        lo = sweep.gammas[max(best - 1, 0)]
+        hi = sweep.gammas[min(best + 1, sweep.gammas.size - 1)]
+        # At the resolution of the floats a grid stops narrowing it.
+        if not rel_tol < math.log(hi / lo) < width:
+            break
+        width = math.log(hi / lo)
+        sweep = success_grid(graph, target,
+                             np.geomspace(lo, hi, max(coarse, 5)), times,
+                             dense_guard=dense_guard)
     return GammaMaxResult(
-        gamma=float(gamma_best), t_star=float(np.asarray(times)[k]),
-        pi_max=float(probs[k]), coarse_gammas=grid, coarse_peaks=sweep.pi_star,
+        gamma=float(sweep.gammas[best]), t_star=float(sweep.t_star[best]),
+        pi_max=float(sweep.pi_star[best]), coarse_gammas=grid,
+        coarse_peaks=coarse_sweep.pi_star,
     )
 
 

@@ -1,5 +1,7 @@
 """Dense symmetric eigendecomposition with degeneracy labels, plus the
-target's Laplacian spectral measure that controls the search transition.
+target's Laplacian spectral measure that controls the search transition,
+and the size exponent alpha of its largest weight (:func:`fit_alpha`, a
+power fit of :func:`analysis.fit_scaling`).
 
 Degenerate subspaces deserve care: individual eigenvectors inside one are
 basis-dependent noise, so amplitude information is only ever reported
@@ -31,7 +33,7 @@ the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
   (:func:`_tree_spectrum`).  No dense L is formed, and the dense guard
   applies to the number of cells; above the guard on N, one breadth-first
   search first refuses a tree too deep for that.  The same blocks, around
-  the tree's centre, give :func:`laplacian_eigenvalues` on trees.
+  the tree's centre, give :func:`laplacian_spectrum` on trees.
 * *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
   by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
   172, 1995), several times faster than scipy's default ``evr`` on the
@@ -48,6 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .analysis import fit_scaling
 from .errors import (
     DEFAULT_DENSE_GUARD,
     ConfigError,
@@ -144,13 +147,6 @@ def laplacian_decomposition(graph: Graph, *,
                                overwrite_a=True, check_finite=False)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
                                  group_index=degeneracy_groups(values))
-
-
-def laplacian_eigenvalues(graph: Graph, *,
-                          dense_guard: int | None = DEFAULT_DENSE_GUARD
-                          ) -> np.ndarray:
-    """Eigenvalues of L, ascending (see :func:`laplacian_spectrum`)."""
-    return laplacian_spectrum(graph, dense_guard=dense_guard)[0]
 
 
 def laplacian_spectrum(graph: Graph, *,
@@ -364,7 +360,7 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     if tree:
         values = _tree_spectrum(lq, quo.eigenvalues, counts, sizes, cell)
     else:
-        values = laplacian_eigenvalues(graph, dense_guard=dense_guard)
+        values = laplacian_spectrum(graph, dense_guard=dense_guard)[0]
     groups = degeneracy_groups(values)
     # Nearest eigenvalue of L to each of Lq.
     above = np.searchsorted(values, quo.eigenvalues).clip(1, values.size - 1)
@@ -561,53 +557,13 @@ def _centre(graph: Graph) -> NodeId | None:
 # -- amplitude scaling --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaFit:
-    """Power-law fit max_amp_sq ~= c * N^alpha across one family."""
-
-    c: float
-    alpha: float
-    residual: float            # rms residual of the log-log fit
-    sizes: tuple[int, ...]
-    values: tuple[float, ...]  # max_amp_sq per size
-    flagged: bool              # True when alpha falls outside [-1, 0)
-
-
-def loglog_fit(x: Sequence[float], y: Sequence[float]
-               ) -> tuple[float, float, float]:
-    """Least-squares fit of log(y) = slope * log(x) + intercept.
-
-    Returns (slope, intercept, rms residual in log space).
-    """
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    ly = np.log(np.asarray(y, dtype=np.float64))
-    if lx.size < 2:
-        raise ConfigError("log-log fit needs at least two points")
-    design = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(coef[1]), rms
-
-
-def fit_alpha(measures: Sequence[SpectralSums]) -> AlphaFit:
-    """Fit the size scaling of the largest target amplitude over a family,
-    one target measure per graph size.
-
-    Needs at least three measures of distinct sizes.  The fit is flagged
-    (but still returned) when alpha leaves [-1, 0), the admissible window
-    for the structures handled here.
-    """
-    if len(measures) < 3:
-        raise ConfigError("alpha fit needs at least three graph sizes")
-    sizes = [m.n for m in measures]
-    values = [m.max_amp_sq for m in measures]
-    if len(set(sizes)) < len(sizes):
-        raise ConfigError("alpha fit needs distinct graph sizes")
-    alpha, intercept, rms = loglog_fit(sizes, values)
-    flagged = not (-1.0 - 1e-9 <= alpha < 0.0)
-    return AlphaFit(c=float(np.exp(intercept)), alpha=alpha, residual=rms,
-                    sizes=tuple(sizes), values=tuple(values), flagged=flagged)
+def fit_alpha(measures: Sequence[SpectralSums]) -> float:
+    """alpha of the power law max_amp_sq ~ c * N^alpha across one family,
+    one target measure per graph size: the exponent of
+    :func:`analysis.fit_scaling`'s power model, which refuses fewer than
+    three sizes, repeated ones and non-finite values."""
+    return fit_scaling([(m.n, m.max_amp_sq) for m in measures],
+                       "power").params["beta"]
 
 
 # -- export -------------------------------------------------------------------

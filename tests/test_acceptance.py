@@ -234,26 +234,30 @@ def test_criterion_5_tfractal_exponent_stated_window(gamma_table):
 
 
 def _alpha_fit(specs):
-    return fit_alpha([target_measure(build(s), default_target(s))
-                      for s in specs])
+    """alpha and c of the power fit max_amp_sq ~ c N^alpha."""
+    measures = [target_measure(build(s), default_target(s)) for s in specs]
+    fit = fit_scaling([(m.n, m.max_amp_sq) for m in measures],
+                      ScalingModel.POWER)
+    assert fit_alpha(measures) == fit.params["beta"]
+    return fit.params["beta"], fit.params["c"]
 
 
 def test_criterion_6_amplitude_decay_exponents():
-    dsg = _alpha_fit([GraphSpec(family=Family.DSG, g=g)
-                      for g in range(3, 8)])
-    tfr = _alpha_fit([GraphSpec(family=Family.TFRACTAL, g=g)
-                      for g in range(3, 8)])
-    t1 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=1)
-                     for L in (16, 32, 64, 128)])
-    t2 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=2)
-                     for L in (6, 8, 12, 16)])
-    ok = (abs(dsg.alpha + 0.9) <= 0.05 and abs(tfr.alpha + 0.9) <= 0.05
-          and abs(t1.alpha + 1.0) <= 1e-9 and abs(t1.c - 1.0) <= 1e-9
-          and abs(t2.alpha + 1.0) <= 1e-9 and abs(t2.c - 1.0) <= 1e-9)
+    dsg, _ = _alpha_fit([GraphSpec(family=Family.DSG, g=g)
+                         for g in range(3, 8)])
+    tfr, _ = _alpha_fit([GraphSpec(family=Family.TFRACTAL, g=g)
+                         for g in range(3, 8)])
+    t1, c1 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=1)
+                         for L in (16, 32, 64, 128)])
+    t2, c2 = _alpha_fit([GraphSpec(family=Family.TORUS, L=L, d=2)
+                         for L in (6, 8, 12, 16)])
+    ok = (abs(dsg + 0.9) <= 0.05 and abs(tfr + 0.9) <= 0.05
+          and abs(t1 + 1.0) <= 1e-9 and abs(c1 - 1.0) <= 1e-9
+          and abs(t2 + 1.0) <= 1e-9 and abs(c2 - 1.0) <= 1e-9)
     assert _line(6,
                  ok,
-                 f"dominant-amplitude decay: dsg alpha={dsg.alpha:.4f}, "
-                 f"tree-fractal alpha={tfr.alpha:.4f} (both -0.9±0.05); "
+                 f"dominant-amplitude decay: dsg alpha={dsg:.4f}, "
+                 f"tree-fractal alpha={tfr:.4f} (both -0.9±0.05); "
                  f"ring/torus alpha=-1, c=1 to 1e-9 exactly")
 
 

@@ -472,6 +472,28 @@ def test_overflowing_phases_print_one_json_line_and_no_warning(tmp_path,
     assert json.loads(lines[0])["error"] == "NumericalError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("success", "--family", "complete", "--n", 8, "--gamma-min", "1e-3",
+     "--gamma-max", "1e400"),
+    ("overlaps", "--family", "complete", "--n", 8, "--gamma-min", "1e-3",
+     "--gamma-max", "inf", "--gamma-scale", "lin"),
+], ids=["log", "lin"])
+def test_an_infinite_window_end_exits_2_and_no_warning(argv, tmp_path,
+                                                        capsys):
+    """``--gamma-max 1e400`` parses as inf: the window is refused before
+    geomspace or linspace can warn, with one JSON line on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(*argv, "--out", tmp_path)
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert "gamma-max < inf" in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_success_grid_is_one_stacked_eigensolve(tmp_path, capsys,
                                                 monkeypatch):
     """``success --gamma-count 16`` on dsg g5 makes two eigh calls: the

@@ -2,6 +2,7 @@
 solver, time evolution, and the inequality audit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,8 +300,15 @@ def test_secular_levels_merge_into_one_group_at_tiny_couplings(make_graph,
                                                                target):
     """Below gamma ~ 1e-8 the excited levels lie closer than the grouping
     tolerance, so E1's group takes in several visible roots and invisible
-    levels (up to all N - 1 levels above E0), as the dense solve does."""
-    _assert_same_levels(make_graph(), target, np.geomspace(1e-10, 1e-6, 9))
+    levels (up to all N - 1 levels above E0), as the dense solve does.
+    Below gamma ~ 1e-155 the squared distances of a root to its poles
+    would underflow; down to 1e-305 the roots keep the dense solve's
+    overlaps, and no numpy warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_levels(make_graph(), target,
+                            [*np.geomspace(1e-10, 1e-6, 9),
+                             *np.geomspace(1e-305, 1e-150, 8)])
 
 
 @pytest.mark.parametrize("make_graph", [
@@ -1102,14 +1110,51 @@ def test_gamma_max_search_complete_smoke():
     assert res.coarse_gammas.shape == res.coarse_peaks.shape
 
 
+@pytest.mark.parametrize("coarse,rel_tol", [
+    (9, 2e-3), (3, 2e-3), (4, 2e-3), (9, 1e-300),
+], ids=["coarse9", "coarse3", "coarse4", "float_resolution"])
+def test_gamma_max_search_refines_on_stacked_grids(coarse, rel_tol,
+                                                   monkeypatch):
+    """On the 4-torus L = 5: every eigensolve is a stack of a whole grid,
+    coarse rows then max(coarse, 5) per refinement, and none goes through
+    success_probability.  Three- and four-point grids end too, as does a
+    rel_tol below the floats' resolution.  The result is a row the search
+    solved: pi_max is success_probability's maximum at gamma, bit for bit."""
+    graph = _graph(Family.TORUS, L=5, d=4)
+    times = np.linspace(0.0, 156.0, 321)
+    shapes = []
+    real_eigh = engine.eigh
+
+    def spy(a, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-row success_probability call ran")
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "eigh", spy)
+        patch.setattr(engine, "success_probability", refuse)
+        res = gamma_max_search(graph, 0, 0.1491, times, span=1.3,
+                               coarse=coarse, rel_tol=rel_tol)
+    k = target_measure(graph, 0).group_eigenvalues.size
+    rows = max(coarse, 5)
+    assert len(shapes) > 1
+    assert shapes == [(coarse, k, k)] + [(rows, k, k)] * (len(shapes) - 1)
+    if (coarse, rel_tol) == (9, 2e-3):
+        assert len(shapes) == 5
+    pi = success_probability(SearchProblem(graph, 0, res.gamma), times)
+    assert res.pi_max == pi.max() and res.t_star == times[np.argmax(pi)]
+    assert res.pi_max > 0.7
+
+
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": math.nan},
     {"span": 1.0}, {"span": 0.5}, {"span": math.inf}, {"span": math.nan},
     {"times": [0.0, math.nan, 2.0]}, {"times": [0.0, 1.0, math.inf]},
 ], ids=str)
 def test_gamma_max_search_refuses_bad_inputs(kwargs, monkeypatch):
-    """ConfigError before any work; with rel_tol <= 0 the golden-section
-    loop would never end."""
+    """ConfigError before any work; with rel_tol <= 0 no bracket of
+    couplings would ever be narrow enough."""
     monkeypatch.setattr(engine, "target_measure", _no_measure)
     kwargs = {"times": np.linspace(0.0, 10.0, 5), **kwargs}
     times = kwargs.pop("times")

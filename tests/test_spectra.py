@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ctqwlab.analysis import fit_scaling
 from ctqwlab.errors import ConfigError, DenseGuardError
 from ctqwlab.graphs import (
     Family,
@@ -20,7 +21,6 @@ from ctqwlab.spectra import (
     eigh,
     fit_alpha,
     laplacian_decomposition,
-    loglog_fit,
     spectral_sums,
     spectrum_csv,
     target_measure,
@@ -247,28 +247,41 @@ def test_spectral_sums_rejects_bad_target():
 
 
 def test_fit_alpha_torus_exact():
-    specs = [_spec(Family.TORUS, L=L, d=2) for L in (4, 6, 8, 10)]
-    fit = fit_alpha(_measures(specs))
-    assert math.isclose(fit.alpha, -1.0, abs_tol=1e-9)
-    assert math.isclose(fit.c, 1.0, rel_tol=1e-9)
+    """alpha is the exponent of fit_scaling's power fit of max_amp_sq
+    against N, bit for bit; on the torus max_amp_sq = 1/N exactly."""
+    measures = _measures([_spec(Family.TORUS, L=L, d=2)
+                          for L in (4, 6, 8, 10)])
+    alpha = fit_alpha(measures)
+    fit = fit_scaling([(m.n, m.max_amp_sq) for m in measures], "power")
+    assert type(alpha) is float and alpha == fit.params["beta"]
+    assert math.isclose(alpha, -1.0, abs_tol=1e-9)
+    assert math.isclose(fit.params["c"], 1.0, rel_tol=1e-9)
     assert fit.residual < 1e-9
-    assert not fit.flagged
 
 
 def test_fit_alpha_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least 3 points"):
         fit_alpha(_measures([_spec(Family.TORUS, L=4, d=2)]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="distinct"):
         fit_alpha(_measures([_spec(Family.TORUS, L=4, d=2)] * 3))
 
 
 def test_loglog_fit_recovers_powerlaw():
+    """The power model is one lstsq solve of log y against log x: its
+    parameters and rms residual equal that solve's bit for bit, on an
+    exact law, which it recovers, and on scattered points."""
     x = np.array([8.0, 16.0, 32.0, 64.0])
-    y = 3.0 * x**-0.75
-    slope, intercept, rms = loglog_fit(x, y)
-    assert math.isclose(slope, -0.75, abs_tol=1e-12)
-    assert math.isclose(math.exp(intercept), 3.0, rel_tol=1e-12)
-    assert rms < 1e-12
+    exact = fit_scaling(list(zip(x, 3.0 * x**-0.75)), "power")
+    assert math.isclose(exact.params["beta"], -0.75, abs_tol=1e-12)
+    assert math.isclose(exact.params["c"], 3.0, rel_tol=1e-12)
+    assert exact.residual < 1e-12
+    for y in (3.0 * x**-0.75, np.array([0.31, 0.17, 0.083, 0.052])):
+        fit = fit_scaling(list(zip(x, y)), "power")
+        design = np.column_stack([np.log(x), np.ones_like(x)])
+        coef, *_ = np.linalg.lstsq(design, np.log(y), rcond=None)
+        rms = float(np.sqrt(np.mean((np.log(y) - design @ coef) ** 2)))
+        assert (fit.params["beta"], fit.params["c"], fit.residual) == \
+            (float(coef[0]), math.exp(float(coef[1])), rms)
 
 
 def test_spectrum_csv_format():

@@ -470,17 +470,17 @@ def test_a_block_with_a_zero_eigenvalue_raises(monkeypatch):
 def _spy_on_dense_l(monkeypatch, calls):
     """Record each dense L formed and each ``eigvalsh(L)`` in ``calls``."""
     real_laplacian = Graph.laplacian
-    real_values = spectra.laplacian_eigenvalues
+    real_spectrum = spectra.laplacian_spectrum
 
     def laplacian(self):
         calls.append("laplacian")
         return real_laplacian(self)
 
-    def values(graph, **kwargs):
-        calls.append("laplacian_eigenvalues")
-        return real_values(graph, **kwargs)
+    def spectrum(graph, **kwargs):
+        calls.append("laplacian_spectrum")
+        return real_spectrum(graph, **kwargs)
     monkeypatch.setattr(Graph, "laplacian", laplacian)
-    monkeypatch.setattr(spectra, "laplacian_eigenvalues", values)
+    monkeypatch.setattr(spectra, "laplacian_spectrum", spectrum)
 
 
 @pytest.mark.parametrize("family,g,fit", [
@@ -512,7 +512,7 @@ def test_other_graphs_still_form_l(tmp_path, capsys, monkeypatch):
     del calls[:]
     assert run("critgamma", "--family", "torus", "--d", 2, "--sizes", 6,
                "--out", tmp_path) == 0
-    assert "laplacian_eigenvalues" in calls
+    assert "laplacian_spectrum" in calls
     capsys.readouterr()
 
 

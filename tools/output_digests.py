@@ -73,6 +73,10 @@ INVALID = (
     ("success", "--family", "complete", "--n", "5", "--gamma", "1e308"),
     ("success", "--family", "complete", "--n", "5", "--gamma", "1e306",
      "--tmax", "1e5", "--t-count", "3"),
+    ("success", "--family", "complete", "--n", "8", "--gamma-min", "1e-3",
+     "--gamma-max", "1e400"),
+    ("overlaps", "--family", "complete", "--n", "8", "--gamma-min", "1e-3",
+     "--gamma-max", "inf", "--gamma-scale", "lin"),
 )
 
 
