@@ -8,23 +8,23 @@ otherwise.  The levels |s> and |w> see are the roots of
 F(E) = sum_k a_k / (gamma*lam_k - E) = 1; the others sit at some
 gamma*lam_k.  :func:`measure_overlaps` solves for E0 and E1 in O(K) per
 coupling, and the critical coupling is found on it.  Its two
-confirmations and the bound audit solve H on the measure's route: the
-quotient H when the measure came from the quotient, a window of the dense
-H otherwise.  One function groups every route's levels, under one
-tolerance, and builds the :class:`OverlapRecord`.  Success
-probabilities come from the K x K matrix of the measure: all couplings of
-a grid in one stacked eigensolve, then every row's phase sums as one
-batched complex product, of the factored phases on a uniform time grid
-(|t_j - t0 - j*h| <= 8 eps max|t|); :func:`gamma_max_search` narrows its
-coupling bracket by further such grids.  Past the dense guard,
-:func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
-the sparse H, scaled by its Gershgorin interval: one real recurrence in
-O(N) memory, no ``expm_multiply``.
+confirmations and the bound audit solve the lowest levels of H in one
+window loop (:func:`_window`) on the measure's route: the quotient H when
+the measure came from the quotient, the dense H otherwise.  One function
+groups every route's levels, under one tolerance, and builds the
+:class:`OverlapRecord`.  Success probabilities come from the K x K matrix
+of the measure: all couplings of a grid in one stacked eigensolve, then
+every row's phase sums as one batched complex product, of the factored
+phases on a uniform time grid (|t_j - t0 - j*h| <= 8 eps max|t|);
+:func:`gamma_max_search` narrows its coupling bracket by further such
+grids.  Past the dense guard, :func:`propagate_krylov` reads pi(t) from
+Chebyshev moments <w|T_k|s> of the sparse H, scaled by its Gershgorin
+interval: one real recurrence in O(N) memory, no ``expm_multiply``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -170,43 +170,60 @@ class OverlapRecord:
 
 def overlaps(problem: SearchProblem, *,
              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
-    """Level overlaps at one coupling from the dense H, the independent
-    route of graphs whose measure came from the dense decomposition of L;
-    :func:`measure_overlaps` gives the same record in O(K).
+    """Level overlaps at one coupling from a window of the dense H
+    (:func:`_window`), the independent route of graphs whose measure came
+    from the dense decomposition of L; :func:`measure_overlaps` gives the
+    same record in O(K)."""
+    return _window(problem,
+                   lambda: build_hamiltonian(problem, dense_guard=dense_guard),
+                   problem.target, _uniform_state(problem.n), np.zeros(0),
+                   np.zeros(0, dtype=np.int64))
 
-    Only the lowest few eigenpairs are computed; the window grows until
-    the E1 degeneracy group is fully enclosed.  The eigensolve
-    overwrites H (its transpose is the Fortran-ordered view LAPACK works
-    in), so H is formed again only when the window grows.  Inside a large
-    cluster of equal levels LAPACK's ``evr`` on an index subset can stop
-    with an internal error; then a full divide-and-conquer solve of a
-    fresh H replaces it, and a failure of that raises
+
+def _window(problem: SearchProblem, build, target: int, s_state: np.ndarray,
+            levels: np.ndarray, hidden: np.ndarray) -> OverlapRecord:
+    """The record of the lowest levels of an H of order n = s_state.size,
+    formed afresh by ``build()``, with |w> its basis vector ``target`` and
+    |s> the vector ``s_state``, merged with hidden[k] levels at levels[k]
+    outside its space.
+
+    Only the lowest k eigenpairs are computed, k = 8 at first and four
+    times more while E1's group may reach past them: until k = n or the
+    window's top level lies more than the grouping tolerance above the top
+    of E1's group among the window's and the hidden levels.  The
+    eigensolve overwrites H (its transpose is the Fortran-ordered view
+    LAPACK works in), so each window solves an H formed afresh.
+    Inside a large cluster of equal levels LAPACK's ``evr`` on an index
+    subset can stop with an internal error; then a full divide-and-conquer
+    solve of a fresh H replaces it, and a failure of that raises
     :class:`NumericalError`.
     """
-    n = problem.n
-    h = build_hamiltonian(problem, dense_guard=dense_guard)
+    n = s_state.size
     tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
     k = min(n, 8)
     while True:
         try:
-            values, vectors = sla.eigh(h.T, subset_by_index=(0, k - 1),
+            values, vectors = sla.eigh(build().T, subset_by_index=(0, k - 1),
                                        driver="evr", overwrite_a=True,
                                        check_finite=False)
         except np.linalg.LinAlgError:
             k = n
             try:
-                values, vectors = sla.eigh(
-                    build_hamiltonian(problem, dense_guard=dense_guard).T,
-                    driver="evd", overwrite_a=True, check_finite=False)
+                values, vectors = sla.eigh(build().T, driver="evd",
+                                           overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolve of H failed: {exc}") from exc
-        if k == n or group_labels(values, tol)[-1] >= 2:
-            break
+        merged = _merge_hidden(values, (vectors.T @ s_state) ** 2,
+                               vectors[target, :] ** 2, levels, hidden)
+        if k == n or values[-1] - _e1_top(merged[0], tol) > tol:
+            return _lowest_levels(problem.gamma, *merged, tol)
         k = min(n, k * 4)
-        h = build_hamiltonian(problem, dense_guard=dense_guard)
-    return _lowest_levels(problem.gamma, values, np.ones(k, dtype=np.int64),
-                          (vectors.T @ _uniform_state(n)) ** 2,
-                          vectors[problem.target, :] ** 2, tol)
+
+
+def _e1_top(levels: np.ndarray, tol: float) -> float:
+    """The top of E1's group among ascending levels grouped under ``tol``
+    (the top level below three groups): no level past it + tol joins."""
+    return float(levels[np.searchsorted(group_labels(levels, tol), 2) - 1])
 
 
 def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
@@ -253,21 +270,24 @@ def _merge_hidden(values: np.ndarray, s_sq: np.ndarray, w_sq: np.ndarray,
 def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
                           dense_guard: int | None = DEFAULT_DENSE_GUARD
                           ) -> OverlapRecord:
-    """The record of :func:`measure_overlaps` from an eigensolve of H on
-    the measure's route: the dense window solve :func:`overlaps`, or, for a
-    measure from the equitable quotient (:class:`spectra.Quotient`), a full
-    solve of the quotient H = gamma*Lq - e_t e_t^T with L's levels outside
-    its space (gamma*lam, as many as L's multiplicity exceeds the
-    quotient's) merged in."""
-    if sums.quotient is None:
+    """The record of :func:`measure_overlaps` from a window (:func:`_window`)
+    of H on the measure's route: the dense H (:func:`overlaps`), or, for a
+    measure from the equitable quotient (:class:`spectra.Quotient`), the
+    quotient H = gamma*Lq - e_t e_t^T with |s> = sum_i sqrt(s_i/N) e_i and
+    L's levels outside its space (gamma*lam, as many as L's multiplicity
+    exceeds the quotient's) merged in."""
+    q = sums.quotient
+    if q is None:
         return overlaps(problem, dense_guard=dense_guard)
-    values, s_amp, w_amp = sums.quotient.levels(problem.gamma)
-    return _lowest_levels(
-        problem.gamma,
-        *_merge_hidden(values, s_amp ** 2, w_amp ** 2,
-                       problem.gamma * sums.group_eigenvalues,
-                       sums.multiplicities - sums.quotient.modes),
-        DEGENERACY_RTOL * _gershgorin_spread(problem))
+
+    def build() -> np.ndarray:
+        h = problem.gamma * q.laplacian
+        h[q.target_cell, q.target_cell] -= 1.0
+        return h
+    return _window(problem, build, q.target_cell,
+                   np.sqrt(q.sizes / problem.n),
+                   problem.gamma * sums.group_eigenvalues,
+                   sums.multiplicities - q.modes)
 
 
 def overlap_sweep_csv(records: Sequence[OverlapRecord]) -> str:
@@ -406,9 +426,8 @@ def measure_overlaps(problem: SearchProblem, *,
     roots = [root(i) for i in range(min(poles.size, 2))]
     while True:
         levels = _merge_hidden(*np.array(roots).T, gamma * lam, hidden)
-        last = np.searchsorted(group_labels(levels[0], tol), 2) - 1
         i = len(roots)
-        if i == poles.size or poles[i - 1] - levels[0][last] > tol:
+        if i == poles.size or poles[i - 1] - _e1_top(levels[0], tol) > tol:
             return _lowest_levels(gamma, *levels, tol)
         roots.append(root(i))
 
@@ -419,7 +438,7 @@ def measure_overlaps(problem: SearchProblem, *,
 @dataclass(frozen=True)
 class CriticalGamma:
     """Root of s_psi0_sq(gamma) - s_psi1_sq(gamma).  ``evaluations`` counts
-    the eigensolves of H, dense or quotient, that confirm it."""
+    the windows of H, dense or quotient, that confirm it."""
 
     gamma: float
     bracket: tuple[float, float]
@@ -798,17 +817,7 @@ class BoundReport:
             "xi1": self.xi1,
             "xi2": self.xi2,
             "all_satisfied": self.all_satisfied,
-            "checks": [
-                {
-                    "name": c.name,
-                    "gamma": c.gamma,
-                    "satisfied": c.satisfied,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

@@ -268,24 +268,13 @@ class Quotient:
     u_i = 1_{C_i} / sqrt(s_i): the symmetric Lq_ij = d_i [i=j] -
     M_ij / sqrt(s_i s_j), with d_i the common degree in cell i and M_ij the
     vertex pairs adjacent across cells i and j.  The target is alone in
-    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i."""
+    cell ``target_cell``, and |s> = sum_i sqrt(s_i / N) u_i.  A plain
+    record: the engine solves the quotient H = gamma Lq - e_t e_t^T."""
 
     laplacian: np.ndarray  # (m, m) Lq
     sizes: np.ndarray      # (m,) int64 cell sizes s_i
     target_cell: int
     modes: np.ndarray      # per group of the measure, eigenvalues of Lq in it
-
-    def levels(self, gamma: float) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-        """Eigenvalues of the quotient H = gamma Lq - e_t e_t^T, ascending,
-        and each eigenvector's amplitudes on |s> and on |w> (full ``evd``
-        solve)."""
-        h = gamma * self.laplacian
-        h[self.target_cell, self.target_cell] -= 1.0
-        values, vectors = sla.eigh(h, driver="evd", overwrite_a=True,
-                                   check_finite=False)
-        s_state = np.sqrt(self.sizes / self.sizes.sum())
-        return values, s_state @ vectors, vectors[self.target_cell]
 
 
 def _quotient_laplacian(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -253,30 +253,46 @@ def test_overlaps_inside_a_large_laplacian_cluster(gamma):
     _assert_same_record(overlaps(problem), full_solve_overlaps(problem))
 
 
+def _forced_quotient(graph, target):
+    """The quotient measure of the partition found whatever its cell
+    count."""
+    from ctqwlab import spectra
+
+    cells = spectra._refine(graph.adjacency, target, graph.n)
+    counts = spectra._certify(graph.adjacency, cells, target)
+    return spectra._quotient_measure(graph, target, cells, counts, None)
+
+
 def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
-    """A subset solve that raises LinAlgError is replaced by a full solve of
-    a fresh H; when that raises too, overlaps raises NumericalError."""
+    """On the dense H (dsg g3) and on the quotient H (tfractal g4) alike, a
+    subset solve that raises LinAlgError is replaced by one full solve of a
+    fresh H; when that raises too, the window raises NumericalError."""
     from types import SimpleNamespace
 
-
+    dense = SearchProblem(_graph(Family.DSG, g=3), 0, 0.7)
+    tree = GraphSpec(Family.TFRACTAL, g=4)
+    quotient = SearchProblem(build(tree), default_target(tree), 20.0)
+    sums = _forced_quotient(quotient.graph, quotient.target)
+    windows = [(dense, lambda: overlaps(dense)),
+               (quotient, lambda: _independent_overlaps(quotient, sums))]
     real = engine.sla.eigh
-    full_calls = []
+    for problem, solve in windows:
+        full_calls = []
 
-    def subset_fails(a, **kwargs):
-        if "subset_by_index" in kwargs:
+        def subset_fails(a, **kwargs):
+            if "subset_by_index" in kwargs:
+                raise np.linalg.LinAlgError("Internal Error.")
+            full_calls.append(kwargs.get("driver"))
+            return real(a, **kwargs)
+        monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=subset_fails))
+        _assert_same_record(solve(), full_solve_overlaps(problem))
+        assert full_calls == ["evd"]
+
+        def all_fail(a, **kwargs):
             raise np.linalg.LinAlgError("Internal Error.")
-        full_calls.append(kwargs.get("driver"))
-        return real(a, **kwargs)
-    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=subset_fails))
-    problem = SearchProblem(_graph(Family.DSG, g=3), 0, 0.7)
-    _assert_same_record(overlaps(problem), full_solve_overlaps(problem))
-    assert full_calls == ["evd"]
-
-    def all_fail(a, **kwargs):
-        raise np.linalg.LinAlgError("Internal Error.")
-    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=all_fail))
-    with pytest.raises(NumericalError, match="eigensolve of H failed"):
-        overlaps(problem)
+        monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=all_fail))
+        with pytest.raises(NumericalError, match="eigensolve of H failed"):
+            solve()
 
 
 @pytest.mark.parametrize("make_graph,target", SECULAR_CASES)

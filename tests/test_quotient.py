@@ -332,14 +332,23 @@ def test_dense_route_pin_on_dsg_g3(monkeypatch, decompositions):
 ])
 def test_quotient_route_solves_nothing_through_the_engine(
         spec, monkeypatch, decompositions):
-    """The quotient solves stay in spectra: no decomposition of L, no
-    dense overlaps, nothing through engine.eigh or engine.sla."""
+    """The quotient route's confirmations are windows of the quotient H:
+    no decomposition of L, no dense overlaps, nothing through engine.eigh,
+    and at least one subset solve through engine.sla per confirmation."""
     graph = build(spec)
     want = critical_gamma(build(spec), default_target(spec))
     del decompositions[:]
     overlaps_calls = _spy_on_the_engine(monkeypatch)
+    windows = []
+    window_only = engine.sla.eigh
+
+    def spy_window(a, **kwargs):
+        windows.append(kwargs["subset_by_index"])
+        return window_only(a, **kwargs)
+    monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=spy_window))
     got = critical_gamma(graph, default_target(spec))
     assert (len(decompositions), len(overlaps_calls)) == (0, 0)
+    assert len(windows) >= 2
     assert (got.gamma, got.bracket, got.residual) == \
         (want.gamma, want.bracket, want.residual)
 
@@ -349,14 +358,17 @@ def test_quotient_route_solves_nothing_through_the_engine(
     _case(Family.TORUS, 0, L=4, d=2),
     pytest.param(lambda: _star(12), 0, id="star12_hub"),
     _case(Family.CAYLEY_TREE, 0, g=4),
+    _case(Family.TFRACTAL, 0, g=4),
 ])
-@pytest.mark.parametrize("gamma", [1e-9, 1e-6])
+@pytest.mark.parametrize("gamma", [1e-9, 1e-8, 1e-6])
 def test_routes_agree_on_a_group_of_poles_and_hidden_levels(
         make_graph, target, gamma):
     """At couplings this small E1's group spans several poles of the
     measure and hidden levels (at 1e-9 every level above E0): the secular
     roots, the quotient H and the dense H give the same group and the
-    same overlaps summed over it."""
+    same overlaps summed over it.  At 1e-8 on the T-fractal's centre the
+    group reaches, through hidden levels, past a gap in the quotient H's
+    first window, so the window must grow."""
     graph = make_graph()
     problem = SearchProblem(graph, target, gamma)
     want = overlaps(problem)

@@ -12,7 +12,9 @@ check, ``verify``, ``overlaps`` and ``success`` on one graph of the dense
 route (dsg g4), one of the quotient route (the 6 x 6 torus) and one
 ``--spec`` product, and invalid inputs that must end in an exit code: a
 negative coupling, a target out of range, ``generate`` above the guard,
-a coupling whose H overflows and one whose pi(t) is not finite.
+a coupling whose H overflows and one whose pi(t) is not finite, and
+last ``critgamma`` on the T-fractal at g = 8 (1,598 cells), whose two
+confirmations solve the quotient H of a tree.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.
@@ -78,6 +80,8 @@ INVALID = (
     ("overlaps", "--family", "complete", "--n", "8", "--gamma-min", "1e-3",
      "--gamma-max", "inf", "--gamma-scale", "lin"),
 )
+# Appended after the others, so that earlier operations keep their numbers.
+LAST = (("critgamma", "--family", "tfractal", "--g", "8"),)
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
@@ -89,7 +93,7 @@ def operations(seed: int) -> list[tuple[str, ...]]:
                            for check in cli._ORACLES)]
     ops += [(cmd, *graph) for cmd in ("verify", "overlaps", "success")
             for graph in ROUTES]
-    return list(dict.fromkeys(ops + list(INVALID)))
+    return list(dict.fromkeys(ops + list(INVALID) + list(LAST)))
 
 
 def main() -> int:
