@@ -49,7 +49,6 @@ from .oracles import (
     dsg_zeta_direct,
 )
 from .spectra import (
-    SpectralDecomposition,
     SpectralSums,
     fit_alpha,
     laplacian_decomposition,
@@ -79,7 +78,6 @@ __all__ = [
     "dsg_exact_spectrum",
     "dsg_zeta_closed",
     "dsg_zeta_direct",
-    "SpectralDecomposition",
     "SpectralSums",
     "fit_alpha",
     "laplacian_decomposition",

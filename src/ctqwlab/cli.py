@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import ScalingModel, exponent_prediction, fit_scaling
 from .engine import (
+    CriticalGamma,
     SearchProblem,
     critical_gamma,
     measure_overlaps,
@@ -54,7 +55,7 @@ from .oracles import (
     dsg_zeta_direct,
 )
 from .spectra import (
-    degeneracy_groups,
+    SpectralSums,
     fit_alpha,
     laplacian_spectrum,
     spectrum_csv,
@@ -240,27 +241,22 @@ def _sweep_specs(args: argparse.Namespace) -> tuple[list[GraphSpec],
 
 
 def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
-                   floor: float | None = None,
-                   ceiling: float | None = None) -> list[dict]:
-    window: dict[str, float] = {}
-    if floor is not None:
-        window["gamma_floor"] = floor
-    if ceiling is not None:
-        window["gamma_ceiling"] = ceiling
+                   **window: float
+                   ) -> list[tuple[GraphSpec, SpectralSums, CriticalGamma]]:
+    """The target measure and critical coupling of each spec's graph at its
+    default target; ``window`` holds critical_gamma's coupling window.  A
+    size's error is raised again as the same type, so its exit code holds,
+    with the spec's label before its message."""
     rows = []
     for spec in specs:
-        graph = build(spec)
-        target = default_target(spec)
-        res = critical_gamma(graph, target, dense_guard=guard, **window)
-        rows.append({
-            "measure": target_measure(graph, target, dense_guard=guard),
-            "label": spec.label,
-            "n": graph.n,
-            "gamma_crit": res.gamma,
-            "xi1": res.xi1,
-            "residual": res.residual,
-            "evaluations": res.evaluations,
-        })
+        try:
+            graph = build(spec)
+            target = default_target(spec)
+            res = critical_gamma(graph, target, dense_guard=guard, **window)
+            sums = target_measure(graph, target, dense_guard=guard)
+        except CtqwError as exc:
+            raise type(exc)(f"{spec.label}: {exc}") from exc
+        rows.append((spec, sums, res))
     return rows
 
 
@@ -282,7 +278,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
     values, route = laplacian_spectrum(graph, dense_guard=_dense_guard(args))
-    text = spectrum_csv(values, degeneracy_groups(values))
+    text = spectrum_csv(values)
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
     print(f"route={route}")
@@ -307,23 +303,22 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
 def cmd_critgamma(args: argparse.Namespace) -> int:
     guard = _dense_guard(args)
     specs, _ = _sweep_specs(args)
-    rows = _critical_rows(specs, guard, floor=args.gamma_floor,
-                          ceiling=args.gamma_ceiling)
+    window = {key: value for key in ("gamma_floor", "gamma_ceiling")
+              if (value := getattr(args, key)) is not None}
+    rows = _critical_rows(specs, guard, **window)
     header = "label,N,gamma_crit,xi1,residual,evaluations"
     lines = [header]
-    for row in rows:
+    for spec, sums, res in rows:
         lines.append(",".join((
-            row["label"], str(row["n"]), _f17(row["gamma_crit"]),
-            _f17(row["xi1"]), _f17(row["residual"]),
-            str(row["evaluations"]),
+            spec.label, str(sums.n), _f17(res.gamma), _f17(res.xi1),
+            _f17(res.residual), str(res.evaluations),
         )))
     family = Family(args.family).value
     path = _write_atomic(Path(args.out) / f"critgamma_{family}.csv",
                          "\n".join(lines) + "\n")
-    for row in rows:
-        print(f"{row['label']}: N={row['n']} "
-              f"gamma_crit={row['gamma_crit']:.8g} "
-              f"route={row['measure'].route}")
+    for spec, sums, res in rows:
+        print(f"{spec.label}: N={sums.n} gamma_crit={res.gamma:.8g} "
+              f"route={sums.route}")
     print(f"wrote {path}")
     return 0
 
@@ -361,17 +356,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = ScalingModel(args.model) if args.model else (
         ScalingModel.LOG if family is Family.CAYLEY_TREE else ScalingModel.POWER)
     rows = _critical_rows(specs, guard)
-    gamma_crit = [row["gamma_crit"] for row in rows]
     if model is ScalingModel.POWER:
-        points = [(row["n"], gc) for row, gc in zip(rows, gamma_crit)]
+        points = [(sums.n, res.gamma) for _, sums, res in rows]
     else:
-        points = list(zip(gens, gamma_crit))
+        points = [(gen, res.gamma) for gen, (_, _, res) in zip(gens, rows)]
     prediction = None
     alpha_used = None
     if model is ScalingModel.POWER and specs[0].spectral_dimension is not None:
         alpha_used = args.alpha
         if alpha_used is None:
-            alpha_used = fit_alpha([row["measure"] for row in rows])
+            alpha_used = fit_alpha([sums for _, sums, _ in rows])
         prediction = exponent_prediction(specs[0], alpha_used)
     fit = fit_scaling(points, model, label=family.value,
                       prediction=prediction, alpha_used=alpha_used)
@@ -384,8 +378,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
           f"residual={fit.residual:.3g}"
           + (f" predicted_exponent={prediction:.8g}"
              if prediction is not None else "")
-          + " route: " + ", ".join(f"{row['label']} {row['measure'].route}"
-                                   for row in rows))
+          + " route: " + ", ".join(f"{spec.label} {sums.route}"
+                                   for spec, sums, _ in rows))
     print(f"wrote {path}")
     return 0
 

@@ -11,15 +11,17 @@ coupling, and the critical coupling is found on it.  Its two
 confirmations and the bound audit solve the lowest levels of H in one
 window loop (:func:`_window`) on the measure's route: the quotient H when
 the measure came from the quotient, the dense H otherwise.  One function
-groups every route's levels, under one tolerance, and builds the
-:class:`OverlapRecord`.  Success probabilities come from the K x K matrix
-of the measure: all couplings of a grid in one stacked eigensolve, then
-every row's phase sums as one batched complex product, of the factored
-phases on a uniform time grid (|t_j - t0 - j*h| <= 8 eps max|t|);
-:func:`gamma_max_search` narrows its coupling bracket by further such
-grids.  Past the dense guard, :func:`propagate_krylov` reads pi(t) from
-Chebyshev moments <w|T_k|s> of the sparse H, scaled by its Gershgorin
-interval: one real recurrence in O(N) memory, no ``expm_multiply``.
+groups every route's levels, under one tolerance, once per record
+(:func:`_e1_group`): each loop's stopping test and the
+:class:`OverlapRecord` read the same E1 group.  Success probabilities
+come from the K x K matrix of the measure: all couplings of a grid in one
+stacked eigensolve, then every row's phase sums as one batched complex
+product, of the factored phases on a uniform time grid
+(|t_j - t0 - j*h| <= 8 eps max|t|); :func:`gamma_max_search` narrows its
+coupling bracket by further such grids.  Past the dense guard,
+:func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
+the sparse H, scaled by its Gershgorin interval: one real recurrence in
+O(N) memory, no ``expm_multiply``.
 """
 from __future__ import annotations
 
@@ -124,9 +126,15 @@ def _probabilities(probs: np.ndarray, what: str) -> np.ndarray:
 
 
 def _times(times) -> np.ndarray:
-    """``times`` as a new 1-D float64 array; ConfigError unless it is
-    nonempty and finite.  Each caller adds its own order rule."""
-    t = np.array(times, dtype=np.float64, ndmin=1)
+    """``times`` as a new 1-D float64 array; ConfigError unless it is a
+    scalar or a 1-D sequence of numbers, nonempty and finite.  Each caller
+    adds its own order rule."""
+    try:
+        t = np.array(times, dtype=np.float64, ndmin=1)
+    except (TypeError, ValueError):
+        t = None
+    if t is None or t.ndim != 1:
+        raise ConfigError("times must be a number or a 1-D sequence of them")
     if t.size == 0:
         raise ConfigError("no times requested")
     if not np.all(np.isfinite(t)):
@@ -215,25 +223,28 @@ def _window(problem: SearchProblem, build, target: int, s_state: np.ndarray,
                 raise NumericalError(f"eigensolve of H failed: {exc}") from exc
         merged = _merge_hidden(values, (vectors.T @ s_state) ** 2,
                                vectors[target, :] ** 2, levels, hidden)
-        if k == n or values[-1] - _e1_top(merged[0], tol) > tol:
-            return _lowest_levels(problem.gamma, *merged, tol)
+        group1 = _e1_group(merged[0], tol)
+        if k == n or values[-1] - merged[0][group1.stop - 1] > tol:
+            return _lowest_levels(problem.gamma, *merged, group1)
         k = min(n, k * 4)
 
 
-def _e1_top(levels: np.ndarray, tol: float) -> float:
-    """The top of E1's group among ascending levels grouped under ``tol``
-    (the top level below three groups): no level past it + tol joins."""
-    return float(levels[np.searchsorted(group_labels(levels, tol), 2) - 1])
+def _e1_group(levels: np.ndarray, tol: float) -> slice:
+    """The slice of E1's group, the second group of ascending levels
+    grouped under ``tol``; empty, at the end, when there is one group.
+    levels[stop - 1] is the top level below three groups: no level past it
+    + tol joins E1's group."""
+    return slice(*np.searchsorted(group_labels(levels, tol), (1, 2)))
 
 
 def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
                    s_sq: np.ndarray, w_sq: np.ndarray,
-                   tol: float) -> OverlapRecord:
+                   group1: slice) -> OverlapRecord:
     """The record of the two lowest degeneracy groups of ascending levels,
     level i repeated counts[i] times with summed overlaps s_sq[i] on |s>
-    and w_sq[i] on |w>, grouped under ``tol``.  The overlaps are checked
-    against [0, 1] to roundoff and clipped."""
-    group1 = slice(*np.searchsorted(group_labels(values, tol), (1, 2)))
+    and w_sq[i] on |w>, E1's group the slice ``group1`` of them
+    (:func:`_e1_group`).  The overlaps are checked against [0, 1] to
+    roundoff and clipped."""
     if int(counts[:group1.start].sum()) != 1:
         raise NumericalError(
             "ground level of H is degenerate; cannot define the overlap pair"
@@ -426,9 +437,10 @@ def measure_overlaps(problem: SearchProblem, *,
     roots = [root(i) for i in range(min(poles.size, 2))]
     while True:
         levels = _merge_hidden(*np.array(roots).T, gamma * lam, hidden)
+        group1 = _e1_group(levels[0], tol)
         i = len(roots)
-        if i == poles.size or poles[i - 1] - _e1_top(levels[0], tol) > tol:
-            return _lowest_levels(gamma, *levels, tol)
+        if i == poles.size or poles[i - 1] - levels[0][group1.stop - 1] > tol:
+            return _lowest_levels(gamma, *levels, group1)
         roots.append(root(i))
 
 
@@ -614,12 +626,12 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     rows = max(1, _CHUNK_ELEMENTS // (z.size * max(z.size, phases)))
     probs = np.empty((gammas.size, t.size))
     for start in range(0, gammas.size, rows):
-        dec = eigh(gammas[start:start + rows, None, None] * diag - zz,
-                   dense_guard=dense_guard)
-        coef = (z @ dec.eigenvectors) * dec.eigenvectors[:, 0, :]
+        values, vectors = eigh(gammas[start:start + rows, None, None] * diag
+                               - zz, dense_guard=dense_guard)
+        coef = (z @ vectors) * vectors[:, 0, :]
         with np.errstate(over="ignore", invalid="ignore"):
             probs[start:start + rows] = np.abs(
-                _phase_product(t, block, dec.eigenvalues, coef)) ** 2
+                _phase_product(t, block, values, coef)) ** 2
     _probabilities(probs, "success probability")
     if t[0] == 0.0 and np.abs(probs[:, 0] - 1.0 / graph.n).max() > 1e-12:
         raise NumericalError("pi(0) deviates from 1/N")

@@ -1,15 +1,18 @@
-"""Dense symmetric eigendecomposition with degeneracy labels, plus the
-target's Laplacian spectral measure that controls the search transition,
-and the size exponent alpha of its largest weight (:func:`fit_alpha`, a
-power fit of :func:`analysis.fit_scaling`).
+"""Dense symmetric eigendecomposition, the target's Laplacian spectral
+measure that controls the search transition, and the size exponent alpha
+of its largest weight (:func:`fit_alpha`, a power fit of
+:func:`analysis.fit_scaling`).
 
-Degenerate subspaces deserve care: individual eigenvectors inside one are
-basis-dependent noise, so amplitude information is only ever reported
-summed over a degeneracy group.  Groups are detected with a relative
-tolerance of 1e-10 times the spectral range (``GROUP_RTOL``).  Eigenvector
-signs are left as LAPACK returns them: every observable reads a column
-only through products of two of its own entries, so no output depends on
-them.
+The solvers return LAPACK's ``(values, vectors)`` pair as scipy gives it;
+they label no degeneracy groups.  Degenerate subspaces deserve care:
+individual eigenvectors inside one are basis-dependent noise, so amplitude
+information is only ever reported summed over a degeneracy group.  The
+code that reads groups labels the values it reads (:func:`spectral_sums`,
+:func:`spectrum_csv`, the quotient route), under a relative tolerance of
+1e-10 times the spectral range (``GROUP_RTOL``, :func:`degeneracy_groups`).
+Eigenvector signs are left as LAPACK returns them: every observable reads
+a column only through products of two of its own entries, so no output
+depends on them.
 
 :func:`target_measure` hands the measure to the engine and the CLI, once
 per ``Graph`` object and target, and keeps only the K-sized
@@ -75,21 +78,6 @@ SYMMETRY_RTOL = 1e-12
 _HASH_SEED = 1002
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenpairs of a real symmetric matrix, ascending, with eigenvector
-    signs as LAPACK returns them; of a stack of them, each array carries the
-    stack's leading axes.
-
-    ``group_index[k]`` labels the degeneracy group of eigenvalue k (see
-    :func:`degeneracy_groups`).
-    """
-
-    eigenvalues: np.ndarray   # (n,) float64, ascending
-    eigenvectors: np.ndarray  # (n, n) float64, column k pairs with eigenvalue k
-    group_index: np.ndarray   # (n,) int64
-
-
 def group_labels(values: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
     """Degeneracy-group label of each ascending eigenvalue along the last
     axis: a new group starts wherever the gap to the previous value
@@ -107,10 +95,13 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
 
 
 def eigh(matrix: np.ndarray, *,
-         dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SpectralDecomposition:
+         dense_guard: int | None = DEFAULT_DENSE_GUARD
+         ) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix (LAPACK ``evd``),
-    or of each of a (..., n, n) stack of them in one call, with stacked
-    results.
+    or of each of a (..., n, n) stack of them in one call: scipy's
+    ``(values, vectors)``, values ascending along the last axis and column
+    k of vectors paired with value k, each carrying the stack's leading
+    axes.
 
     Refuses matrices above the dense guard on n and any matrix that is not
     symmetric to within 1e-12 of its largest entry.
@@ -127,26 +118,23 @@ def eigh(matrix: np.ndarray, *,
             f"matrix is not symmetric: max asymmetry {asym[worst]:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * {scale[worst]:.3e}"
         )
-    values, vectors = sla.eigh(m, driver="evd")
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
-                                 group_index=degeneracy_groups(values))
+    return sla.eigh(m, driver="evd")
 
 
 def laplacian_decomposition(graph: Graph, *,
                             dense_guard: int | None = DEFAULT_DENSE_GUARD
-                            ) -> SpectralDecomposition:
-    """Eigendecomposition of the graph Laplacian L = Z - A; the guard is
-    checked on N before L is formed.
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of the graph Laplacian
+    L = Z - A, as :func:`eigh` returns it; the guard is checked on N before
+    L is formed.
 
     L is formed here, exactly symmetric, and read by nothing else, so it is
     handed to LAPACK as its Fortran-ordered transpose and the eigenvectors
     overwrite it: no copy of L is made.
     """
     check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
-    values, vectors = sla.eigh(graph.laplacian().T, driver="evd",
-                               overwrite_a=True, check_finite=False)
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
-                                 group_index=degeneracy_groups(values))
+    return sla.eigh(graph.laplacian().T, driver="evd", overwrite_a=True,
+                    check_finite=False)
 
 
 def laplacian_spectrum(graph: Graph, *,
@@ -345,28 +333,29 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     sizes = np.bincount(cells)
     cell = int(cells[target])
     lq = _quotient_laplacian(counts, sizes)
-    quo = eigh(lq, dense_guard=dense_guard if tree else None)
+    quo_values, quo_vectors = eigh(
+        lq, dense_guard=dense_guard if tree else None)
     if tree:
-        values = _tree_spectrum(lq, quo.eigenvalues, counts, sizes, cell)
+        values = _tree_spectrum(lq, quo_values, counts, sizes, cell)
     else:
         values = laplacian_spectrum(graph, dense_guard=dense_guard)[0]
     groups = degeneracy_groups(values)
     # Nearest eigenvalue of L to each of Lq.
-    above = np.searchsorted(values, quo.eigenvalues).clip(1, values.size - 1)
-    near = np.where(quo.eigenvalues - values[above - 1]
-                    <= values[above] - quo.eigenvalues, above - 1, above)
-    miss = np.abs(values[near] - quo.eigenvalues)
+    above = np.searchsorted(values, quo_values).clip(1, values.size - 1)
+    near = np.where(quo_values - values[above - 1]
+                    <= values[above] - quo_values, above - 1, above)
+    miss = np.abs(values[near] - quo_values)
     tol = GROUP_RTOL * float(values[-1] - values[0])
     if miss.max() > tol:
         raise NumericalError(
-            f"quotient eigenvalue {quo.eigenvalues[miss.argmax()]!r} is "
+            f"quotient eigenvalue {quo_values[miss.argmax()]!r} is "
             f"{miss.max():.3e} from every eigenvalue of L (tolerance {tol:.3e})")
     modes = np.bincount(groups[near], minlength=int(groups[-1]) + 1)
     if np.any(modes > np.bincount(groups)):
         raise NumericalError("the quotient has more eigenvalues in a group "
                              "than L has")
     amp_sq = np.zeros(values.size)
-    np.add.at(amp_sq, near, quo.eigenvectors[cell] ** 2)
+    np.add.at(amp_sq, near, quo_vectors[cell] ** 2)
     for arr in (lq, sizes, modes):
         arr.flags.writeable = False
     route = f"{'tree' if tree else 'quotient'} cells={sizes.size}"
@@ -408,21 +397,25 @@ class SpectralSums:
     quotient: Quotient | None = None
 
 
-def spectral_sums(dec: SpectralDecomposition, target: NodeId) -> SpectralSums:
-    """Compute :class:`SpectralSums` from a Laplacian decomposition.
+def spectral_sums(dec: tuple[np.ndarray, np.ndarray],
+                  target: NodeId) -> SpectralSums:
+    """Compute :class:`SpectralSums` from a Laplacian decomposition
+    ``(values, vectors)`` (:func:`laplacian_decomposition`).
 
     The lowest eigenvalue must be the simple zero mode of a connected
     graph; its amplitude must match the uniform value 1/N to 1e-10.  Both
     are then set to their exact values, 0 and 1/N (L 1 = 0 holds exactly),
     so no eigensolver roundoff in the zero mode reaches gamma * lam_0.
-    Group sums and means are taken in one pass over the contiguous runs
-    of ``dec.group_index``.
+    The values are labelled here (:func:`degeneracy_groups`), and group
+    sums and means are taken in one pass over the contiguous runs of
+    labels.
     """
-    n = dec.eigenvalues.size
+    values, vectors = dec
+    n = values.size
     if not (0 <= target < n):
         raise ConfigError(f"target {target} out of range for {n} nodes")
-    amps = dec.eigenvectors[target, :]
-    return _measure(dec.eigenvalues, dec.group_index, amps * amps, target,
+    amps = vectors[target, :]
+    return _measure(values, degeneracy_groups(values), amps * amps, target,
                     "dense", n)
 
 
@@ -558,11 +551,12 @@ def fit_alpha(measures: Sequence[SpectralSums]) -> float:
 # -- export -------------------------------------------------------------------
 
 
-def spectrum_csv(eigenvalues: np.ndarray, group_index: np.ndarray) -> str:
+def spectrum_csv(eigenvalues: np.ndarray) -> str:
     """CSV rows ``index,eigenvalue,multiplicity_group`` with 17 significant
-    digits, matching the exact-spectrum export format."""
+    digits, matching the exact-spectrum export format; the groups are the
+    ascending values' :func:`degeneracy_groups`."""
     lines = ["index,eigenvalue,multiplicity_group"]
-    for k, (lam, grp) in enumerate(zip(eigenvalues.tolist(),
-                                       group_index.tolist())):
-        lines.append(f"{k},{lam:.17g},{int(grp)}")
+    groups = degeneracy_groups(eigenvalues).tolist()
+    for k, (lam, grp) in enumerate(zip(eigenvalues.tolist(), groups)):
+        lines.append(f"{k},{lam:.17g},{grp}")
     return "\n".join(lines) + "\n"

@@ -8,19 +8,19 @@ import numpy as np
 
 from ctqwlab.engine import OverlapRecord, SearchProblem, _gershgorin_spread, \
     build_hamiltonian
-from ctqwlab.spectra import DEGENERACY_RTOL, SpectralDecomposition, eigh, \
-    group_labels
+from ctqwlab.spectra import DEGENERACY_RTOL, eigh, group_labels
 
 
-def hamiltonian_decomposition(problem: SearchProblem) -> SpectralDecomposition:
+def hamiltonian_decomposition(problem: SearchProblem
+                              ) -> tuple[np.ndarray, np.ndarray]:
     return eigh(build_hamiltonian(problem))
 
 
 def evolve_state(problem: SearchProblem, t: float) -> np.ndarray:
     """exp(-i H t) |s> from a full dense decomposition of H."""
-    dec = hamiltonian_decomposition(problem)
-    s_amp = dec.eigenvectors.T @ np.full(problem.n, 1.0 / math.sqrt(problem.n))
-    return dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * t) * s_amp)
+    values, vectors = hamiltonian_decomposition(problem)
+    s_amp = vectors.T @ np.full(problem.n, 1.0 / math.sqrt(problem.n))
+    return vectors @ (np.exp(-1j * values * t) * s_amp)
 
 
 def full_solve_overlaps(problem: SearchProblem) -> OverlapRecord:
@@ -42,9 +42,8 @@ def full_solve_overlaps(problem: SearchProblem) -> OverlapRecord:
 def dense_success(problem: SearchProblem, times) -> np.ndarray:
     """pi(t) = |<w| exp(-i H t) |s>|^2 over a time grid from one full dense
     decomposition of H."""
-    dec = hamiltonian_decomposition(problem)
-    coef = dec.eigenvectors[problem.target, :] * \
-        dec.eigenvectors.sum(axis=0) / math.sqrt(problem.n)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
-                                   dec.eigenvalues))
+    values, vectors = hamiltonian_decomposition(problem)
+    coef = vectors[problem.target, :] * \
+        vectors.sum(axis=0) / math.sqrt(problem.n)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), values))
     return np.abs(phases @ coef) ** 2

@@ -62,13 +62,13 @@ def test_spectrum_in_place_matches_eigvalsh_on_a_copy(tmp_path, family, g):
     import scipy.linalg as sla
 
     from ctqwlab.graphs import GraphSpec, build
-    from ctqwlab.spectra import degeneracy_groups, spectrum_csv
+    from ctqwlab.spectra import spectrum_csv
 
     assert run("spectrum", "--family", family, "--g", str(g),
                "--out", tmp_path) == 0
     values = sla.eigvalsh(build(GraphSpec(family=family, g=g)).laplacian())
     assert (tmp_path / f"spectrum_{family}_g{g}.csv").read_text() == \
-        spectrum_csv(values, degeneracy_groups(values))
+        spectrum_csv(values)
 
 
 @pytest.mark.parametrize("family,g", [("tfractal", 5), ("cayleytree", 6)])
@@ -122,8 +122,8 @@ def test_spectrum_computes_no_eigenvectors(tmp_path, request):
     rows = (tmp_path / "spectrum_tfractal_g4.csv").read_text().splitlines()[1:]
     values = np.array([float(r.split(",")[1]) for r in rows])
     labels = [int(r.split(",")[2]) for r in rows]
-    assert np.abs(values - ref.eigenvalues).max() <= 1e-12
-    assert labels == ref.group_index.tolist()
+    assert np.abs(values - ref[0]).max() <= 1e-12
+    assert labels == spectra.degeneracy_groups(ref[0]).tolist()
 
 
 def test_overlaps_csv_values_round_trip(tmp_path):
@@ -159,6 +159,25 @@ def test_critgamma_table(tmp_path, capsys):
         assert float(cells[4]) <= 1e-6
     out = capsys.readouterr().out
     assert "complete_n16" in out
+
+
+@pytest.mark.parametrize("command", ["critgamma", "fit"])
+def test_a_sweep_names_the_size_that_fails(command, tmp_path, capsys):
+    """complete_n2 has no crossing while n = 3 and 4 do: the sweep stops
+    with the error's own type and exit code, its message prefixed by the
+    failing size's label."""
+    code = run(command, "--family", "complete", "--sizes", "2,3,4",
+               "--out", tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "NoTransitionError"
+    assert payload["message"].startswith("complete_n2: no overlap crossing")
+    assert not list(tmp_path.iterdir())
+    for n in (3, 4):
+        assert run("critgamma", "--family", "complete", "--sizes", str(n),
+                   "--out", tmp_path) == 0
 
 
 def test_critgamma_and_fit_name_the_route_on_stdout_only(tmp_path, capsys):
@@ -354,7 +373,7 @@ def test_dsg_spectrum_oracle_computes_no_eigenvectors(capsys, request):
     from ctqwlab.oracles import dsg_exact_spectrum
 
     dec = spectra.laplacian_decomposition(build(GraphSpec(family="dsg", g=4)))
-    before = float(np.abs(dec.eigenvalues - dsg_exact_spectrum(4).expand()).max())
+    before = float(np.abs(dec[0] - dsg_exact_spectrum(4).expand()).max())
     request.getfixturevalue("no_decompositions")
     assert run("oracle", "--check", "dsg-spectrum") == 0
     report = json.loads(capsys.readouterr().out)

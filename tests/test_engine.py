@@ -44,7 +44,6 @@ from ctqwlab.graphs import (
 )
 from ctqwlab.oracles import complete_success
 from ctqwlab.spectra import (
-    SpectralDecomposition,
     degeneracy_groups,
     eigh,
     laplacian_decomposition,
@@ -140,13 +139,13 @@ def test_complete_overlaps_against_two_level_block(n, gamma):
 def test_subset_and_full_paths_agree():
     g = _graph(Family.DSG, g=3)
     prob = SearchProblem(graph=g, target=0, gamma=0.8)
-    dec = hamiltonian_decomposition(prob)
-    group1 = np.flatnonzero(dec.group_index == 1)
-    s_amp = dec.eigenvectors.T @ np.full(g.n, 1.0 / math.sqrt(g.n))
-    w_amp = dec.eigenvectors[0, :]
+    values, vectors = hamiltonian_decomposition(prob)
+    group1 = np.flatnonzero(degeneracy_groups(values) == 1)
+    s_amp = vectors.T @ np.full(g.n, 1.0 / math.sqrt(g.n))
+    w_amp = vectors[0, :]
     full = {
-        "e0": dec.eigenvalues[0],
-        "e1": dec.eigenvalues[group1[0]],
+        "e0": values[0],
+        "e1": values[group1[0]],
         "s_psi0_sq": s_amp[0] ** 2,
         "s_psi1_sq": np.sum(s_amp[group1] ** 2),
         "w_psi0_sq": w_amp[0] ** 2,
@@ -435,16 +434,17 @@ def test_cached_measure_still_checks_the_dense_guard(decompositions):
 def test_measure_groups_match_a_per_group_loop(make_graph):
     """The vectorized group pass of spectral_sums agrees with summing each
     contiguous run of group labels on its own."""
-    dec = laplacian_decomposition(make_graph())
+    values, vectors = laplacian_decomposition(make_graph())
     target = 1
-    groups = [np.flatnonzero(dec.group_index == label)
-              for label in range(dec.group_index[-1] + 1)]
-    amp_sq = dec.eigenvectors[target, :] ** 2
+    labels = degeneracy_groups(values)
+    groups = [np.flatnonzero(labels == label)
+              for label in range(labels[-1] + 1)]
+    amp_sq = vectors[target, :] ** 2
     mults = [idx.size for idx in groups]
-    vals = [float(np.mean(dec.eigenvalues[idx])) for idx in groups]
+    vals = [float(np.mean(values[idx])) for idx in groups]
     weights = [float(np.sum(amp_sq[idx])) for idx in groups]
-    vals[0], weights[0] = 0.0, 1.0 / dec.eigenvalues.size
-    sums = spectral_sums(dec, target)
+    vals[0], weights[0] = 0.0, 1.0 / values.size
+    sums = spectral_sums((values, vectors), target)
     assert sums.multiplicities.tolist() == mults
     assert np.allclose(sums.group_eigenvalues, vals, rtol=1e-15, atol=0)
     assert np.allclose(sums.group_amp_sq, weights, rtol=0, atol=1e-15)
@@ -478,13 +478,12 @@ def test_in_place_decomposition_matches_an_evr_oracle(make_graph, target):
     graph = make_graph()
     lap = graph.laplacian()
     values, vectors = sla.eigh(lap, driver="evr")
-    oracle = SpectralDecomposition(eigenvalues=values, eigenvectors=vectors,
-                                   group_index=degeneracy_groups(values))
     dec = laplacian_decomposition(graph)
-    assert np.abs(dec.eigenvalues - values).max() <= \
-        1e-12 * np.linalg.norm(lap, 2)
-    assert np.array_equal(dec.group_index, oracle.group_index)
-    got, ref = spectral_sums(dec, target), spectral_sums(oracle, target)
+    assert np.abs(dec[0] - values).max() <= 1e-12 * np.linalg.norm(lap, 2)
+    assert np.array_equal(degeneracy_groups(dec[0]),
+                          degeneracy_groups(values))
+    got = spectral_sums(dec, target)
+    ref = spectral_sums((values, vectors), target)
     assert got.xi1 == pytest.approx(ref.xi1, rel=1e-12)
     assert got.xi2 == pytest.approx(ref.xi2, rel=1e-12)
     assert np.array_equal(got.multiplicities, ref.multiplicities)
@@ -910,10 +909,9 @@ def test_success_from_measure_matches_dense_hamiltonian(make_graph, target):
     s = np.full(graph.n, 1.0 / math.sqrt(graph.n))
     for gamma in np.geomspace(sums.xi1 / 8.0, 8.0 * sums.xi1, 6):
         prob = SearchProblem(graph, target, float(gamma))
-        dec = hamiltonian_decomposition(prob)
-        coef = dec.eigenvectors[target] * (dec.eigenvectors.T @ s)
-        want = np.abs(np.exp(-1j * np.outer(times, dec.eigenvalues))
-                      @ coef) ** 2
+        values, vectors = hamiltonian_decomposition(prob)
+        coef = vectors[target] * (vectors.T @ s)
+        want = np.abs(np.exp(-1j * np.outer(times, values)) @ coef) ** 2
         got = success_probability(prob, times)
         assert np.abs(got - want).max() <= 1e-12, gamma
 
@@ -1015,8 +1013,9 @@ def _success_spectrum(prob):
     computes them."""
     sums = target_measure(prob.graph, prob.target)
     z = np.sqrt(sums.group_amp_sq)
-    dec = eigh(prob.gamma * np.diag(sums.group_eigenvalues) - np.outer(z, z))
-    return dec.eigenvalues, (z @ dec.eigenvectors) * dec.eigenvectors[0, :]
+    values, vectors = eigh(prob.gamma * np.diag(sums.group_eigenvalues)
+                           - np.outer(z, z))
+    return values, (z @ vectors) * vectors[0, :]
 
 
 @pytest.mark.parametrize("count", [2, 3, 1025, 4097])
@@ -1189,6 +1188,22 @@ def test_non_finite_times_are_refused(bad, monkeypatch):
                  lambda: success_probability(problem, [0.0, bad]),
                  lambda: propagate_krylov(graph, 0, 0.1, [0.0, 1.0, bad])):
         with pytest.raises(ConfigError, match="times must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [[[0.0, 1.0], [2.0, 3.0]], [[0.0]],
+                                 [[0.0, 1.0], [2.0]]])
+def test_times_that_are_not_one_dimensional_are_refused(bad, monkeypatch):
+    """A 2-D time array, or a ragged one, is a ConfigError in every caller
+    of the time check, before the measure is computed."""
+    graph = _graph(Family.DSG, g=3)
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    for call in (lambda: success_probability(SearchProblem(graph, 0, 0.3),
+                                             bad),
+                 lambda: success_grid(graph, 0, [0.3], bad),
+                 lambda: gamma_max_search(graph, 0, 0.3, bad),
+                 lambda: propagate_krylov(graph, 0, 0.3, bad)):
+        with pytest.raises(ConfigError, match="1-D sequence"):
             call()
 
 

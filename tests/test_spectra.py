@@ -18,6 +18,7 @@ from ctqwlab.graphs import (
     default_target,
 )
 from ctqwlab.spectra import (
+    degeneracy_groups,
     eigh,
     fit_alpha,
     laplacian_decomposition,
@@ -39,8 +40,7 @@ def test_eigh_reconstructs_matrix():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(12, 12))
     m = (m + m.T) / 2.0
-    dec = eigh(m)
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    vals, vecs = eigh(m)
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(12), atol=1e-12)
 
@@ -85,6 +85,25 @@ def test_observables_ignore_eigenvector_signs(monkeypatch, spec, target):
     assert np.array_equal(probs, ref_probs)
 
 
+def test_solvers_return_scipy_evd_bit_for_bit():
+    """eigh, on one matrix and on a stack, and laplacian_decomposition
+    return scipy's divide-and-conquer pair bit for bit, and nothing else."""
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 9, 9))
+    stack = a + np.swapaxes(a, -1, -2)
+    lap = build(_spec(Family.DSG, g=3)).laplacian()
+    for got, matrix in ((eigh(stack[0]), stack[0]), (eigh(stack), stack),
+                        (laplacian_decomposition(
+                            build(_spec(Family.DSG, g=3))), lap)):
+        want = sla.eigh(matrix, driver="evd")
+        assert len(got) == 2
+        for array, ref in zip(got, want):
+            assert array.dtype == ref.dtype and array.shape == ref.shape
+            assert np.array_equal(array, ref)
+
+
 def test_eigh_rejects_nonsymmetric():
     m = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ConfigError):
@@ -92,22 +111,23 @@ def test_eigh_rejects_nonsymmetric():
 
 
 def test_eigh_solves_a_stack_and_checks_every_slice():
-    """A (2, 3, n, n) stack gives each slice's own decomposition and group
-    labels bit for bit; one asymmetric slice, or one past the guard on n,
-    refuses the whole stack."""
+    """A (2, 3, n, n) stack gives each slice's own decomposition, and so its
+    group labels, bit for bit; one asymmetric slice, or one past the guard
+    on n, refuses the whole stack."""
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 3, 6, 6))
     stack = a + np.swapaxes(a, -1, -2)
     stack[1, 2] = np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
-    dec = eigh(stack)
-    assert dec.eigenvalues.shape == (2, 3, 6)
-    assert dec.eigenvectors.shape == (2, 3, 6, 6)
+    values, vectors = eigh(stack)
+    assert values.shape == (2, 3, 6)
+    assert vectors.shape == (2, 3, 6, 6)
+    labels = degeneracy_groups(values)
     for index in np.ndindex(2, 3):
-        one = eigh(stack[index])
-        assert np.array_equal(dec.eigenvalues[index], one.eigenvalues)
-        assert np.array_equal(dec.eigenvectors[index], one.eigenvectors)
-        assert np.array_equal(dec.group_index[index], one.group_index)
-    assert dec.group_index[1, 2].tolist() == [0, 1, 1, 2, 3, 3]
+        one_values, one_vectors = eigh(stack[index])
+        assert np.array_equal(values[index], one_values)
+        assert np.array_equal(vectors[index], one_vectors)
+        assert np.array_equal(labels[index], degeneracy_groups(one_values))
+    assert labels[1, 2].tolist() == [0, 1, 1, 2, 3, 3]
     stack[0, 1, 0, 5] += 1e-6
     with pytest.raises(ConfigError, match="not symmetric"):
         eigh(stack)
@@ -185,7 +205,7 @@ def test_product_spectrum_is_minkowski_sum():
 def test_complete_graph_closed_sums(n):
     dec = laplacian_decomposition(build(_spec(Family.COMPLETE, n=n)))
     sums = spectral_sums(dec, target=0)
-    nonzero = dec.eigenvalues[1:]
+    nonzero = dec[0][1:]
     assert math.isclose(np.sum(1.0 / nonzero), (n - 1) / n, rel_tol=1e-12)
     assert math.isclose(np.sum(1.0 / nonzero**2), (n - 1) / n**2,
                         rel_tol=1e-12)
@@ -286,8 +306,8 @@ def test_loglog_fit_recovers_powerlaw():
 
 def test_spectrum_csv_format():
     g = build(_spec(Family.COMPLETE, n=4))
-    dec = laplacian_decomposition(g)
-    text = spectrum_csv(dec.eigenvalues, dec.group_index)
+    values, _ = laplacian_decomposition(g)
+    text = spectrum_csv(values)
     lines = text.strip().splitlines()
     assert lines[0] == "index,eigenvalue,multiplicity_group"
     assert len(lines) == 5

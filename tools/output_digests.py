@@ -14,10 +14,14 @@ route (dsg g4), one of the quotient route (the 6 x 6 torus) and one
 negative coupling, a target out of range, ``generate`` above the guard,
 a coupling whose H overflows and one whose pi(t) is not finite, and
 last ``critgamma`` on the T-fractal at g = 8 (1,598 cells), whose two
-confirmations solve the quotient H of a tree.
+confirmations solve the quotient H of a tree, and ``critgamma`` on complete
+graphs of 2, 3 and 4 nodes, a sweep whose first size fails.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
-and route labels are digested with the artifacts.
+and route labels are digested with the artifacts.  Its standard error, when
+there is any, goes into ``OUT/<i>/stderr.txt`` with the run's ``OUT``
+replaced by the token ``<OUT>``, so error messages and warnings are
+digested too.
 Standard output gets one ``sha256  <i>/<file>`` line per artifact, sorted
 by path, so ``diff`` on the output of two checkouts, run on the same
 machine with the same seed, names every artifact that changed.  Standard
@@ -81,7 +85,8 @@ INVALID = (
      "--gamma-max", "inf", "--gamma-scale", "lin"),
 )
 # Appended after the others, so that earlier operations keep their numbers.
-LAST = (("critgamma", "--family", "tfractal", "--g", "8"),)
+LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
+        ("critgamma", "--family", "complete", "--sizes", "2,3,4"))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
@@ -104,9 +109,9 @@ def main() -> int:
     for i, argv in enumerate(operations(args.seed)):
         out = args.out / f"{i:02d}"
         out.mkdir(parents=True)
-        printed = io.StringIO()
+        printed, errors = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(printed), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(errors):
             try:
                 code = cli.main([*argv, "--out", str(out)])
             except Exception as exc:  # a defect, recorded and passed over
@@ -114,6 +119,9 @@ def main() -> int:
         (out / "stdout.txt").write_text("".join(
             line for line in printed.getvalue().splitlines(keepends=True)
             if not line.startswith("wrote ")))
+        if errors.getvalue():
+            (out / "stderr.txt").write_text(
+                errors.getvalue().replace(str(args.out), "<OUT>"))
         print(f"exit {code}  {i:02d}  {' '.join(argv)}", file=sys.stderr)
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
