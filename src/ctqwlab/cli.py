@@ -8,7 +8,8 @@ identical invocations produce byte-identical files.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical failure
 (including failed bound checks and failed oracle checks); 4 dense-size
-guard exceeded.  Failures emit a one-line JSON object on stderr.
+guard exceeded or out of memory.  Failures emit a one-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -70,20 +71,26 @@ def _f17(x: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> Path:
-    """Write via a temporary file in the same directory, then rename."""
+    """Write via a temporary file in the same directory, then rename;
+    ConfigError when the path cannot be written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: "
+                              f"{exc.strerror or exc}") from exc
         raise
     return path
 
@@ -630,14 +637,27 @@ def _apply_config(parser: argparse.ArgumentParser,
     unknown = sorted(set(conf) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    # Defaults must land on the chosen subcommand's parser: subparsers
-    # parse into their own namespace, so top-level defaults are ignored.
+    # Each value is parsed as its flag given on the command line, placed
+    # before the explicit flags so that they win.
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    sub.choices[args.command].set_defaults(**conf)
-    # Parse again: argparse converts string defaults such as {"g": "3"}
-    # with the flag's type only while it parses.
-    return parser.parse_args(argv)
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    tokens = []
+    for key, value in conf.items():
+        flag = actions[key].option_strings[0]
+        if isinstance(actions[key], argparse._StoreTrueAction):
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key} ({flag}) takes true "
+                                  f"or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)) \
+                and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise ConfigError(f"config key {key} ({flag}) takes a string "
+                              f"or a number, got {value!r}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -653,13 +673,15 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 2)
     except DenseGuardError as exc:
         return _fail(exc, 4)
+    except MemoryError as exc:
+        return _fail(MemoryError(f"out of memory: {exc}"), 4)
     except NumericalError as exc:
         return _fail(exc, 3)
     except CtqwError as exc:  # pragma: no cover - future subclasses
         return _fail(exc, 3)
 
 
-def _fail(exc: CtqwError, code: int) -> int:
+def _fail(exc: Exception, code: int) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc),
                "exit_code": code}
     print(json.dumps(payload), file=sys.stderr)

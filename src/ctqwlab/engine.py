@@ -8,12 +8,13 @@ otherwise.  The levels |s> and |w> see are the roots of
 F(E) = sum_k a_k / (gamma*lam_k - E) = 1; the others sit at some
 gamma*lam_k.  :func:`measure_overlaps` solves for E0 and E1 in O(K) per
 coupling, and the critical coupling is found on it.  Its two
-confirmations and the bound audit solve the lowest levels of H in one
-window loop (:func:`_window`) on the measure's route: the quotient H when
-the measure came from the quotient, the dense H otherwise.  One function
-groups every route's levels, under one tolerance, once per record
-(:func:`_e1_group`): each loop's stopping test and the
-:class:`OverlapRecord` read the same E1 group.  Success probabilities
+confirmations and the bound audit solve the lowest levels of H in
+growing windows (:func:`_window`) on the measure's route: the quotient H
+when the measure came from the quotient, the dense H otherwise.  The
+secular roots and the windows are two level sources of one loop
+(:func:`_record`), which groups their levels under one tolerance, draws
+more until E1's group is enclosed, and builds the
+:class:`OverlapRecord`.  Success probabilities
 come from the K x K matrix of the measure: all couplings of a grid in one
 stacked eigensolve, then every row's phase sums as one batched complex
 product, of the factored phases on a uniform time grid
@@ -178,36 +179,76 @@ class OverlapRecord:
 
 def overlaps(problem: SearchProblem, *,
              dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
-    """Level overlaps at one coupling from a window of the dense H
+    """Level overlaps at one coupling from windows of the dense H
     (:func:`_window`), the independent route of graphs whose measure came
     from the dense decomposition of L; :func:`measure_overlaps` gives the
     same record in O(K)."""
-    return _window(problem,
-                   lambda: build_hamiltonian(problem, dense_guard=dense_guard),
-                   problem.target, _uniform_state(problem.n), np.zeros(0),
-                   np.zeros(0, dtype=np.int64))
+    return _record(problem, _window(
+        lambda: build_hamiltonian(problem, dense_guard=dense_guard),
+        problem.target, _uniform_state(problem.n)),
+        np.zeros(0), np.zeros(0, dtype=np.int64))
 
 
-def _window(problem: SearchProblem, build, target: int, s_state: np.ndarray,
-            levels: np.ndarray, hidden: np.ndarray) -> OverlapRecord:
-    """The record of the lowest levels of an H of order n = s_state.size,
-    formed afresh by ``build()``, with |w> its basis vector ``target`` and
-    |s> the vector ``s_state``, merged with hidden[k] levels at levels[k]
-    outside its space.
+def _record(problem: SearchProblem, levels, hidden_at: np.ndarray,
+            hidden: np.ndarray) -> OverlapRecord:
+    """The record of E0 and E1's group from the level source ``levels``,
+    merged with hidden[k] levels at hidden_at[k] that carry no |s> or |w>
+    weight and sort after equal seen ones.
 
-    Only the lowest k eigenpairs are computed, k = 8 at first and four
-    times more while E1's group may reach past them: until k = n or the
-    window's top level lies more than the grouping tolerance above the top
-    of E1's group among the window's and the hidden levels.  The
-    eigensolve overwrites H (its transpose is the Fortran-ordered view
-    LAPACK works in), so each window solves an H formed afresh.
-    Inside a large cluster of equal levels LAPACK's ``evr`` on an index
-    subset can stop with an internal error; then a full divide-and-conquer
-    solve of a fresh H replaces it, and a failure of that raises
-    :class:`NumericalError`.
+    ``levels`` is an iterator of (values, s_sq, w_sq, floor): the ascending
+    levels seen so far, their weights on |s> and |w>, and a floor at or
+    below every level not yet seen, inf once there is none.  Levels are grouped
+    under DEGENERACY_RTOL times H's Gershgorin spread, and more are drawn
+    until the floor lies more than that above the top of E1's group, the
+    second group, so that no unseen level can join it.  The overlaps are
+    checked against [0, 1] to roundoff and clipped."""
+    tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
+    at = np.flatnonzero(hidden)
+    while True:
+        seen, s_sq, w_sq, floor = next(levels)
+        values = np.concatenate((seen, hidden_at[at]))
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        start, stop = np.searchsorted(group_labels(values, tol), (1, 2))
+        # An infinite floor ends the loop even beside a NaN level.
+        if floor == math.inf or floor - values[stop - 1] > tol:
+            break
+    counts = np.concatenate((np.ones(seen.size, dtype=np.int64),
+                             hidden[at]))[order]
+    if int(counts[:start].sum()) != 1:
+        raise NumericalError(
+            "ground level of H is degenerate; cannot define the overlap pair"
+        )
+    if start == values.size:
+        raise NumericalError("could not separate E1 from E0")
+    e0 = float(values[0])
+    if e0 < -1.0 - 1e-9 or e0 >= 0.0:
+        raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
+    zeros = np.zeros(at.size)
+    s_sq = np.concatenate((s_sq, zeros))[order]
+    w_sq = np.concatenate((w_sq, zeros))[order]
+    # s_psi0_sq, s_psi1_sq, w_psi0_sq and w_psi1_sq, in the record's order
+    probs = _probabilities(np.array([s_sq[0], np.sum(s_sq[start:stop]),
+                                     w_sq[0], np.sum(w_sq[start:stop])]),
+                           "an overlap")
+    return OverlapRecord(problem.gamma, e0, float(values[start]),
+                         *probs.tolist(), int(counts[start:stop].sum()))
+
+
+def _window(build, target: int, s_state: np.ndarray):
+    """The level source (:func:`_record`) of an H of order n = s_state.size,
+    formed afresh by ``build()`` for each window, with |w> its basis vector
+    ``target`` and |s> the vector ``s_state``.
+
+    Each window solves the lowest k eigenpairs, k = 8 at first and four
+    times more on each further draw; its floor is its top level, or inf at
+    k = n.  The eigensolve overwrites H (its transpose is the
+    Fortran-ordered view LAPACK works in).  Inside a large cluster of equal
+    levels LAPACK's ``evr`` on an index subset can stop with an internal
+    error; then a full divide-and-conquer solve of a fresh H replaces it,
+    and a failure of that raises :class:`NumericalError`.
     """
     n = s_state.size
-    tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
     k = min(n, 8)
     while True:
         try:
@@ -221,61 +262,9 @@ def _window(problem: SearchProblem, build, target: int, s_state: np.ndarray,
                                            overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolve of H failed: {exc}") from exc
-        merged = _merge_hidden(values, (vectors.T @ s_state) ** 2,
-                               vectors[target, :] ** 2, levels, hidden)
-        group1 = _e1_group(merged[0], tol)
-        if k == n or values[-1] - merged[0][group1.stop - 1] > tol:
-            return _lowest_levels(problem.gamma, *merged, group1)
+        yield (values, (vectors.T @ s_state) ** 2, vectors[target, :] ** 2,
+               math.inf if k == n else values[-1])
         k = min(n, k * 4)
-
-
-def _e1_group(levels: np.ndarray, tol: float) -> slice:
-    """The slice of E1's group, the second group of ascending levels
-    grouped under ``tol``; empty, at the end, when there is one group.
-    levels[stop - 1] is the top level below three groups: no level past it
-    + tol joins E1's group."""
-    return slice(*np.searchsorted(group_labels(levels, tol), (1, 2)))
-
-
-def _lowest_levels(gamma: float, values: np.ndarray, counts: np.ndarray,
-                   s_sq: np.ndarray, w_sq: np.ndarray,
-                   group1: slice) -> OverlapRecord:
-    """The record of the two lowest degeneracy groups of ascending levels,
-    level i repeated counts[i] times with summed overlaps s_sq[i] on |s>
-    and w_sq[i] on |w>, E1's group the slice ``group1`` of them
-    (:func:`_e1_group`).  The overlaps are checked against [0, 1] to
-    roundoff and clipped."""
-    if int(counts[:group1.start].sum()) != 1:
-        raise NumericalError(
-            "ground level of H is degenerate; cannot define the overlap pair"
-        )
-    if group1.start == values.size:
-        raise NumericalError("could not separate E1 from E0")
-    e0 = float(values[0])
-    if e0 < -1.0 - 1e-9 or e0 >= 0.0:
-        raise NumericalError(f"ground energy {e0!r} outside [-1, 0)")
-    # s_psi0_sq, s_psi1_sq, w_psi0_sq and w_psi1_sq, in the record's order
-    probs = _probabilities(np.array([s_sq[0], np.sum(s_sq[group1]), w_sq[0],
-                                     np.sum(w_sq[group1])]), "an overlap")
-    return OverlapRecord(gamma, e0, float(values[group1.start]),
-                         *probs.tolist(), int(counts[group1].sum()))
-
-
-def _merge_hidden(values: np.ndarray, s_sq: np.ndarray, w_sq: np.ndarray,
-                  group_levels: np.ndarray, hidden: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arguments (values, counts, s_sq, w_sq) of :func:`_lowest_levels`
-    for the seen levels ``values`` and hidden[k] levels at group_levels[k]
-    without |s> or |w> weight, which sort after equal seen ones."""
-    at = np.flatnonzero(hidden)
-    levels = np.concatenate((values, group_levels[at]))
-    order = np.argsort(levels, kind="stable")
-    zeros = np.zeros(at.size)
-    return (levels[order],
-            np.concatenate((np.ones(values.size, dtype=np.int64),
-                            hidden[at]))[order],
-            np.concatenate((s_sq, zeros))[order],
-            np.concatenate((w_sq, zeros))[order])
 
 
 def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
@@ -295,8 +284,8 @@ def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
         h = problem.gamma * q.laplacian
         h[q.target_cell, q.target_cell] -= 1.0
         return h
-    return _window(problem, build, q.target_cell,
-                   np.sqrt(q.sizes / problem.n),
+    return _record(problem, _window(build, q.target_cell,
+                                    np.sqrt(q.sizes / problem.n)),
                    problem.gamma * sums.group_eigenvalues,
                    sums.multiplicities - q.modes)
 
@@ -421,10 +410,8 @@ def measure_overlaps(problem: SearchProblem, *,
     sums = target_measure(problem.graph, problem.target,
                           dense_guard=dense_guard)
     gamma, lam = problem.gamma, sums.group_eigenvalues
-    tol = DEGENERACY_RTOL * _gershgorin_spread(problem)
     visible = _visible(sums, gamma)
     poles, a = gamma * lam[visible], sums.group_amp_sq[visible]
-    hidden = sums.multiplicities - visible
 
     def root(i: int) -> tuple[float, float, float]:
         try:
@@ -434,14 +421,16 @@ def measure_overlaps(problem: SearchProblem, *,
             raise NumericalError(f"the secular equation leaves the float "
                                  f"range at gamma={gamma!r}: {exc}") from None
 
-    roots = [root(i) for i in range(min(poles.size, 2))]
-    while True:
-        levels = _merge_hidden(*np.array(roots).T, gamma * lam, hidden)
-        group1 = _e1_group(levels[0], tol)
-        i = len(roots)
-        if i == poles.size or poles[i - 1] - levels[0][group1.stop - 1] > tol:
-            return _lowest_levels(gamma, *levels, group1)
-        roots.append(root(i))
+    def secular_levels():
+        roots = [root(i) for i in range(min(poles.size, 2))]
+        while True:
+            i = len(roots)
+            yield (*np.array(roots).T,
+                   poles[i - 1] if i < poles.size else math.inf)
+            roots.append(root(i))
+
+    return _record(problem, secular_levels(), gamma * lam,
+                   sums.multiplicities - visible)
 
 
 # -- critical coupling ----------------------------------------------------------

@@ -637,6 +637,80 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "threads" in msg["message"]
 
 
+@pytest.mark.parametrize("conf,argv,code", [
+    ({"open_boundary": "no"}, ("spectrum", "--family", "chain", "--L", 4), 2),
+    ({"gamma_scale": "cubic"},
+     ("overlaps", "--family", "complete", "--n", 8, "--gamma-count", 3), 2),
+    ({"family": "nope"}, ("spectrum", "--n", 4), 2),
+    ({"model": "cubic"}, ("fit", "--family", "dsg", "--g", "2..4"), 2),
+    ({"gamma_count": 3.5}, ("overlaps", "--family", "complete", "--n", 8), 2),
+    ({"out": None}, ("spectrum", "--family", "complete", "--n", 4), 2),
+    ({"out": 5}, ("spectrum", "--family", "complete", "--n", 4), 0),
+], ids=["open", "gamma_scale", "family", "model", "gamma_count", "null",
+        "out"])
+def test_config_values_pass_the_checks_of_their_flags(
+        tmp_path, capsys, monkeypatch, conf, argv, code):
+    """A config value is parsed as its flag given on the command line: a
+    value the flag refuses, or a null that no flag takes, exits 2 with one
+    JSON line and writes nothing, and {"out": 5} acts as --out 5."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    assert run(*argv, "--config", path) == code
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("*.*") if p != path)
+    if code == 0:
+        assert written == ["5/spectrum_complete_n4.csv"]
+        return
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == 2
+    assert written == []
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """An --out under a regular file, or an artifact path taken by a
+    directory, exits 2 with one JSON line and leaves no temporary file."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    taken = tmp_path / "taken"
+    (taken / "spectrum_dsg_g2.csv").mkdir(parents=True)
+    for out in (blocker / "sub", taken):
+        assert run("spectrum", "--family", "dsg", "--g", 2,
+                   "--out", out) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        msg = json.loads(lines[0])
+        assert msg["error"] == "ConfigError"
+        assert msg["message"].startswith(
+            f"cannot write {out / 'spectrum_dsg_g2.csv'}: ")
+    assert blocker.read_text() == "x"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "file", "spectrum_dsg_g2.csv", "taken"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "complete", "--n", 100000),
+    ("overlaps", "--family", "complete", "--n", 100000),
+    ("critgamma", "--family", "complete", "--sizes", 100000),
+    ("oracle", "--check", "complete-vs-engine", "--n", 100000),
+], ids=["spectrum", "overlaps", "critgamma", "oracle"])
+def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, argv):
+    """A MemoryError, here raised in place of the graph's build so that
+    nothing large is allocated, exits 4 with one JSON line."""
+    from ctqwlab import cli
+
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+    monkeypatch.setattr(cli, "build", no_memory)
+    assert run(*argv, "--out", tmp_path) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "MemoryError", "exit_code": 4,
+        "message": "out of memory: Unable to allocate 9.31 GiB for an array"}
+
+
 def test_module_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ctqwlab.cli", "generate",

@@ -44,6 +44,7 @@ from ctqwlab.graphs import (
 )
 from ctqwlab.oracles import complete_success
 from ctqwlab.spectra import (
+    DEGENERACY_RTOL,
     degeneracy_groups,
     eigh,
     laplacian_decomposition,
@@ -292,6 +293,52 @@ def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
         monkeypatch.setattr(engine, "sla", SimpleNamespace(eigh=all_fail))
         with pytest.raises(NumericalError, match="eigensolve of H failed"):
             solve()
+
+
+def _drawn(problem, draws, hidden_at=(), hidden=()):
+    """The record that engine._record builds from the synthetic level
+    source ``draws``, and the number of draws it took."""
+    source = iter([tuple(np.asarray(x, dtype=float) for x in d[:3]) + d[3:]
+                   for d in draws])
+    rec = engine._record(problem, source, np.array(hidden_at, dtype=float),
+                         np.array(hidden, dtype=np.int64))
+    return rec, len(draws) - len(list(source))
+
+
+def test_record_draws_until_the_floor_clears_e1s_group():
+    """engine._record, the one enclosure loop of both level sources, on
+    synthetic sources: it stops at the first floor more than the grouping
+    tolerance above E1's group; a hidden level within the tolerance
+    extends the group past that floor, so it draws again and counts the
+    hidden levels in E1's group; an infinite floor ends the loop; and it
+    refuses a degenerate ground level and a single group."""
+    problem = SearchProblem(_graph(Family.COMPLETE, n=4), 0, 1.0)
+    tol = DEGENERACY_RTOL * engine._gershgorin_spread(problem)
+    e1 = 0.25
+    first = ([-0.5, e1], [0.375, 0.5], [0.5, 0.25], e1 + 1.5 * tol)
+    second = ([-0.5, e1, 0.75], [0.375, 0.5, 0.0625], [0.5, 0.25, 0.125],
+              1.0)
+    rec, drawn = _drawn(problem, [first, second])
+    assert drawn == 1
+    assert (rec.e0, rec.e1, rec.e1_multiplicity) == (-0.5, e1, 1)
+    assert (rec.s_psi0_sq, rec.s_psi1_sq, rec.w_psi0_sq, rec.w_psi1_sq) \
+        == (0.375, 0.5, 0.5, 0.25)
+    # Two hidden levels at e1 + 0.8 tol join E1's group, whose top now
+    # lies 0.7 tol below the first floor; a zero count adds nothing.
+    rec, drawn = _drawn(problem, [first, second],
+                        hidden_at=[e1 + 0.8 * tol, 0.5], hidden=[2, 0])
+    assert drawn == 2
+    assert (rec.e1, rec.e1_multiplicity) == (e1, 3)
+    assert (rec.s_psi1_sq, rec.w_psi1_sq) == (0.5, 0.25)
+    rec, drawn = _drawn(problem, [(*first[:3], math.inf), second],
+                        hidden_at=[e1 + 0.8 * tol], hidden=[2])
+    assert drawn == 1
+    assert rec.e1_multiplicity == 3
+    with pytest.raises(NumericalError, match="ground level of H is degen"):
+        _drawn(problem, [([-0.5, -0.5 + 0.5 * tol, e1], [0.25, 0.25, 0.5],
+                          [0.25, 0.25, 0.5], math.inf)])
+    with pytest.raises(NumericalError, match="could not separate E1 from E0"):
+        _drawn(problem, [([-0.5], [1.0], [1.0], math.inf)])
 
 
 @pytest.mark.parametrize("make_graph,target", SECULAR_CASES)
