@@ -30,6 +30,7 @@ from .errors import (
     DenseGuardError,
     NoTransitionError,
     NumericalError,
+    dense_guard,
 )
 from .graphs import (
     Family,
@@ -65,6 +66,7 @@ __all__ = [
     "DenseGuardError",
     "NoTransitionError",
     "NumericalError",
+    "dense_guard",
     "Family",
     "Graph",
     "GraphSpec",

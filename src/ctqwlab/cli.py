@@ -46,6 +46,7 @@ from .errors import (
     DenseGuardError,
     NumericalError,
     check_dense_guard,
+    dense_guard,
 )
 from .graphs import _RECORDS, Family, GraphSpec, build, default_target
 from .oracles import (
@@ -247,8 +248,7 @@ def _sweep_specs(args: argparse.Namespace) -> tuple[list[GraphSpec],
     return specs, [float(v) for v in values]
 
 
-def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
-                   **window: float
+def _critical_rows(specs: Sequence[GraphSpec], **window: float
                    ) -> list[tuple[GraphSpec, SpectralSums, CriticalGamma]]:
     """The target measure and critical coupling of each spec's graph at its
     default target; ``window`` holds critical_gamma's coupling window.  A
@@ -259,8 +259,8 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
         try:
             graph = build(spec)
             target = default_target(spec)
-            res = critical_gamma(graph, target, dense_guard=guard, **window)
-            sums = target_measure(graph, target, dense_guard=guard)
+            res = critical_gamma(graph, target, **window)
+            sums = target_measure(graph, target)
         except CtqwError as exc:
             raise type(exc)(f"{spec.label}: {exc}") from exc
         rows.append((spec, sums, res))
@@ -272,8 +272,7 @@ def _critical_rows(specs: Sequence[GraphSpec], guard: int | None,
 
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    check_dense_guard(spec.node_count, _dense_guard(args),
-                      f"generate {spec.label}")
+    check_dense_guard(spec.node_count, f"generate {spec.label}")
     graph = build(spec)
     path = _write_atomic(Path(args.out) / f"edges_{spec.label}.txt",
                          graph.to_edge_list())
@@ -284,7 +283,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = build(spec)
-    values, route = laplacian_spectrum(graph, dense_guard=_dense_guard(args))
+    values, route = laplacian_spectrum(graph)
     text = spectrum_csv(values)
     path = _write_atomic(Path(args.out) / f"spectrum_{spec.label}.csv", text)
     print(f"wrote {path}")
@@ -294,13 +293,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_overlaps(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, args)
-    gammas = _gamma_grid(
-        args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
-    records = [measure_overlaps(SearchProblem(graph, target, float(g)),
-                                dense_guard=guard) for g in gammas]
+    gammas = _gamma_grid(args, lambda: target_measure(graph, target).xi1)
+    records = [measure_overlaps(SearchProblem(graph, target, float(g)))
+               for g in gammas]
     path = _write_atomic(Path(args.out) / f"overlaps_{spec.label}.csv",
                          overlap_sweep_csv(records))
     print(f"wrote {path}")
@@ -308,11 +305,10 @@ def cmd_overlaps(args: argparse.Namespace) -> int:
 
 
 def cmd_critgamma(args: argparse.Namespace) -> int:
-    guard = _dense_guard(args)
     specs, _ = _sweep_specs(args)
     window = {key: value for key in ("gamma_floor", "gamma_ceiling")
               if (value := getattr(args, key)) is not None}
-    rows = _critical_rows(specs, guard, **window)
+    rows = _critical_rows(specs, **window)
     header = "label,N,gamma_crit,xi1,residual,evaluations"
     lines = [header]
     for spec, sums, res in rows:
@@ -332,13 +328,11 @@ def cmd_critgamma(args: argparse.Namespace) -> int:
 
 def cmd_success(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, args)
-    gammas = _gamma_grid(
-        args, lambda: target_measure(graph, target, dense_guard=guard).xi1)
+    gammas = _gamma_grid(args, lambda: target_measure(graph, target).xi1)
     times = _time_grid(args, graph.n)
-    grid = success_grid(graph, target, gammas, times, dense_guard=guard)
+    grid = success_grid(graph, target, gammas, times)
     base = Path(args.out)
     p1 = _write_atomic(base / f"success_{spec.label}_matrix.csv",
                        grid.to_matrix_csv())
@@ -357,12 +351,11 @@ def cmd_success(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    guard = _dense_guard(args)
     specs, gens = _sweep_specs(args)
     family = Family(args.family)
     model = ScalingModel(args.model) if args.model else (
         ScalingModel.LOG if family is Family.CAYLEY_TREE else ScalingModel.POWER)
-    rows = _critical_rows(specs, guard)
+    rows = _critical_rows(specs)
     if model is ScalingModel.POWER:
         points = [(sums.n, res.gamma) for _, sums, res in rows]
     else:
@@ -393,13 +386,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    guard = _dense_guard(args)
     graph = build(spec)
     target = _resolve_target(spec, args)
     gammas = None
     if args.gammas is not None:
         gammas = _parse_list(args.gammas, "--gammas", float)
-    report = verify_bounds(graph, target, gammas=gammas, dense_guard=guard)
+    report = verify_bounds(graph, target, gammas=gammas)
     path = _write_atomic(Path(args.out) / f"bounds_{spec.label}.json",
                          json.dumps(report.to_dict(), indent=2) + "\n")
     for check in report.checks:
@@ -413,45 +405,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _complete_error(n: int, guard: int | None) -> float:
+def _complete_error(n: int) -> float:
     graph = build(GraphSpec(Family.COMPLETE, n=n))
     times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), 64)
     gammas = [scale / n for scale in (0.5, 1.0, 1.7, 2.0)]
-    grid = success_grid(graph, 0, gammas, times, dense_guard=guard)
+    grid = success_grid(graph, 0, gammas, times)
     return max(float(np.max(np.abs(probs - complete_success(n, gamma, times))))
                for gamma, probs in zip(gammas, grid.probabilities))
 
 
-def _dsg_spectrum_error(g: int, guard: int | None) -> float:
+def _dsg_spectrum_error(g: int) -> float:
     graph = build(GraphSpec(Family.DSG, g=g))
-    values = laplacian_spectrum(graph, dense_guard=guard)[0]
+    values = laplacian_spectrum(graph)[0]
     return float(np.max(np.abs(values - dsg_exact_spectrum(g).expand())))
 
 
-def _dsg_zeta_error(g: int, guard: int | None) -> float:
+def _dsg_zeta_error(g: int) -> float:
     return max(abs(c - d) / abs(c)
                for c, d in zip(dsg_zeta_closed(g), dsg_zeta_direct(g)))
 
 
-def _decimation_error(g: int, guard: int | None) -> float:
+def _decimation_error(g: int) -> float:
     return max(decimation_identity_residuals(g))
 
 
-def _krylov_error(g: int, guard: int | None, gamma: float) -> float:
+def _krylov_error(g: int, gamma: float) -> float:
     spec = GraphSpec(Family.DSG, g=g)
     graph = build(spec)
     target = default_target(spec)
     times = np.linspace(0.0, 20.0, 9)
     kry = propagate_krylov(graph, target, gamma, times)
-    ref = success_probability(SearchProblem(graph, target, gamma), times,
-                              dense_guard=guard)
+    ref = success_probability(SearchProblem(graph, target, gamma), times)
     return float(np.max(np.abs(kry - ref)))
 
 
 # check -> (size flag, its default, tolerance, error function, further
-# arguments).  The error function takes the size, the dense guard and the
-# further arguments, and returns the largest error; the report's details
-# are the size and the further arguments.
+# arguments).  The error function takes the size and the further
+# arguments, and returns the largest error; the report's details are the
+# size and the further arguments.
 _ORACLES = {
     "complete-vs-engine": ("n", 124, 1e-10, _complete_error, {}),
     "dsg-spectrum": ("g", 4, 1e-9, _dsg_spectrum_error, {}),
@@ -464,7 +455,7 @@ _ORACLES = {
 def cmd_oracle(args: argparse.Namespace) -> int:
     flag, default, tol, error, extra = _ORACLES[args.check]
     size = default if getattr(args, flag) is None else getattr(args, flag)
-    worst = error(size, _dense_guard(args), **extra)
+    worst = error(size, **extra)
     passed = worst <= tol
     report = {"check": args.check, "passed": passed, "max_error": worst,
               "tolerance": tol, "details": {flag: size, **extra}}
@@ -621,10 +612,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser,
-                  argv: list[str], args: argparse.Namespace
-                  ) -> argparse.Namespace:
-    path = args.config
+def _with_config(parser: argparse.ArgumentParser,
+                 argv: list[str]) -> list[str]:
+    """``argv`` with the values of its ``--config`` file, if it names one,
+    as flags after the subcommand and before the explicit flags, so that
+    they pass their flags' checks and the explicit flags win."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    command = next((a for a in argv if a in sub.choices), None)
+    if command is None:
+        return argv
+    at = argv.index(command) + 1
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[at:])[0].config
+    if not path:
+        return argv
     try:
         conf = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -633,15 +636,11 @@ def _apply_config(parser: argparse.ArgumentParser,
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(conf, dict):
         raise ConfigError("config must be a JSON object of flag defaults")
-    known = set(vars(args)) - {"command", "func", "config"}
-    unknown = sorted(set(conf) - known)
+    actions = {a.dest: a for a in sub.choices[command]._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(conf) - set(actions))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    # Each value is parsed as its flag given on the command line, placed
-    # before the explicit flags so that they win.
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     tokens = []
     for key, value in conf.items():
         flag = actions[key].option_strings[0]
@@ -656,19 +655,19 @@ def _apply_config(parser: argparse.ArgumentParser,
         else:
             raise ConfigError(f"config key {key} ({flag}) takes a string "
                               f"or a number, got {value!r}")
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand under the dense guard its flag, the environment
+    or the default sets; return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = _apply_config(parser, list(argv), args)
-        return args.func(args)
+        args = parser.parse_args(_with_config(parser, list(argv)))
+        with dense_guard(_dense_guard(args)):
+            return args.func(args)
     except ConfigError as exc:
         return _fail(exc, 2)
     except DenseGuardError as exc:

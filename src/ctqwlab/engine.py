@@ -35,7 +35,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (
-    DEFAULT_DENSE_GUARD,
     ConfigError,
     NoTransitionError,
     NumericalError,
@@ -100,12 +99,10 @@ class SearchProblem:
         return self.graph.n
 
 
-def build_hamiltonian(problem: SearchProblem, *,
-                      dense_guard: int | None = DEFAULT_DENSE_GUARD
-                      ) -> np.ndarray:
+def build_hamiltonian(problem: SearchProblem) -> np.ndarray:
     """Dense H = gamma * L - |w><w| (float64, symmetric), formed in the
     memory of a fresh L."""
-    check_dense_guard(problem.n, dense_guard, "dense Hamiltonian")
+    check_dense_guard(problem.n, "dense Hamiltonian")
     h = problem.graph.laplacian()
     h *= problem.gamma
     h[problem.target, problem.target] -= 1.0
@@ -177,14 +174,13 @@ class OverlapRecord:
         return self.e1_multiplicity > 1
 
 
-def overlaps(problem: SearchProblem, *,
-             dense_guard: int | None = DEFAULT_DENSE_GUARD) -> OverlapRecord:
+def overlaps(problem: SearchProblem) -> OverlapRecord:
     """Level overlaps at one coupling from windows of the dense H
     (:func:`_window`), the independent route of graphs whose measure came
     from the dense decomposition of L; :func:`measure_overlaps` gives the
     same record in O(K)."""
     return _record(problem, _window(
-        lambda: build_hamiltonian(problem, dense_guard=dense_guard),
+        lambda: build_hamiltonian(problem),
         problem.target, _uniform_state(problem.n)),
         np.zeros(0), np.zeros(0, dtype=np.int64))
 
@@ -267,9 +263,8 @@ def _window(build, target: int, s_state: np.ndarray):
         k = min(n, k * 4)
 
 
-def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
-                          dense_guard: int | None = DEFAULT_DENSE_GUARD
-                          ) -> OverlapRecord:
+def _independent_overlaps(problem: SearchProblem,
+                          sums: SpectralSums) -> OverlapRecord:
     """The record of :func:`measure_overlaps` from a window (:func:`_window`)
     of H on the measure's route: the dense H (:func:`overlaps`), or, for a
     measure from the equitable quotient (:class:`spectra.Quotient`), the
@@ -278,7 +273,7 @@ def _independent_overlaps(problem: SearchProblem, sums: SpectralSums, *,
     exceeds the quotient's) merged in."""
     q = sums.quotient
     if q is None:
-        return overlaps(problem, dense_guard=dense_guard)
+        return overlaps(problem)
 
     def build() -> np.ndarray:
         h = problem.gamma * q.laplacian
@@ -392,9 +387,7 @@ def _visible(sums: SpectralSums, gamma: float) -> np.ndarray:
     return np.r_[True, weights[1:] > cut]
 
 
-def measure_overlaps(problem: SearchProblem, *,
-                     dense_guard: int | None = DEFAULT_DENSE_GUARD
-                     ) -> OverlapRecord:
+def measure_overlaps(problem: SearchProblem) -> OverlapRecord:
     """The record of :func:`overlaps` from the secular roots of the
     target's measure, under the same grouping tolerance: one decomposition
     of L per graph and target, then O(K) per root-finder step.
@@ -407,8 +400,7 @@ def measure_overlaps(problem: SearchProblem, *,
     scaled by a power of two, so they do not underflow down to gamma ~
     1e-305; below ~1e-307 the secular equation itself overflows, and any
     overflow or invalid operation in a root gives NumericalError."""
-    sums = target_measure(problem.graph, problem.target,
-                          dense_guard=dense_guard)
+    sums = target_measure(problem.graph, problem.target)
     gamma, lam = problem.gamma, sums.group_eigenvalues
     visible = _visible(sums, gamma)
     poles, a = gamma * lam[visible], sums.group_amp_sq[visible]
@@ -479,9 +471,7 @@ def _sign_change_root(f, seed: float, gamma_floor: float,
 
 def critical_gamma(graph: Graph, target: NodeId, *,
                    gamma_floor: float = 1e-6,
-                   gamma_ceiling: float = 1e6,
-                   dense_guard: int | None = DEFAULT_DENSE_GUARD
-                   ) -> CriticalGamma:
+                   gamma_ceiling: float = 1e6) -> CriticalGamma:
     """Locate the coupling where the uniform state moves from the first
     excited level to the ground level.
 
@@ -511,7 +501,7 @@ def critical_gamma(graph: Graph, target: NodeId, *,
         raise ConfigError(
             f"coupling window needs 0 < gamma_floor < gamma_ceiling, both "
             f"finite: got [{gamma_floor}, {gamma_ceiling}]")
-    sums = target_measure(graph, target, dense_guard=dense_guard)
+    sums = target_measure(graph, target)
     lam = sums.group_eigenvalues
     seed = min(max(sums.xi1, gamma_floor), gamma_ceiling)
     if not _visible(sums, seed)[1]:
@@ -523,8 +513,8 @@ def critical_gamma(graph: Graph, target: NodeId, *,
 
     def difference(gamma: float, measure: bool) -> float:
         problem = SearchProblem(graph, target, gamma)
-        rec = measure_overlaps(problem, dense_guard=dense_guard) if measure \
-            else _independent_overlaps(problem, sums, dense_guard=dense_guard)
+        rec = measure_overlaps(problem) if measure \
+            else _independent_overlaps(problem, sums)
         return rec.s_psi0_sq - rec.s_psi1_sq
 
     root, f_root = _sign_change_root(lambda gamma: difference(gamma, True),
@@ -592,7 +582,7 @@ def _phase_product(t: np.ndarray, block: int, energies: np.ndarray,
 
 
 def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
-                  t: np.ndarray, dense_guard: int | None) -> np.ndarray:
+                  t: np.ndarray) -> np.ndarray:
     """pi(t) = |<w| exp(-i H t) |s>|^2 at each coupling of ``gammas`` and
     time of ``t``, as a (G, T) array.
 
@@ -607,7 +597,7 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     Phases that overflow give NaN, which :func:`_probabilities` refuses,
     and on a grid that starts at t = 0, pi(0) must be 1/N within 1e-12.
     """
-    sums = target_measure(graph, target, dense_guard=dense_guard)
+    sums = target_measure(graph, target)
     z = np.sqrt(sums.group_amp_sq)
     diag, zz = np.diag(sums.group_eigenvalues), np.outer(z, z)
     block = _phase_block(t)
@@ -616,7 +606,7 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     probs = np.empty((gammas.size, t.size))
     for start in range(0, gammas.size, rows):
         values, vectors = eigh(gammas[start:start + rows, None, None] * diag
-                               - zz, dense_guard=dense_guard)
+                               - zz)
         coef = (z @ vectors) * vectors[:, 0, :]
         with np.errstate(over="ignore", invalid="ignore"):
             probs[start:start + rows] = np.abs(
@@ -627,14 +617,13 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     return probs
 
 
-def success_probability(problem: SearchProblem, t, *,
-                        dense_guard: int | None = DEFAULT_DENSE_GUARD):
+def success_probability(problem: SearchProblem, t):
     """pi(t) = |<w| exp(-i H t) |s>|^2, scalar in/scalar out: the one-row
     case of :func:`success_grid`, from one K x K eigensolve."""
     scalar = np.isscalar(t)
     probs = _success_rows(problem.graph, problem.target,
                           np.array([problem.gamma], dtype=np.float64),
-                          _times(t), dense_guard)[0]
+                          _times(t))[0]
     return float(probs[0]) if scalar else probs
 
 
@@ -670,8 +659,7 @@ class SuccessGrid:
 
 
 def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
-                 times: Sequence[float], *,
-                 dense_guard: int | None = DEFAULT_DENSE_GUARD) -> SuccessGrid:
+                 times: Sequence[float]) -> SuccessGrid:
     """pi(t) at every coupling and time of the grid, every row from the
     target's one Laplacian measure and all rows from one stacked K x K
     eigensolve (in chunks of rows on large grids; see
@@ -686,7 +674,7 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
         raise ConfigError("time grid must be ascending")
     for g in gam.tolist():
         SearchProblem(graph, target, g)
-    probs = _success_rows(graph, target, gam, t_arr, dense_guard)
+    probs = _success_rows(graph, target, gam, t_arr)
     best = np.argmax(probs, axis=1)
     return SuccessGrid(
         gammas=gam, times=t_arr, probabilities=probs,
@@ -733,9 +721,7 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
                      times: Sequence[float], *,
                      span: float = 10.0,
                      coarse: int = 64,
-                     rel_tol: float = 1e-3,
-                     dense_guard: int | None = DEFAULT_DENSE_GUARD
-                     ) -> GammaMaxResult:
+                     rel_tol: float = 1e-3) -> GammaMaxResult:
     """The coupling, of a log-spaced grid, that maximizes max_t pi(t) over
     a fixed time horizon.
 
@@ -759,8 +745,7 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
     if not rel_tol > 0.0:
         raise ConfigError("rel_tol must be positive")
     grid = np.geomspace(gamma_center / span, gamma_center * span, coarse)
-    sweep = coarse_sweep = success_grid(graph, target, grid, times,
-                                        dense_guard=dense_guard)
+    sweep = coarse_sweep = success_grid(graph, target, grid, times)
     width = math.inf
     while True:
         best = int(np.argmax(sweep.pi_star))
@@ -771,8 +756,7 @@ def gamma_max_search(graph: Graph, target: NodeId, gamma_center: float,
             break
         width = math.log(hi / lo)
         sweep = success_grid(graph, target,
-                             np.geomspace(lo, hi, max(coarse, 5)), times,
-                             dense_guard=dense_guard)
+                             np.geomspace(lo, hi, max(coarse, 5)), times)
     return GammaMaxResult(
         gamma=float(sweep.gammas[best]), t_star=float(sweep.t_star[best]),
         pi_max=float(sweep.pi_star[best]), coarse_gammas=grid,
@@ -823,8 +807,7 @@ class BoundReport:
 
 
 def verify_bounds(graph: Graph, target: NodeId,
-                  gammas: Sequence[float] | None = None, *,
-                  dense_guard: int | None = DEFAULT_DENSE_GUARD) -> BoundReport:
+                  gammas: Sequence[float] | None = None) -> BoundReport:
     """Check the perturbative overlap/energy bounds and the resolvent
     identities at several couplings.
 
@@ -837,7 +820,7 @@ def verify_bounds(graph: Graph, target: NodeId,
     are verified for the nondegenerate levels.  The levels come from an
     eigensolve of H on the measure's route (:func:`_independent_overlaps`).
     """
-    sums = target_measure(graph, target, dense_guard=dense_guard)
+    sums = target_measure(graph, target)
     xi1, xi2 = sums.xi1, sums.xi2
     n = graph.n
     if gammas is None:
@@ -845,8 +828,7 @@ def verify_bounds(graph: Graph, target: NodeId,
     checks: list[BoundCheck] = []
     for gamma in gammas:
         gamma = float(gamma)
-        rec = _independent_overlaps(SearchProblem(graph, target, gamma),
-                                    sums, dense_guard=dense_guard)
+        rec = _independent_overlaps(SearchProblem(graph, target, gamma), sums)
         deg_note = "E1 degenerate: overlap summed over its eigenspace" \
             if rec.degenerate_e1 else ""
         if gamma > xi1:

@@ -4,7 +4,8 @@ Every builder produces a simple, connected, undirected graph with a
 deterministic node numbering, so repeated builds are bit-identical and
 downstream eigensolves are reproducible.  Families:
 
-* ``complete``   -- N = n, all pairs adjacent.
+* ``complete``   -- N = n, all pairs adjacent; refused above the dense
+                    guard, as its edge array grows as n^2.
 * ``chain``      -- one-dimensional lattice of L sites (ring when periodic).
 * ``torus``      -- d-dimensional hypercubic lattice, L sites per axis,
                     periodic by default.
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import ConfigError
+from .errors import ConfigError, check_dense_guard
 
 NodeId = int
 
@@ -336,6 +337,9 @@ class Graph:
 
 
 def _complete_edges(n: int) -> np.ndarray:
+    """The n(n - 1)/2 pairs; their O(n^2) index arrays are formed only
+    under the dense guard."""
+    check_dense_guard(n, "complete graph edge list")
     return np.column_stack(np.triu_indices(n, k=1)).astype(np.int64)
 
 
@@ -486,7 +490,7 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
 
     Degrees add across factors and the product Laplacian spectrum is the
     pairwise-sum composition of the factor spectra.  Any size is built: the
-    dense guard bars dense solves, not graphs, and is checked at the solve.
+    dense guard is checked at the solve, not here.
     """
     n = a.n * b.n
     ea = a.edge_array()

@@ -34,9 +34,10 @@ the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
   connected) L's eigenvalues come from Lq alone: each branching cell's
   principal block of Lq gives eigenvalues of L of a known multiplicity
   (:func:`_tree_spectrum`).  No dense L is formed, and the dense guard
-  applies to the number of cells; above the guard on N, one breadth-first
-  search first refuses a tree too deep for that.  The same blocks, around
-  the tree's centre, give :func:`laplacian_spectrum` on trees.
+  applies to the number of cells, read before any (m, m) array is formed;
+  above the guard on N, one breadth-first search first refuses a tree too
+  deep for that.  The same blocks, around the tree's centre, give
+  :func:`laplacian_spectrum` on trees.
 * *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
   by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
   172, 1995), several times faster than scipy's default ``evr`` on the
@@ -55,8 +56,8 @@ from scipy.sparse import csgraph
 
 from .analysis import fit_scaling
 from .errors import (
-    DEFAULT_DENSE_GUARD,
     ConfigError,
+    DenseGuardError,
     NumericalError,
     check_dense_guard,
 )
@@ -94,9 +95,7 @@ def degeneracy_groups(values: np.ndarray) -> np.ndarray:
     return group_labels(values, GROUP_RTOL * spread)
 
 
-def eigh(matrix: np.ndarray, *,
-         dense_guard: int | None = DEFAULT_DENSE_GUARD
-         ) -> tuple[np.ndarray, np.ndarray]:
+def eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix (LAPACK ``evd``),
     or of each of a (..., n, n) stack of them in one call: scipy's
     ``(values, vectors)``, values ascending along the last axis and column
@@ -109,7 +108,7 @@ def eigh(matrix: np.ndarray, *,
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ConfigError("eigh needs a square matrix or a stack of them")
-    check_dense_guard(m.shape[-1], dense_guard, "dense eigendecomposition")
+    check_dense_guard(m.shape[-1], "dense eigendecomposition")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
     worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
@@ -121,9 +120,7 @@ def eigh(matrix: np.ndarray, *,
     return sla.eigh(m, driver="evd")
 
 
-def laplacian_decomposition(graph: Graph, *,
-                            dense_guard: int | None = DEFAULT_DENSE_GUARD
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_decomposition(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(values, vectors)`` of the graph Laplacian
     L = Z - A, as :func:`eigh` returns it; the guard is checked on N before
     L is formed.
@@ -132,36 +129,32 @@ def laplacian_decomposition(graph: Graph, *,
     handed to LAPACK as its Fortran-ordered transpose and the eigenvectors
     overwrite it: no copy of L is made.
     """
-    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    check_dense_guard(graph.n, "dense eigendecomposition")
     return sla.eigh(graph.laplacian().T, driver="evd", overwrite_a=True,
                     check_finite=False)
 
 
-def laplacian_spectrum(graph: Graph, *,
-                       dense_guard: int | None = DEFAULT_DENSE_GUARD
-                       ) -> tuple[np.ndarray, str]:
+def laplacian_spectrum(graph: Graph) -> tuple[np.ndarray, str]:
     """Eigenvalues of L, ascending, and the route they came from.
 
     On a tree, rooted at its centre, whose equitable partition has at most
     N/2 cells: from the quotient's blocks (:func:`_tree_spectrum`), the
-    dense guard on the cell count, route ``tree cells=m``.  Otherwise
-    values only (LAPACK ``evr``) in the memory of a fresh L, the guard on
-    N, route ``dense``.
+    dense guard on the cell count (:func:`equitable_partition`), route
+    ``tree cells=m``.  Otherwise values only (LAPACK ``evr``) in the
+    memory of a fresh L, the guard on N, route ``dense``.
     """
     centre = _centre(graph)
     if centre is not None:
-        _refuse_deep_trees(graph, centre, dense_guard)
+        _refuse_deep_trees(graph, centre)
         partition = equitable_partition(graph, centre)
         if partition is not None:
             cells, counts = partition
             sizes = np.bincount(cells)
-            check_dense_guard(sizes.size, dense_guard,
-                              "dense eigendecomposition")
             lq = _quotient_laplacian(counts, sizes)
             values = _tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
                                     int(cells[centre]))
             return values, f"tree cells={sizes.size}"
-    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    check_dense_guard(graph.n, "dense eigendecomposition")
     return sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
                         check_finite=False), "dense"
 
@@ -239,13 +232,16 @@ def equitable_partition(graph: Graph, target: NodeId
     vertex, and counts[i, j], the number of neighbours in cell j of every
     vertex of cell i.  None when the refinement passes N/2 cells, where the
     quotient would not save the dense route much, or when the integer
-    certificate of :func:`_certify` fails (a hash collision).
+    certificate of :func:`_certify` fails (a hash collision).  The cell
+    count m, the order of the quotient's dense solve, is checked against
+    the dense guard before any (m, m) array is formed.
     """
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
     cells = _refine(graph.adjacency, target, graph.n // 2)
     if cells is None:
         return None
+    check_dense_guard(int(cells.max()) + 1, "dense eigendecomposition")
     counts = _certify(graph.adjacency, cells, target)
     return None if counts is None else (cells, counts)
 
@@ -320,8 +316,7 @@ def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
 
 
 def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
-                      counts: np.ndarray, dense_guard: int | None
-                      ) -> SpectralSums:
+                      counts: np.ndarray) -> SpectralSums:
     """The measure from the quotient's eigenpairs, on L's eigenvalues: from
     the quotient's blocks on a tree (:func:`_tree_spectrum`, route ``tree
     cells=m``, the guard on the number of cells m), else from
@@ -333,12 +328,11 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     sizes = np.bincount(cells)
     cell = int(cells[target])
     lq = _quotient_laplacian(counts, sizes)
-    quo_values, quo_vectors = eigh(
-        lq, dense_guard=dense_guard if tree else None)
+    quo_values, quo_vectors = eigh(lq)
     if tree:
         values = _tree_spectrum(lq, quo_values, counts, sizes, cell)
     else:
-        values = laplacian_spectrum(graph, dense_guard=dense_guard)[0]
+        values = laplacian_spectrum(graph)[0]
     groups = degeneracy_groups(values)
     # Nearest eigenvalue of L to each of Lq.
     above = np.searchsorted(values, quo_values).clip(1, values.size - 1)
@@ -467,31 +461,28 @@ _MEASURES: weakref.WeakKeyDictionary[Graph, dict[NodeId, SpectralSums]] = \
     weakref.WeakKeyDictionary()
 
 
-def target_measure(graph: Graph, target: NodeId, *,
-                   dense_guard: int | None = DEFAULT_DENSE_GUARD
-                   ) -> SpectralSums:
+def target_measure(graph: Graph, target: NodeId) -> SpectralSums:
     """The target's Laplacian spectral measure, computed once per ``Graph``
     object and target: from the equitable quotient when
     :func:`equitable_partition` finds one of at most N/2 cells, else from
     the dense decomposition of L.  A new measure is refused on N before the
     refinement unless the graph is a tree shallow enough from the target
-    (:func:`_refuse_deep_trees`), then at each dense solve of its route.
-    A cached one is checked again on :attr:`SpectralSums.dense_order`."""
+    (:func:`_refuse_deep_trees`), then on the partition's cell count and
+    at each dense solve of its route.  A cached one is checked again on
+    :attr:`SpectralSums.dense_order`."""
     per_graph = _MEASURES.setdefault(graph, {})
     sums = per_graph.get(target)
     if sums is not None:
-        check_dense_guard(sums.dense_order, dense_guard,
-                          "dense eigendecomposition")
+        check_dense_guard(sums.dense_order, "dense eigendecomposition")
         return sums
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
-    _refuse_deep_trees(graph, target, dense_guard)
+    _refuse_deep_trees(graph, target)
     partition = equitable_partition(graph, target)
     if partition is None:
-        sums = spectral_sums(
-            laplacian_decomposition(graph, dense_guard=dense_guard), target)
+        sums = spectral_sums(laplacian_decomposition(graph), target)
     else:
-        sums = _quotient_measure(graph, target, *partition, dense_guard)
+        sums = _quotient_measure(graph, target, *partition)
     per_graph[target] = sums
     return sums
 
@@ -502,23 +493,23 @@ def _is_tree(graph: Graph) -> bool:
     return graph.edge_count == graph.n - 1
 
 
-def _refuse_deep_trees(graph: Graph, root: NodeId,
-                       dense_guard: int | None) -> None:
+def _refuse_deep_trees(graph: Graph, root: NodeId) -> None:
     """Above the guard, refuse on N before any refinement unless the graph
-    is a tree whose farthest node from ``root`` lies fewer than
-    ``dense_guard`` steps away (one breadth-first search).  An equitable
-    partition with the root alone in its cell refines the distance from
-    it, so on any other tree it has more cells than the guard."""
-    if dense_guard is None or graph.n <= dense_guard:
-        return
-    if _is_tree(graph):
-        order, pred = csgraph.breadth_first_order(graph.adjacency, root)
-        node, depth = order[-1], 0
-        while depth < dense_guard and pred[node] >= 0:
-            node, depth = pred[node], depth + 1
-        if depth < dense_guard:
-            return
-    check_dense_guard(graph.n, dense_guard, "dense eigendecomposition")
+    is a tree whose farthest node from ``root`` lies fewer than guard steps
+    away (one shortest-path search).  An equitable partition with the root
+    alone in its cell refines the distance from it, so it has more cells
+    than that depth, and on any other tree more than the guard."""
+    try:
+        check_dense_guard(graph.n, "dense eigendecomposition")
+    except DenseGuardError as refusal:
+        if not _is_tree(graph):
+            raise
+        depth = csgraph.shortest_path(graph.adjacency, method="D",
+                                      unweighted=True, indices=root).max()
+        try:
+            check_dense_guard(int(depth) + 1, "the tree's depth")
+        except DenseGuardError:
+            raise refusal from None
 
 
 def _centre(graph: Graph) -> NodeId | None:

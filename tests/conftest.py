@@ -27,16 +27,16 @@ def _replace_decomposition(monkeypatch, stand_in):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Record the dense guard of every Laplacian decomposition, through
-    whichever ctqwlab module's binding of it the call is made."""
-    from ctqwlab import spectra
+    """Record the dense guard in force at every Laplacian decomposition,
+    through whichever ctqwlab module's binding of it the call is made."""
+    from ctqwlab import errors, spectra
 
     real = spectra.laplacian_decomposition
     seen = []
 
-    def spy(graph, **kwargs):
-        seen.append(kwargs.get("dense_guard"))
-        return real(graph, **kwargs)
+    def spy(graph):
+        seen.append(errors._LIMIT.get())
+        return real(graph)
 
     _replace_decomposition(monkeypatch, spy)
     return seen

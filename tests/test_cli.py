@@ -570,12 +570,12 @@ def test_a_product_past_the_guard_builds_silently(tmp_path, capsys,
     (6,400 nodes, above the default guard) writes nothing to stderr, with
     warnings turned into errors.  The solve, a dense 6,400-node eigvalsh
     of about 17 s on two cores, is stood in for: it warns of nothing."""
-    from ctqwlab import cli
+    from ctqwlab import cli, errors
 
     solved = []
 
-    def spectrum(graph, dense_guard):
-        solved.append((graph.n, dense_guard))
+    def spectrum(graph):
+        solved.append((graph.n, errors._LIMIT.get()))
         return np.zeros(graph.n), "dense"
 
     monkeypatch.setattr(cli, "laplacian_spectrum", spectrum)
@@ -666,6 +666,95 @@ def test_config_values_pass_the_checks_of_their_flags(
     assert len(lines) == 1
     assert json.loads(lines[0])["exit_code"] == 2
     assert written == []
+
+
+def test_config_can_supply_a_required_flag(tmp_path, capsys):
+    """``oracle`` requires --check, and a config file can give it, as
+    ``--config path`` or ``--config=path``; an explicit flag still wins."""
+    conf = tmp_path / "k.json"
+    conf.write_text(json.dumps({"check": "dsg-zeta"}))
+    for argv in (("--config", conf), (f"--config={conf}",)):
+        assert run("oracle", *argv, "--out", tmp_path) == 0
+        assert json.loads(capsys.readouterr().out)["check"] == "dsg-zeta"
+    assert run("oracle", "--config", conf, "--check", "decimation",
+               "--g", 3, "--out", tmp_path) == 0
+    assert json.loads(capsys.readouterr().out)["check"] == "decimation"
+
+
+def test_the_guard_scope_never_leaks(tmp_path, capsys):
+    """Each ``main`` call sets the guard for its own run only, whatever its
+    exit code, and a ``dense_guard`` block restores the limit it found,
+    also when an exception leaves it.  dsg g8 (6,561 nodes, not a tree)
+    must be refused again at the default guard after each."""
+    from ctqwlab import errors
+    from ctqwlab.errors import DEFAULT_DENSE_GUARD, DenseGuardError
+    from ctqwlab.graphs import Family, GraphSpec, build
+    from ctqwlab.spectra import eigh, target_measure
+
+    big = build(GraphSpec(Family.DSG, g=8))
+
+    def default_in_force():
+        assert errors._LIMIT.get() == DEFAULT_DENSE_GUARD
+        with pytest.raises(DenseGuardError, match="problem size 6561 "):
+            target_measure(big, 0)
+
+    for argv, code in (
+            (("generate", "--family", "dsg", "--g", 2, "--dense-guard", 0), 0),
+            (("overlaps", "--family", "dsg", "--g", 3, "--gamma", -1,
+              "--dense-guard", 0), 2),
+            (("critgamma", "--family", "complete", "--sizes", 2,
+              "--dense-guard", 0), 3),
+            (("spectrum", "--family", "complete", "--n", 8000,
+              "--dense-guard", 7000), 4)):
+        assert run(*argv, "--out", tmp_path) == code
+        default_in_force()
+    # After generate --dense-guard 0, generate is refused again.
+    assert run("generate", "--family", "dsg", "--g", 9,
+               "--out", tmp_path) == 4
+    capsys.readouterr()
+    with pytest.raises(RuntimeError), errors.dense_guard(None):
+        raise RuntimeError
+    default_in_force()
+    with errors.dense_guard(20):
+        with errors.dense_guard(None):
+            eigh(np.eye(21))
+        with pytest.raises(DenseGuardError, match="exceeds dense guard 20;"):
+            eigh(np.eye(21))
+    default_in_force()
+
+
+def test_the_complete_graph_reads_the_guard_before_its_edge_array(
+        tmp_path, capsys, monkeypatch):
+    """The complete graph's O(n^2) edge array is formed only under the
+    guard: ``build`` refuses above it, and so does every command that
+    builds one, with one exit-4 JSON line; ``--dense-guard 0`` builds."""
+    from ctqwlab import graphs
+    from ctqwlab.errors import DenseGuardError, dense_guard
+    from ctqwlab.graphs import Family, GraphSpec, build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the O(n^2) edge array was formed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs.np, "triu_indices", refuse)
+        with pytest.raises(DenseGuardError, match="problem size 11 "), \
+                dense_guard(10):
+            build(GraphSpec(Family.COMPLETE, n=11))
+        for argv in (("spectrum", "--family", "complete", "--n", 100000),
+                     ("overlaps", "--family", "complete", "--n", 100000),
+                     ("critgamma", "--family", "complete",
+                      "--sizes", 100000)):
+            assert run(*argv, "--out", tmp_path) == 4
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "DenseGuardError"
+    with dense_guard(10):
+        assert build(GraphSpec(Family.COMPLETE, n=10)).edge_count == 45
+    assert run("generate", "--family", "complete", "--n", 20,
+               "--dense-guard", 10, "--out", tmp_path) == 4
+    assert run("generate", "--family", "complete", "--n", 20,
+               "--dense-guard", 0, "--out", tmp_path) == 0
+    assert (tmp_path / "edges_complete_n20.txt").exists()
 
 
 def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):

@@ -33,6 +33,7 @@ from ctqwlab.errors import (
     DenseGuardError,
     NoTransitionError,
     NumericalError,
+    dense_guard,
 )
 from ctqwlab.graphs import (
     Family,
@@ -107,9 +108,8 @@ def test_hamiltonian_by_hand():
 
 def test_hamiltonian_dense_guard():
     g = _graph(Family.COMPLETE, n=30)
-    with pytest.raises(DenseGuardError):
-        build_hamiltonian(SearchProblem(graph=g, target=0, gamma=0.1),
-                          dense_guard=10)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        build_hamiltonian(SearchProblem(graph=g, target=0, gamma=0.1))
 
 
 @pytest.mark.parametrize("n,gamma", [(16, 1 / 16), (64, 1 / 64), (64, 0.03)])
@@ -260,7 +260,8 @@ def _forced_quotient(graph, target):
 
     cells = spectra._refine(graph.adjacency, target, graph.n)
     counts = spectra._certify(graph.adjacency, cells, target)
-    return spectra._quotient_measure(graph, target, cells, counts, None)
+    with dense_guard(None):
+        return spectra._quotient_measure(graph, target, cells, counts)
 
 
 def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
@@ -462,10 +463,10 @@ def test_each_target_gets_its_own_measure(decompositions):
 def test_cached_measure_still_checks_the_dense_guard(decompositions):
     g = _graph(Family.DSG, g=3)
     target_measure(g, 0)
-    with pytest.raises(DenseGuardError):
-        target_measure(g, 0, dense_guard=10)
-    with pytest.raises(DenseGuardError):
-        success_probability(SearchProblem(g, 0, 0.5), 1.0, dense_guard=10)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        target_measure(g, 0)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        success_probability(SearchProblem(g, 0, 0.5), 1.0)
     assert decompositions == [DEFAULT_DENSE_GUARD]
 
 

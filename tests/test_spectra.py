@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from ctqwlab.analysis import fit_scaling
-from ctqwlab.errors import ConfigError, DenseGuardError
+from ctqwlab.errors import ConfigError, DenseGuardError, dense_guard
 from ctqwlab.graphs import (
     Family,
     Graph,
@@ -131,14 +131,14 @@ def test_eigh_solves_a_stack_and_checks_every_slice():
     stack[0, 1, 0, 5] += 1e-6
     with pytest.raises(ConfigError, match="not symmetric"):
         eigh(stack)
-    with pytest.raises(DenseGuardError):
-        eigh(np.zeros((4, 20, 20)), dense_guard=10)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        eigh(np.zeros((4, 20, 20)))
 
 
 def test_eigh_dense_guard():
     m = np.eye(20)
-    with pytest.raises(DenseGuardError):
-        eigh(m, dense_guard=10)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        eigh(m)
 
 
 def test_laplacian_guard_refuses_before_forming_l(monkeypatch):
@@ -153,12 +153,13 @@ def test_laplacian_guard_refuses_before_forming_l(monkeypatch):
 
     monkeypatch.setattr(Graph, "laplacian", spy)
     g = build(_spec(Family.DSG, g=3))
-    with pytest.raises(DenseGuardError):
-        laplacian_decomposition(g, dense_guard=10)
-    with pytest.raises(DenseGuardError):
-        critical_gamma(g, 0, dense_guard=10)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        laplacian_decomposition(g)
+    with pytest.raises(DenseGuardError), dense_guard(10):
+        critical_gamma(g, 0)
     assert formed == []
-    laplacian_decomposition(g, dense_guard=27)
+    with dense_guard(27):
+        laplacian_decomposition(g)
     assert formed == [27]
 
 

@@ -21,6 +21,7 @@ from ctqwlab.errors import (
     ConfigError,
     DenseGuardError,
     NumericalError,
+    dense_guard,
 )
 from ctqwlab.graphs import Family, Graph, GraphSpec, build, default_target
 from ctqwlab.spectra import (
@@ -325,9 +326,11 @@ def test_each_measure_records_its_route_and_dense_order():
             (cayley, leaf, f"tree cells={tree_cells}", tree_cells)):
         sums = target_measure(graph, target)
         assert (sums.route, sums.dense_order) == (route, order)
-        with pytest.raises(DenseGuardError, match=f"problem size {order} "):
-            target_measure(graph, target, dense_guard=order - 1)
-        assert target_measure(graph, target, dense_guard=order) is sums
+        with pytest.raises(DenseGuardError, match=f"problem size {order} "), \
+                dense_guard(order - 1):
+            target_measure(graph, target)
+        with dense_guard(order):
+            assert target_measure(graph, target) is sums
     sums = spectral_sums(laplacian_decomposition(torus), 0)
     assert (sums.route, sums.dense_order) == ("dense", 36)
 
@@ -385,7 +388,8 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
         if partition is None:
             assert every
             continue
-        got = spectra._quotient_measure(graph, target, *partition, None)
+        with dense_guard(None):
+            got = spectra._quotient_measure(graph, target, *partition)
         want = spectral_sums(dec, target)
         assert got.route == f"tree cells={partition[1].shape[0]}"
         assert got.multiplicities.tolist() == want.multiplicities.tolist()
@@ -527,11 +531,13 @@ def test_the_guard_reads_the_cells_on_a_tree(tmp_path, capsys):
     assert run(*argv, "--dense-guard", 60) == 0
     assert "route=tree cells=55\n" in capsys.readouterr().out
     graph = build(GraphSpec(Family.CAYLEY_TREE, g=9))
-    with pytest.raises(DenseGuardError, match="problem size 55 "):
-        target_measure(graph, graph.n - 1, dense_guard=40)
-    target_measure(graph, graph.n - 1, dense_guard=60)
-    with pytest.raises(DenseGuardError):  # cached, checked again
-        target_measure(graph, graph.n - 1, dense_guard=40)
+    with pytest.raises(DenseGuardError, match="problem size 55 "), \
+            dense_guard(40):
+        target_measure(graph, graph.n - 1)
+    with dense_guard(60):
+        target_measure(graph, graph.n - 1)
+    with pytest.raises(DenseGuardError), dense_guard(40):  # cached, again
+        target_measure(graph, graph.n - 1)
 
 
 @pytest.mark.parametrize("guard,size", [(16, 244), (20, 35), (40, None)])
@@ -548,6 +554,55 @@ def test_spectrum_reads_the_cells_on_a_tree(guard, size, tmp_path, capsys):
     else:
         assert code == 4
         assert f"problem size {size} " in json.loads(err)["message"]
+
+
+def _spy_on_cell_arrays(monkeypatch) -> list[str]:
+    """Record each call of the two functions that form (m, m) arrays of a
+    partition's m cells: the counts and the quotient Laplacian."""
+    calls = []
+    for name in ("_certify", "_quotient_laplacian"):
+        def spy(*args, _name=name, _real=getattr(spectra, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(spectra, name, spy)
+    return calls
+
+
+def test_the_partition_guard_refuses_before_any_cell_array(
+        tmp_path, capsys, monkeypatch):
+    """cayleytree g12 from its default target, a leaf: N = 12,286 nodes,
+    24 steps to the farthest leaf, 91 cells.  At guard 50 the depth test
+    lets it through, and the cell count refuses it before any (91, 91)
+    array is formed."""
+    calls = _spy_on_cell_arrays(monkeypatch)
+    spec = GraphSpec(Family.CAYLEY_TREE, g=12)
+    graph = build(spec)
+    with pytest.raises(DenseGuardError, match="problem size 91 "), \
+            dense_guard(50):
+        target_measure(graph, default_target(spec))
+    assert run("critgamma", "--family", "cayleytree", "--g", 12,
+               "--dense-guard", 50, "--out", tmp_path) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "problem size 91 " in json.loads(lines[0])["message"]
+    assert calls == []
+
+
+def test_spectrum_refuses_the_cells_before_any_cell_array(
+        tmp_path, capsys, monkeypatch):
+    """tfractal g5 around its centre: 16 steps deep, so guard 20 passes
+    the depth test, and 35 cells, refused before any (35, 35) array."""
+    calls = _spy_on_cell_arrays(monkeypatch)
+    graph = build(GraphSpec(Family.TFRACTAL, g=5))
+    with pytest.raises(DenseGuardError, match="problem size 35 "), \
+            dense_guard(20):
+        laplacian_spectrum(graph)
+    assert run("spectrum", "--family", "tfractal", "--g", 5,
+               "--dense-guard", 20, "--out", tmp_path) == 4
+    assert "problem size 35 " in json.loads(capsys.readouterr().err)["message"]
+    assert calls == []
+    laplacian_spectrum(graph)
+    assert calls == ["_certify", "_quotient_laplacian"]
 
 
 @pytest.mark.parametrize("command,size", [

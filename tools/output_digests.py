@@ -14,8 +14,10 @@ route (dsg g4), one of the quotient route (the 6 x 6 torus) and one
 negative coupling, a target out of range, ``generate`` above the guard,
 a coupling whose H overflows and one whose pi(t) is not finite, and
 last ``critgamma`` on the T-fractal at g = 8 (1,598 cells), whose two
-confirmations solve the quotient H of a tree, and ``critgamma`` on complete
-graphs of 2, 3 and 4 nodes, a sweep whose first size fails.
+confirmations solve the quotient H of a tree, ``critgamma`` on complete
+graphs of 2, 3 and 4 nodes, a sweep whose first size fails, and
+``critgamma`` on the Cayley tree at g = 12 under a guard of 50, below its
+91 cells.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.  Its standard error, when
@@ -86,7 +88,9 @@ INVALID = (
 )
 # Appended after the others, so that earlier operations keep their numbers.
 LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
-        ("critgamma", "--family", "complete", "--sizes", "2,3,4"))
+        ("critgamma", "--family", "complete", "--sizes", "2,3,4"),
+        ("critgamma", "--family", "cayleytree", "--g", "12",
+         "--dense-guard", "50"))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
