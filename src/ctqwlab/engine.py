@@ -16,8 +16,8 @@ secular roots and the windows are two level sources of one loop
 more until E1's group is enclosed, and builds the
 :class:`OverlapRecord`.  Success probabilities
 come from the K x K matrix of the measure: all couplings of a grid in one
-stacked eigensolve, then every row's phase sums as one batched complex
-product, of the factored phases on a uniform time grid
+stacked eigensolve, then each row's phase sums as one complex product on
+scipy's BLAS, of the factored phases on a uniform time grid
 (|t_j - t0 - j*h| <= 8 eps max|t|); :func:`gamma_max_search` narrows its
 coupling bracket by further such grids.  Past the dense guard,
 :func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import zgemm, zgemv
 
 from .errors import (
     ConfigError,
@@ -562,11 +563,18 @@ def _phase_block(t: np.ndarray) -> int:
 def _phase_product(t: np.ndarray, block: int, energies: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
     """sum_a coef[g, a] exp(-i energies[g, a] t_j): the (G, T) sums of G
-    rows of energies and coefficients.  On a uniform grid (``block`` = B of
-    :func:`_phase_block`), j = B*q + r factors the phase as
-    exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one (Q x K)(K x B) product per row,
-    (B + Q)*K exponentials instead of the direct T*K."""
-    count = t.size
+    rows of energies and coefficients, written row by row into one array.
+    On a uniform grid (``block`` = B of :func:`_phase_block`), j = B*q + r
+    factors the phase as exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one
+    (Q x K)(K x B) ``zgemm`` per row, (B + Q)*K exponentials instead of the
+    direct T*K; any other grid takes one (T x K)(K) ``zgemv`` per row.
+
+    Both products run on scipy's BLAS, the library of the ``eigh`` stacks
+    they alternate with: numpy bundles a second OpenBLAS with its own pool
+    of threads, and the two pools competing for the cores cost more than
+    the products.  Each call reads the Fortran-ordered transposes of
+    C-ordered rows, so no operand is copied."""
+    count, rows = t.size, len(energies)
     if block:
         h = (t[-1] - t[0]) / (count - 1)
         j = np.arange(count)
@@ -575,10 +583,18 @@ def _phase_product(t: np.ndarray, block: int, energies: np.ndarray,
             * coef[:, None, :]
         outer = np.exp(-1j * ((j[:-(-count // block)] * (block * h))[:, None]
                               * e))
-        return (outer @ inner.transpose(0, 2, 1)).reshape(
-            len(energies), -1)[:, :count]
+        out = np.empty((rows, outer.shape[1], block), dtype=complex)
+        for g in range(rows):
+            # (inner outer^T)^T, written into the C-ordered (Q, B) row
+            zgemm(1.0, inner[g].T, outer[g].T, trans_a=1, c=out[g].T,
+                  overwrite_c=1)
+        return out.reshape(rows, -1)[:, :count]
     phases = np.exp(-1j * (t[:, None] * energies[:, None, :]))
-    return (phases @ coef[:, :, None].astype(complex))[..., 0]
+    coef = coef.astype(complex)
+    out = np.empty((rows, count), dtype=complex)
+    for g in range(rows):
+        zgemv(1.0, phases[g].T, coef[g], trans=1, y=out[g], overwrite_y=1)
+    return out
 
 
 def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
@@ -591,9 +607,11 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     gamma*diag(lam) - z z^T with z_k = sqrt(a_k), and |s> is basis vector
     0, the zero mode.  The levels outside that span are invisible to |w>
     and |s>, so this is exact.  The rows' K x K matrices are solved as one
-    stack (:func:`spectra.eigh`) and their phase sums taken as one batched
-    product, in chunks of rows within _CHUNK_ELEMENTS; a chunk holds at
-    least one row.  A row's bits do not depend on the rows beside it.
+    stack (:func:`spectra.eigh`) and their phase sums taken by one scipy
+    BLAS product per row (:func:`_phase_product`), so the chunk's eigensolve
+    and products share one OpenBLAS and one pool of threads.  Rows go in
+    chunks within _CHUNK_ELEMENTS; a chunk holds at least one row.  A row's
+    bits do not depend on the rows beside it.
     Phases that overflow give NaN, which :func:`_probabilities` refuses,
     and on a grid that starts at t = 0, pi(0) must be 1/N within 1e-12.
     """
@@ -607,6 +625,9 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     for start in range(0, gammas.size, rows):
         values, vectors = eigh(gammas[start:start + rows, None, None] * diag
                                - zz)
+        # This product and _window's vectors.T @ s_state stay on numpy: each
+        # is one matrix-vector product per solved matrix, and each measured
+        # no slower than scipy's gemv beside the eigensolve.
         coef = (z @ vectors) * vectors[:, 0, :]
         with np.errstate(over="ignore", invalid="ignore"):
             probs[start:start + rows] = np.abs(

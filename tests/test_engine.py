@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zgemv
 
 from ctqwlab import engine
 from ctqwlab.engine import (
@@ -1015,6 +1016,53 @@ def test_success_grid_chunks_keep_every_row(monkeypatch):
         assert np.array_equal(grid.probabilities, want)
 
 
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "chunks"])
+def test_phase_products_are_one_scipy_blas_call_per_row(monkeypatch, chunked):
+    """Each row's phase sums are one call of scipy's BLAS, looked up in
+    engine: G ``zgemm`` calls on a uniform G-row grid, G ``zgemv`` calls on
+    a geometric one and one ``zgemv`` for a scalar t.  With rows split into
+    chunks of five, every row keeps the bits of its one-row call."""
+    make_graph, target = SUCCESS_GRID_CASES[0].values
+    graph = make_graph()
+    sums = target_measure(graph, target)
+    k = sums.group_eigenvalues.size
+    gammas = np.geomspace(sums.xi1 / 8.0, 8.0 * sums.xi1, 16)
+    uniform = np.linspace(0.0, 160.0, 1025)
+    geometric = np.geomspace(1e-3, 500.0, 300)
+    wants = [_one_row_at_a_time(graph, target, gammas, t)
+             for t in (uniform, geometric)]
+    calls, stacks = [], []
+
+    def spy(name, blas):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return blas(*args, **kwargs)
+        return call
+
+    def eigh_spy(matrix, **kwargs):
+        stacks.append(len(matrix))
+        return eigh(matrix, **kwargs)
+
+    monkeypatch.setattr(engine, "zgemm", spy("zgemm", engine.zgemm))
+    monkeypatch.setattr(engine, "zgemv", spy("zgemv", engine.zgemv))
+    monkeypatch.setattr(engine, "eigh", eigh_spy)
+    # exponentials per row: B + Q = 33 + 32 on the uniform grid, T on the other
+    for times, want, name, phases in ((uniform, wants[0], "zgemm", 65),
+                                      (geometric, wants[1], "zgemv", 300)):
+        if chunked:
+            monkeypatch.setattr(engine, "_CHUNK_ELEMENTS",
+                                5 * k * max(k, phases))
+        calls.clear()
+        stacks.clear()
+        grid = success_grid(graph, target, gammas, times)
+        assert calls == [name] * gammas.size
+        assert stacks == ([5, 5, 5, 1] if chunked else [16])
+        assert np.array_equal(grid.probabilities, want)
+    calls.clear()
+    success_probability(SearchProblem(graph, target, float(gammas[3])), 37.5)
+    assert calls == ["zgemv"]
+
+
 def test_success_grid_csv_headers():
     g = _graph(Family.COMPLETE, n=8)
     grid = success_grid(g, 0, [0.1, 0.2], np.linspace(0.0, 5.0, 6))
@@ -1051,9 +1099,11 @@ def test_oscillation_period_of_fewer_than_three_samples_is_none():
 
 
 def _direct_phase_product(t, energies, coef):
-    """The T x K exponentials summed row by row: the reference for the
-    factored product and the route every non-uniform grid takes."""
-    return np.exp(-1j * np.outer(t, energies)) @ coef.astype(complex)
+    """The T x K exponentials summed row by row, through scipy's zgemv on
+    the transposed (K x T) phases as the engine sums them: the reference for
+    the factored product and the route every non-uniform grid takes."""
+    return zgemv(1.0, np.exp(-1j * np.outer(energies, t)),
+                 coef.astype(complex), trans=1)
 
 
 def _success_spectrum(prob):
