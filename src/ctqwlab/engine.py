@@ -16,10 +16,11 @@ secular roots and the windows are two level sources of one loop
 more until E1's group is enclosed, and builds the
 :class:`OverlapRecord`.  Success probabilities
 come from the K x K matrix of the measure: all couplings of a grid in one
-stacked eigensolve, then each row's phase sums as one complex product on
-scipy's BLAS, of the factored phases on a uniform time grid
-(|t_j - t0 - j*h| <= 8 eps max|t|); :func:`gamma_max_search` narrows its
-coupling bracket by further such grids.  Past the dense guard,
+stacked eigensolve, then each row's phase sums as one complex ``zgemm``
+on scipy's BLAS, of phases factored as t = a_r + b_q: a block of the grid
+and an offset on a uniform grid (|t_j - t0 - j*h| <= 8 eps max|t|), the
+times themselves and one zero offset otherwise; :func:`gamma_max_search`
+narrows its coupling bracket by further such grids.  Past the dense guard,
 :func:`propagate_krylov` reads pi(t) from Chebyshev moments <w|T_k|s> of
 the sparse H, scaled by its Gershgorin interval: one real recurrence in
 O(N) memory, no ``expm_multiply``.
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import zgemm, zgemv
+from scipy.linalg.blas import zgemm
 
 from .errors import (
     ConfigError,
@@ -64,13 +65,16 @@ _SECULAR_RTOL = 4.0 * _EPS
 _MEASURE_RTOL = 1e-12
 _RESIDUAL_TOL = 1e-6
 _CONFIRM_RTOL = 1e-10
+# The least normal float; a secular pole below it is subnormal.
+_TINY = float(np.finfo(float).tiny)
 # Columns of Miller's backward recurrence are scaled down past this size;
 # below _X_FLOOR = a*t the propagator returns pi(0) = 1/N.
 _MILLER_BIG = 2.0 ** 600
 _X_FLOOR = 1e-100
 # Largest temporary of one chunk of success-grid rows, in array elements:
-# rows x K x K for the stack of H, or rows x K x (exponentials per row) for
-# the phases: T of them, or B + Q on a uniform grid.
+# rows x K x K for the stack of H, or rows x K x (B + Q) for the phases of
+# _phase_split's times and offsets: B + Q is T + 1 on a grid that is not
+# uniform, and about 2 sqrt(T) on a uniform one.
 _CHUNK_ELEMENTS = 2 ** 20
 
 
@@ -399,8 +403,10 @@ def measure_overlaps(problem: SearchProblem) -> OverlapRecord:
     i - 1, so roots are solved in order only while the next one can still
     join E1's group.  Each root's squared distances to the poles are
     scaled by a power of two, so they do not underflow down to gamma ~
-    1e-305; below ~1e-307 the secular equation itself overflows, and any
-    overflow or invalid operation in a root gives NumericalError."""
+    1e-305.  Below that the secular equation itself can overflow: an
+    overflow or invalid operation in a root gives ConfigError when the
+    lowest visible pole is subnormal (below 2.2e-308), which every such
+    failure has shown, and NumericalError otherwise."""
     sums = target_measure(problem.graph, problem.target)
     gamma, lam = problem.gamma, sums.group_eigenvalues
     visible = _visible(sums, gamma)
@@ -411,6 +417,11 @@ def measure_overlaps(problem: SearchProblem) -> OverlapRecord:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return _secular_root(poles, a, i)
         except FloatingPointError as exc:
+            if poles.size > 1 and poles[1] < _TINY:
+                raise ConfigError(
+                    f"gamma={gamma!r} is too small: the lowest visible pole "
+                    f"gamma*lam={float(poles[1])!r} is subnormal, and the "
+                    f"secular equation leaves the float range") from None
             raise NumericalError(f"the secular equation leaves the float "
                                  f"range at gamma={gamma!r}: {exc}") from None
 
@@ -548,53 +559,45 @@ def default_time_grid(n: int, count: int = 512) -> np.ndarray:
     return np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), count)
 
 
-def _phase_block(t: np.ndarray) -> int:
-    """B = isqrt(T - 1) + 1 when the T > 1 times form a uniform grid,
-    |t_j - (t0 + j*h)| <= 8 eps max|t|, else 0."""
+def _phase_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times a and offsets b with t_{B*q + r} = a_r + b_q, the one reading
+    of a grid's shape.  On a uniform grid of T > 1 times,
+    |t_j - (t0 + j*h)| <= 8 eps max|t|, a_r = t0 + r*h for r < B =
+    isqrt(T - 1) + 1 and b_q = B*h*q for q < Q = ceil(T / B); any other
+    grid, and a single time, is a = t and b = (0,)."""
     count = t.size
     if count > 1:
         h = (t[-1] - t[0]) / (count - 1)
-        if np.abs(t - (t[0] + np.arange(count) * h)).max() \
-                <= 8.0 * _EPS * np.abs(t).max():
-            return math.isqrt(count - 1) + 1
-    return 0
+        j = np.arange(count)
+        if np.abs(t - (t[0] + j * h)).max() <= 8.0 * _EPS * np.abs(t).max():
+            block = math.isqrt(count - 1) + 1
+            return t[0] + j[:block] * h, j[:-(-count // block)] * (block * h)
+    return t, np.zeros(1)
 
 
-def _phase_product(t: np.ndarray, block: int, energies: np.ndarray,
+def _phase_product(a: np.ndarray, b: np.ndarray, energies: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
-    """sum_a coef[g, a] exp(-i energies[g, a] t_j): the (G, T) sums of G
-    rows of energies and coefficients, written row by row into one array.
-    On a uniform grid (``block`` = B of :func:`_phase_block`), j = B*q + r
-    factors the phase as exp(-iE(t0 + r*h)) exp(-iE*B*h*q): one
-    (Q x K)(K x B) ``zgemm`` per row, (B + Q)*K exponentials instead of the
-    direct T*K; any other grid takes one (T x K)(K) ``zgemv`` per row.
+    """sum_k coef[g, k] exp(-i energies[g, k] (a_r + b_q)): the sums of G
+    rows of energies and coefficients at the times of :func:`_phase_split`,
+    as a (G, Q*B) array in time order, row by row.  The phase factors as
+    exp(-iE a_r) exp(-iE b_q), so a row is one (Q x K)(K x B) ``zgemm`` of
+    (B + Q)*K exponentials: on a uniform grid about 2 sqrt(T) K of them
+    instead of T*K, and with b = (0,) the direct sum.
 
-    Both products run on scipy's BLAS, the library of the ``eigh`` stacks
-    they alternate with: numpy bundles a second OpenBLAS with its own pool
+    The product runs on scipy's BLAS, the library of the ``eigh`` stacks
+    it alternates with: numpy bundles a second OpenBLAS with its own pool
     of threads, and the two pools competing for the cores cost more than
     the products.  Each call reads the Fortran-ordered transposes of
     C-ordered rows, so no operand is copied."""
-    count, rows = t.size, len(energies)
-    if block:
-        h = (t[-1] - t[0]) / (count - 1)
-        j = np.arange(count)
-        e = energies[:, None, :]
-        inner = np.exp(-1j * ((t[0] + j[:block] * h)[:, None] * e)) \
-            * coef[:, None, :]
-        outer = np.exp(-1j * ((j[:-(-count // block)] * (block * h))[:, None]
-                              * e))
-        out = np.empty((rows, outer.shape[1], block), dtype=complex)
-        for g in range(rows):
-            # (inner outer^T)^T, written into the C-ordered (Q, B) row
-            zgemm(1.0, inner[g].T, outer[g].T, trans_a=1, c=out[g].T,
-                  overwrite_c=1)
-        return out.reshape(rows, -1)[:, :count]
-    phases = np.exp(-1j * (t[:, None] * energies[:, None, :]))
-    coef = coef.astype(complex)
-    out = np.empty((rows, count), dtype=complex)
+    rows, e = len(energies), energies[:, None, :]
+    inner = np.exp(-1j * (a[:, None] * e)) * coef[:, None, :]
+    outer = np.exp(-1j * (b[:, None] * e))
+    out = np.empty((rows, b.size, a.size), dtype=complex)
     for g in range(rows):
-        zgemv(1.0, phases[g].T, coef[g], trans=1, y=out[g], overwrite_y=1)
-    return out
+        # (inner outer^T)^T, written into the C-ordered (Q, B) row
+        zgemm(1.0, inner[g].T, outer[g].T, trans_a=1, c=out[g].T,
+              overwrite_c=1)
+    return out.reshape(rows, -1)
 
 
 def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
@@ -608,7 +611,7 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     0, the zero mode.  The levels outside that span are invisible to |w>
     and |s>, so this is exact.  The rows' K x K matrices are solved as one
     stack (:func:`spectra.eigh`) and their phase sums taken by one scipy
-    BLAS product per row (:func:`_phase_product`), so the chunk's eigensolve
+    ``zgemm`` per row (:func:`_phase_product`), so the chunk's eigensolve
     and products share one OpenBLAS and one pool of threads.  Rows go in
     chunks within _CHUNK_ELEMENTS; a chunk holds at least one row.  A row's
     bits do not depend on the rows beside it.
@@ -618,9 +621,8 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
     sums = target_measure(graph, target)
     z = np.sqrt(sums.group_amp_sq)
     diag, zz = np.diag(sums.group_eigenvalues), np.outer(z, z)
-    block = _phase_block(t)
-    phases = block + -(-t.size // block) if block else t.size
-    rows = max(1, _CHUNK_ELEMENTS // (z.size * max(z.size, phases)))
+    a, b = _phase_split(t)
+    rows = max(1, _CHUNK_ELEMENTS // (z.size * max(z.size, a.size + b.size)))
     probs = np.empty((gammas.size, t.size))
     for start in range(0, gammas.size, rows):
         values, vectors = eigh(gammas[start:start + rows, None, None] * diag
@@ -631,7 +633,7 @@ def _success_rows(graph: Graph, target: NodeId, gammas: np.ndarray,
         coef = (z @ vectors) * vectors[:, 0, :]
         with np.errstate(over="ignore", invalid="ignore"):
             probs[start:start + rows] = np.abs(
-                _phase_product(t, block, values, coef)) ** 2
+                _phase_product(a, b, values, coef)[:, :t.size]) ** 2
     _probabilities(probs, "success probability")
     if t[0] == 0.0 and np.abs(probs[:, 0] - 1.0 / graph.n).max() > 1e-12:
         raise NumericalError("pi(0) deviates from 1/N")
@@ -705,9 +707,9 @@ def success_grid(graph: Graph, target: NodeId, gammas: Sequence[float],
 
 def oscillation_period(times: np.ndarray, probs: np.ndarray) -> float | None:
     """Distance between the first two local maxima of pi(t), each refined
-    by a quadratic fit through its three surrounding samples.  None when
-    fewer than two interior maxima exist, as on grids of fewer than three
-    samples."""
+    to the vertex of the parabola through its three surrounding samples,
+    whatever their spacing.  None when fewer than two interior maxima exist, as
+    on grids of fewer than three samples."""
     t = np.asarray(times, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     if t.shape != p.shape:
@@ -717,12 +719,12 @@ def oscillation_period(times: np.ndarray, probs: np.ndarray) -> float | None:
         return None
 
     def refine(i: int) -> float:
-        a, b, c = p[i - 1], p[i], p[i + 1]
-        denom = a - 2.0 * b + c
-        if denom >= 0.0:
-            return float(t[i])
-        # uniform-step parabola vertex; grids here are uniform
-        return float(t[i] + 0.5 * (a - c) / denom * (t[i + 1] - t[i]))
+        # A peak rises, > 0, and falls, >= 0, so on ascending times the
+        # denominator is > 0.
+        h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
+        rise, fall = p[i] - p[i - 1], p[i] - p[i + 1]
+        return float(t[i] + 0.5 * (h1 * h1 * rise - h0 * h0 * fall)
+                     / (h1 * rise + h0 * fall))
 
     return refine(peaks[1]) - refine(peaks[0])
 

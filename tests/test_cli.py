@@ -445,11 +445,45 @@ def test_exit_code_2_on_a_bad_coupling_window(window, tmp_path, capsys):
       "--gamma", "1"), "target 99 out of range for 27 nodes"),
     (("verify", "--family", "dsg", "--g", "3", "--target", "-1"),
      "target -1 out of range for 27 nodes"),
+    (("overlaps", "--family", "complete", "--n", "8", "--gamma-min", "1e-310",
+      "--gamma-max", "1"),
+     "gamma=1e-310 is too small: the lowest visible pole gamma*lam=8e-310 "
+     "is subnormal"),
+    (("critgamma", "--family", "dsg", "--g", "6..3"),
+     "--g must be an integer or a range like 3..6, got '6..3'"),
+    (("critgamma", "--family", "dsg", "--g", "x"),
+     "--g must be an integer or a range like 3..6, got 'x'"),
+    (("critgamma", "--family", "complete", "--sizes", "8,x"),
+     "--sizes must be comma-separated int values, got '8,x'"),
+    (("critgamma", "--family", "complete", "--sizes", ""), "--sizes is empty"),
+    (("critgamma", "--g", "3"), "--family is required"),
+    (("critgamma", "--family", "product"),
+     "sweeps over product are not supported"),
+    (("critgamma", "--family", "dsg"), "--g (e.g. 3..6) is required for dsg"),
+    (("fit", "--family", "complete"),
+     "--sizes (comma list) is required for complete"),
+    (("critgamma", "--family", "torus", "--sizes", "4"),
+     "--d is required for torus sweeps"),
+    (("generate", "--spec-file", "no/such/spec.json"),
+     "cannot read spec file no/such/spec.json"),
+    (("overlaps", "--family", "complete", "--n", "8", "--gamma", "0.1",
+      "--gamma-min", "0.01"),
+     "give either --gamma or a --gamma-min/--gamma-max window, not both"),
+    (("overlaps", "--family", "complete", "--n", "8", "--gamma-min", "0.01"),
+     "--gamma-min and --gamma-max go together"),
+    (("overlaps", "--family", "complete", "--n", "8", "--gamma-count", "0"),
+     "--gamma-count must be >= 1"),
+    (("success", "--family", "complete", "--n", "8", "--gamma", "0.1",
+      "--tmin", "5", "--tmax", "1"), "bad time window [5.0, 1.0]"),
+    (("success", "--family", "complete", "--n", "8", "--gamma", "0.1",
+      "--t-count", "1"), "--t-count must be >= 2"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_the_library_refuses_couplings_and_targets(argv, message, tmp_path,
                                                     capsys):
-    """Exit 2, one JSON line and no file, from the library's one check of
-    each; gamma = 1e308 is finite, but H's bound 2 gamma d + 1 is not."""
+    """Exit 2, one JSON line and no file, from the one check of each, the
+    library's or the command line's; gamma = 1e308 is finite, but H's bound
+    2 gamma d + 1 is not, and gamma = 1e-310 is positive, but the secular
+    equation of its subnormal poles leaves the float range."""
     code = run(*argv, "--out", tmp_path)
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
@@ -601,6 +635,12 @@ def test_dense_guard_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CTQW_DENSE_GUARD", "10")
     assert run("spectrum", "--family", "complete", "--n", "64",
                "--dense-guard", "100", "--out", tmp_path) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CTQW_DENSE_GUARD", "abc")
+    assert run("spectrum", "--family", "complete", "--n", "64",
+               "--out", tmp_path) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["message"] == "CTQW_DENSE_GUARD must be an integer, got 'abc'"
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys, monkeypatch):
@@ -646,13 +686,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ({"gamma_count": 3.5}, ("overlaps", "--family", "complete", "--n", 8), 2),
     ({"out": None}, ("spectrum", "--family", "complete", "--n", 4), 2),
     ({"out": 5}, ("spectrum", "--family", "complete", "--n", 4), 0),
+    ({"open_boundary": False, "out": 5},
+     ("spectrum", "--family", "complete", "--n", 4), 0),
 ], ids=["open", "gamma_scale", "family", "model", "gamma_count", "null",
-        "out"])
+        "out", "open_false"])
 def test_config_values_pass_the_checks_of_their_flags(
         tmp_path, capsys, monkeypatch, conf, argv, code):
     """A config value is parsed as its flag given on the command line: a
     value the flag refuses, or a null that no flag takes, exits 2 with one
-    JSON line and writes nothing, and {"out": 5} acts as --out 5."""
+    JSON line and writes nothing, {"out": 5} acts as --out 5, and
+    {"open_boundary": false} gives no flag."""
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(conf))
@@ -666,6 +709,42 @@ def test_config_values_pass_the_checks_of_their_flags(
     assert len(lines) == 1
     assert json.loads(lines[0])["exit_code"] == 2
     assert written == []
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config "),
+    ("{", "is not valid JSON"),
+    ("[1, 2]", "config must be a JSON object of flag defaults"),
+], ids=["missing", "invalid", "array"])
+def test_a_config_that_is_not_a_json_object_exits_2(text, message, tmp_path,
+                                                     capsys):
+    path = tmp_path / "conf.json"
+    if text is not None:
+        path.write_text(text)
+    assert run("generate", "--family", "dsg", "--g", 2, "--config", path,
+               "--out", tmp_path) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert message in payload["message"]
+    assert list(tmp_path.iterdir()) == ([] if text is None else [path])
+
+
+def test_a_spec_file_and_a_linear_coupling_grid_run(tmp_path, capsys):
+    """``--spec-file`` builds the graph its flags name, and
+    ``--gamma-scale lin`` spaces the couplings evenly."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"family": "dsg", "g": 2}')
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert run("generate", "--spec-file", spec, "--out", by_file) == 0
+    assert run("generate", "--family", "dsg", "--g", 2, "--out", by_flags) == 0
+    assert ((by_file / "edges_dsg_g2.txt").read_bytes()
+            == (by_flags / "edges_dsg_g2.txt").read_bytes())
+    assert run("overlaps", "--family", "complete", "--n", 8, "--gamma-scale",
+               "lin", "--gamma-min", 0.1, "--gamma-max", 0.3, "--gamma-count",
+               3, "--out", tmp_path) == 0
+    csv = (tmp_path / "overlaps_complete_n8.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in csv[1:]] == \
+        np.linspace(0.1, 0.3, 3).tolist()
 
 
 def test_config_can_supply_a_required_flag(tmp_path, capsys):

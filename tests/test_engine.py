@@ -12,8 +12,8 @@ from ctqwlab import engine
 from ctqwlab.engine import (
     SearchProblem,
     SuccessGrid,
-    _phase_block,
     _phase_product,
+    _phase_split,
     _independent_overlaps,
     build_hamiltonian,
     critical_gamma,
@@ -373,6 +373,39 @@ def test_secular_levels_merge_into_one_group_at_tiny_couplings(make_graph,
         _assert_same_levels(make_graph(), target,
                             [*np.geomspace(1e-10, 1e-6, 9),
                              *np.geomspace(1e-305, 1e-150, 8)])
+
+
+@pytest.mark.parametrize("spec,solved,refused", [
+    (GraphSpec(Family.COMPLETE, n=8), 5e-309, 1e-309),
+    (GraphSpec(Family.DSG, g=3), 2e-308, 1e-308),
+    (GraphSpec(Family.TORUS, L=6, d=2), 5e-309, 1e-309),
+    (GraphSpec(Family.CHAIN, L=50, periodic=False), 1e-306, 1e-307),
+], ids=lambda v: v.label if isinstance(v, GraphSpec) else repr(v))
+def test_a_coupling_whose_pole_is_subnormal_is_a_config_error(
+        spec, solved, refused, monkeypatch):
+    """Where the secular equation leaves the float range, the lowest visible
+    pole gamma*lam is subnormal: ConfigError, naming gamma and the pole.
+    The smallest coupling solved before keeps its record, though its pole
+    may be subnormal too, and an overflow at any other coupling stays a
+    NumericalError."""
+    graph, target = build(spec), default_target(spec)
+    sums = target_measure(graph, target)
+    assert measure_overlaps(SearchProblem(graph, target, solved)).e0 < 0.0
+    pole = refused * float(sums.group_eigenvalues[1])
+    assert 0.0 < pole < np.finfo(float).tiny
+    with pytest.raises(ConfigError) as info:
+        measure_overlaps(SearchProblem(graph, target, refused))
+    assert str(info.value) == (
+        f"gamma={refused!r} is too small: the lowest visible pole "
+        f"gamma*lam={pole!r} is subnormal, and the secular equation leaves "
+        f"the float range")
+
+    def overflow(*args):
+        raise FloatingPointError("overflow encountered in divide")
+    monkeypatch.setattr(engine, "_secular_root", overflow)
+    with pytest.raises(NumericalError, match="leaves the float range at "
+                                             "gamma=0.5: overflow"):
+        measure_overlaps(SearchProblem(graph, target, 0.5))
 
 
 @pytest.mark.parametrize("make_graph", [
@@ -992,14 +1025,15 @@ def test_success_grid_rows_equal_one_row_calls(make_graph, target):
 
 
 def test_success_grid_chunks_keep_every_row(monkeypatch):
-    """Rows split into chunks by _CHUNK_ELEMENTS (rows x K x T on a
+    """Rows split into chunks by _CHUNK_ELEMENTS (rows x K x (T + 1) on a
     geometric grid here, T > K) keep their bits, and a chunk holds at least
     one row however small the bound."""
     graph = _graph(Family.DSG, g=5)
     k = target_measure(graph, 0).group_eigenvalues.size
     gammas = np.geomspace(0.5, 20.0, 7)
     times = np.geomspace(1e-3, 500.0, 300)
-    assert times.size > k and _phase_block(times) == 0
+    a, b = _phase_split(times)
+    assert times.size > k and a is times and b.tolist() == [0.0]
     want = _one_row_at_a_time(graph, target=0, gammas=gammas, times=times)
     stacks = []
 
@@ -1008,7 +1042,8 @@ def test_success_grid_chunks_keep_every_row(monkeypatch):
         return eigh(matrix, **kwargs)
 
     monkeypatch.setattr(engine, "eigh", spy)
-    for bound, rows in ((3 * k * times.size, [3, 3, 1]), (1, [1] * 7)):
+    for bound, rows in ((3 * k * (a.size + b.size), [3, 3, 1]),
+                        (1, [1] * 7)):
         monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", bound)
         stacks.clear()
         grid = success_grid(graph, 0, gammas, times)
@@ -1018,10 +1053,10 @@ def test_success_grid_chunks_keep_every_row(monkeypatch):
 
 @pytest.mark.parametrize("chunked", [False, True], ids=["one_chunk", "chunks"])
 def test_phase_products_are_one_scipy_blas_call_per_row(monkeypatch, chunked):
-    """Each row's phase sums are one call of scipy's BLAS, looked up in
-    engine: G ``zgemm`` calls on a uniform G-row grid, G ``zgemv`` calls on
-    a geometric one and one ``zgemv`` for a scalar t.  With rows split into
-    chunks of five, every row keeps the bits of its one-row call."""
+    """Each row's phase sums are one ``zgemm`` of scipy's BLAS, looked up
+    in engine: G calls on a uniform G-row grid and on a geometric one, and
+    one for a scalar t.  With rows split into chunks of five, every row
+    keeps the bits of its one-row call."""
     make_graph, target = SUCCESS_GRID_CASES[0].values
     graph = make_graph()
     sums = target_measure(graph, target)
@@ -1044,23 +1079,23 @@ def test_phase_products_are_one_scipy_blas_call_per_row(monkeypatch, chunked):
         return eigh(matrix, **kwargs)
 
     monkeypatch.setattr(engine, "zgemm", spy("zgemm", engine.zgemm))
-    monkeypatch.setattr(engine, "zgemv", spy("zgemv", engine.zgemv))
     monkeypatch.setattr(engine, "eigh", eigh_spy)
-    # exponentials per row: B + Q = 33 + 32 on the uniform grid, T on the other
-    for times, want, name, phases in ((uniform, wants[0], "zgemm", 65),
-                                      (geometric, wants[1], "zgemv", 300)):
+    # exponentials per row: B + Q = 33 + 32 on the uniform grid, T + 1 on
+    # the other
+    for times, want, phases in ((uniform, wants[0], 65),
+                                (geometric, wants[1], 301)):
         if chunked:
             monkeypatch.setattr(engine, "_CHUNK_ELEMENTS",
                                 5 * k * max(k, phases))
         calls.clear()
         stacks.clear()
         grid = success_grid(graph, target, gammas, times)
-        assert calls == [name] * gammas.size
+        assert calls == ["zgemm"] * gammas.size
         assert stacks == ([5, 5, 5, 1] if chunked else [16])
         assert np.array_equal(grid.probabilities, want)
     calls.clear()
     success_probability(SearchProblem(graph, target, float(gammas[3])), 37.5)
-    assert calls == ["zgemv"]
+    assert calls == ["zgemm"]
 
 
 def test_success_grid_csv_headers():
@@ -1098,10 +1133,30 @@ def test_oscillation_period_of_fewer_than_three_samples_is_none():
         oscillation_period(np.zeros(4), np.zeros(5))
 
 
+def test_oscillation_period_is_exact_on_a_non_uniform_grid():
+    """Each peak's vertex is the parabola's through its three samples on
+    any grid: two parabolic peaks 4.8 apart, sampled on a geometric grid,
+    give 4.8 within 1e-12."""
+    times = np.geomspace(0.5, 10.0, 60)
+    probs = 1.0 - np.minimum((times - 2.3) ** 2, (times - 7.1) ** 2)
+    assert abs(oscillation_period(times, probs) - 4.8) <= 1e-12
+
+
+def test_oscillation_period_on_a_geometric_grid_of_the_complete_graph():
+    """On K_64 at gamma = 1/N, pi(t) oscillates with period pi sqrt(N);
+    400 geometric times find it within 1e-5 relative (4.0e-4 when the
+    vertex assumed a uniform step)."""
+    n = 64
+    problem = SearchProblem(_graph(Family.COMPLETE, n=n), 0, 1.0 / n)
+    times = np.geomspace(1e-3, 4.0 * math.pi * math.sqrt(n), 400)
+    period = oscillation_period(times, success_probability(problem, times))
+    assert period == pytest.approx(math.pi * math.sqrt(n), rel=1e-5)
+
+
 def _direct_phase_product(t, energies, coef):
     """The T x K exponentials summed row by row, through scipy's zgemv on
-    the transposed (K x T) phases as the engine sums them: the reference for
-    the factored product and the route every non-uniform grid takes."""
+    the transposed (K x T) phases: the independent reference for the
+    engine's factored product on every grid."""
     return zgemv(1.0, np.exp(-1j * np.outer(energies, t)),
                  coef.astype(complex), trans=1)
 
@@ -1128,9 +1183,7 @@ def test_factored_phase_product_matches_direct(count, t0):
     coef /= np.abs(coef).sum(axis=1, keepdims=True)
     times = np.linspace(t0, 2000.0, count)
     assert np.abs(energies).max() * np.abs(times).max() > 9e3
-    block = _phase_block(times)
-    assert block > 0
-    got = _phase_product(times, block, energies, coef)
+    got = _phase_product(*_phase_split(times), energies, coef)[:, :count]
     assert got.shape == (3, count)
     for row, e, c in zip(got, energies, coef):
         want = _direct_phase_product(times, e, c)
@@ -1151,18 +1204,22 @@ def test_uniform_grid_success_matches_direct_product(spec, target):
 
 
 def test_non_uniform_grid_and_scalar_time_take_the_direct_product():
-    """A geomspace grid and a scalar t give the direct product's bits."""
+    """A geomspace grid and a scalar t split as (t, (0,)), the direct
+    product, and give the direct product's pi within 1e-15."""
     graph = _graph(Family.DSG, g=4)
     prob = SearchProblem(graph, 0, 0.4)
     energies, coef = _success_spectrum(prob)
     times = np.geomspace(1e-3, 500.0, 300)
+    for t in (times, np.array([37.5])):
+        a, b = _phase_split(t)
+        assert a is t and b.tolist() == [0.0]
     want = np.clip(np.abs(_direct_phase_product(times, energies, coef)) ** 2,
                    0.0, 1.0)
-    assert np.array_equal(success_probability(prob, times), want)
+    assert np.abs(success_probability(prob, times) - want).max() <= 1e-15
     scalar = success_probability(prob, 37.5)
     assert isinstance(scalar, float)
-    assert scalar == float(np.clip(np.abs(_direct_phase_product(
-        np.array([37.5]), energies, coef)) ** 2, 0.0, 1.0)[0])
+    assert abs(scalar - float(np.clip(np.abs(_direct_phase_product(
+        np.array([37.5]), energies, coef)) ** 2, 0.0, 1.0)[0])) <= 1e-15
 
 
 def test_success_grid_csv_bytes_match_per_cell_formatting():
@@ -1183,7 +1240,7 @@ def test_success_grid_csv_bytes_match_per_cell_formatting():
 
 def _period_by_loop(t, p):
     """oscillation_period with the peak loop it had before the search was
-    vectorised."""
+    vectorised, and its vertex of the parabola through three samples."""
     peaks = []
     for i in range(1, t.size - 1):
         if p[i] > p[i - 1] and p[i] >= p[i + 1]:
@@ -1194,11 +1251,10 @@ def _period_by_loop(t, p):
         return None
 
     def refine(i):
-        a, b, c = p[i - 1], p[i], p[i + 1]
-        denom = a - 2.0 * b + c
-        if denom >= 0.0:
-            return float(t[i])
-        return float(t[i] + 0.5 * (a - c) / denom * (t[i + 1] - t[i]))
+        h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
+        rise, fall = p[i] - p[i - 1], p[i] - p[i + 1]
+        return float(t[i] + 0.5 * (h1 * h1 * rise - h0 * h0 * fall)
+                     / (h1 * rise + h0 * fall))
 
     return refine(peaks[1]) - refine(peaks[0])
 
@@ -1264,16 +1320,35 @@ def test_gamma_max_search_refines_on_stacked_grids(coarse, rel_tol,
     {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": math.nan},
     {"span": 1.0}, {"span": 0.5}, {"span": math.inf}, {"span": math.nan},
     {"times": [0.0, math.nan, 2.0]}, {"times": [0.0, 1.0, math.inf]},
+    {"times": [2.0, 1.0, 0.0]}, {"gamma_center": -0.1},
+    {"gamma_center": math.inf}, {"coarse": 2},
 ], ids=str)
 def test_gamma_max_search_refuses_bad_inputs(kwargs, monkeypatch):
-    """ConfigError before any work; with rel_tol <= 0 no bracket of
-    couplings would ever be narrow enough."""
+    """ConfigError before any work, naming the input; with rel_tol <= 0 no
+    bracket of couplings would ever be narrow enough."""
     monkeypatch.setattr(engine, "target_measure", _no_measure)
-    kwargs = {"times": np.linspace(0.0, 10.0, 5), **kwargs}
-    times = kwargs.pop("times")
-    with pytest.raises(ConfigError):
-        gamma_max_search(_graph(Family.COMPLETE, n=8), 0, 0.1, times,
+    message = {"rel_tol": "rel_tol must be positive",
+               "span": "span must be finite and above 1",
+               "times": "times must be finite|time grid must be ascending",
+               "gamma_center": "gamma_center must be positive and finite",
+               "coarse": "coarse grid needs at least three points"}[
+        next(iter(kwargs))]
+    kwargs = {"times": np.linspace(0.0, 10.0, 5), "gamma_center": 0.1,
+              **kwargs}
+    times, center = kwargs.pop("times"), kwargs.pop("gamma_center")
+    with pytest.raises(ConfigError, match=message):
+        gamma_max_search(_graph(Family.COMPLETE, n=8), 0, center, times,
                          **kwargs)
+
+
+@pytest.mark.parametrize("gammas,times,message", [
+    ([], [0.0, 1.0], "success grid needs a nonempty coupling grid"),
+    ([0.1], [0.0, 2.0, 1.0], "time grid must be ascending"),
+], ids=["no_couplings", "descending_times"])
+def test_success_grid_refuses_bad_grids(gammas, times, message, monkeypatch):
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    with pytest.raises(ConfigError, match=message):
+        success_grid(_graph(Family.COMPLETE, n=8), 0, gammas, times)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

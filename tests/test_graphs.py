@@ -403,6 +403,20 @@ def test_spec_validation_rejects(kwargs):
         GraphSpec(**kwargs)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: GraphSpec(Family.PRODUCT, factors=(1, 2)),
+     "product factors must be GraphSpec instances"),
+    (lambda: GraphSpec.from_dict([1]), "graph spec must be a JSON object"),
+    (lambda: GraphSpec.from_dict({"g": 3}), "graph spec needs a 'family' key"),
+    (lambda: GraphSpec.from_json('{"family": "product", "factors": 3}'),
+     "'factors' must be an array"),
+], ids=["product_of_ints", "not_a_dict", "no_family", "factors_not_array"])
+def test_spec_refusals_name_their_reason(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(family=Family.COMPLETE, n=4),
     dict(family=Family.DSG, g=2),
@@ -431,6 +445,8 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ConfigError, match=r"disconnected \(3 components\)"):
         Graph.from_edges(5, [(0, 1), (3, 2)])
+    with pytest.raises(ConfigError, match=r"edges must be \(u, v\) pairs"):
+        Graph.from_edges(3, [(0, 1, 2)])
 
 
 def test_every_graph_is_connected_however_it_is_built():

@@ -108,6 +108,9 @@ def test_eigh_rejects_nonsymmetric():
     m = np.arange(9.0).reshape(3, 3)
     with pytest.raises(ConfigError):
         eigh(m)
+    for shape in ((3, 4), (2, 3, 4), (3,)):
+        with pytest.raises(ConfigError, match="eigh needs a square matrix"):
+            eigh(np.zeros(shape))
 
 
 def test_eigh_solves_a_stack_and_checks_every_slice():
