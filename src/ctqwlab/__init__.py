@@ -41,7 +41,6 @@ from .graphs import (
     default_target,
 )
 from .oracles import (
-    CompleteOracleParams,
     ExactSpectrum,
     complete_success,
     decimation_identity_residuals,
@@ -73,7 +72,6 @@ __all__ = [
     "build",
     "cartesian_product",
     "default_target",
-    "CompleteOracleParams",
     "ExactSpectrum",
     "complete_success",
     "decimation_identity_residuals",

@@ -3,11 +3,12 @@
 Two empirical models cover the families of interest: a power law
 ``gamma_crit = c * N**beta`` for self-similar structures and regular
 lattices, and a linear-in-generation law ``gamma_crit = a * g + b``
-(logarithmic in N) for the tree family.  The measured power-law exponent
-can be compared against the value predicted from the low-frequency
-spectral data, ``alpha + 2 / d_s`` with ``d_s`` the spectral dimension;
-alpha, the exponent of the largest squared target amplitude against N,
-is the same power fit (:func:`spectra.fit_alpha`).
+(logarithmic in N) for the tree family.  Each is fitted by one
+least-squares solve, the power law on log-log coordinates.  The measured
+power-law exponent can be compared against the value predicted from the
+low-frequency spectral data, ``alpha + 2 / d_s`` with ``d_s`` the
+spectral dimension; alpha, the exponent of the largest squared target
+amplitude against N, is the same power fit (:func:`spectra.fit_alpha`).
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def fit_scaling(points, model: ScalingModel | str, *, label: str = "",
     count and both coordinates must be positive; log(y) is fitted against
     log(x) by one ``lstsq`` solve.  It also gives the amplitude exponent
     alpha of :func:`spectra.fit_alpha`.  For ``LOG`` the abscissa is the
-    generation index.  Inputs are taken as-is (unweighted), so identical
-    inputs always reproduce identical parameters.
+    generation index, and y is fitted against it by the same solve.
+    Inputs are taken as-is (unweighted), so identical inputs always
+    reproduce identical parameters.
     """
     try:
         model = ScalingModel(model)
@@ -120,19 +122,18 @@ def fit_scaling(points, model: ScalingModel | str, *, label: str = "",
         raise ConfigError(f"unknown scaling model {model!r}; "
                           f"choose one of: {names}") from None
     x, y = _as_points(points)
+    x_fit, y_fit = x, y
     if model is ScalingModel.POWER:
         if (x <= 0).any() or (y <= 0).any():
             raise ConfigError("power-law fit requires positive sizes and "
                               "positive values")
-        ly = np.log(y)
-        design = np.column_stack([np.log(x), np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-        rms = np.sqrt(np.mean((ly - design @ coef) ** 2))
-        params = {"c": math.exp(coef[1]), "beta": float(coef[0])}
-    else:
-        slope, intercept = (float(v) for v in np.polyfit(x, y, 1))
-        rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-        params = {"a": slope, "b": intercept}
+        x_fit, y_fit = np.log(x), np.log(y)
+    design = np.column_stack([x_fit, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(design, y_fit, rcond=None)
+    rms = np.sqrt(np.mean((y_fit - design @ coef) ** 2))
+    slope, intercept = (float(v) for v in coef)
+    params = ({"c": math.exp(intercept), "beta": slope}
+              if model is ScalingModel.POWER else {"a": slope, "b": intercept})
     return ScalingFit(model=model, params=params, residual=float(rms),
                       x=x, y=y, label=label, prediction=prediction,
                       alpha_used=alpha_used)

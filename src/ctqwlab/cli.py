@@ -676,8 +676,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(MemoryError(f"out of memory: {exc}"), 4)
     except NumericalError as exc:
         return _fail(exc, 3)
-    except CtqwError as exc:  # pragma: no cover - future subclasses
-        return _fail(exc, 3)
 
 
 def _fail(exc: Exception, code: int) -> int:

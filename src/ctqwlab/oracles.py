@@ -14,7 +14,7 @@ two routes can disagree when one of them is wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -23,40 +23,23 @@ from .errors import ConfigError
 # -- complete graph -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompleteOracleParams:
-    """Derived constants of the N-node complete-graph search at coupling
-    gamma: detuning a = N*gamma - 1, Rabi splitting b = sqrt(a^2 + 4*gamma),
-    oscillation period 2*pi/b."""
-
-    n: int
-    gamma: float
-    a: float
-    b: float
-    period: float
-
-    @classmethod
-    def create(cls, n: int, gamma: float) -> "CompleteOracleParams":
-        if n < 2:
-            raise ConfigError("complete-graph oracle needs n >= 2")
-        if not (gamma > 0.0 and np.isfinite(gamma)):
-            raise ConfigError("gamma must be positive and finite")
-        a = n * gamma - 1.0
-        b = sqrt(a * a + 4.0 * gamma)
-        return cls(n=n, gamma=gamma, a=a, b=b, period=2.0 * pi / b)
-
-
 def complete_success(n: int, gamma: float, t) -> np.ndarray | float:
     """Closed-form success probability on the complete graph.
 
     pi(t) = (1/N) * [1 + (4*gamma*(N-1) / b^2) * sin^2(t*b/2)]
     with b^2 = (N*gamma - 1)^2 + 4*gamma.  At gamma = 1/N this reaches 1 at
-    t = pi*sqrt(N)/2 and returns to 1/N at t = pi*sqrt(N).
+    t = pi*sqrt(N)/2 and returns to 1/N at t = pi*sqrt(N).  ConfigError
+    unless n >= 2 and gamma is positive and finite.
     """
-    p = CompleteOracleParams.create(n, gamma)
+    if n < 2:
+        raise ConfigError("complete-graph oracle needs n >= 2")
+    if not (gamma > 0.0 and np.isfinite(gamma)):
+        raise ConfigError("gamma must be positive and finite")
+    a = n * gamma - 1.0
+    b = sqrt(a * a + 4.0 * gamma)
     t_arr = np.asarray(t, dtype=np.float64)
-    amp = 4.0 * gamma * (n - 1) / (p.b * p.b)
-    values = (1.0 + amp * np.sin(t_arr * p.b / 2.0) ** 2) / n
+    amp = 4.0 * gamma * (n - 1) / (b * b)
+    values = (1.0 + amp * np.sin(t_arr * b / 2.0) ** 2) / n
     return float(values) if np.isscalar(t) else values
 
 
@@ -109,8 +92,6 @@ def dsg_exact_spectrum(g: int) -> ExactSpectrum:
         pairs = children
     merged: dict[float, int] = {}
     for lam, mult in pairs:
-        if mult == 0:
-            continue
         merged[lam] = merged.get(lam, 0) + mult
     values = np.array(sorted(merged), dtype=np.float64)
     mults = np.array([merged[v] for v in values.tolist()], dtype=np.int64)

@@ -353,7 +353,7 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     for arr in (lq, sizes, modes):
         arr.flags.writeable = False
     route = f"{'tree' if tree else 'quotient'} cells={sizes.size}"
-    return _measure(values, groups, amp_sq, target, route,
+    return _measure(values, groups, amp_sq, route,
                     sizes.size if tree else graph.n,
                     Quotient(lq, sizes, cell, modes))
 
@@ -375,7 +375,6 @@ class SpectralSums:
     """
 
     n: int
-    target: NodeId
     xi1: float
     xi2: float
     max_amp_sq: float
@@ -409,12 +408,12 @@ def spectral_sums(dec: tuple[np.ndarray, np.ndarray],
     if not (0 <= target < n):
         raise ConfigError(f"target {target} out of range for {n} nodes")
     amps = vectors[target, :]
-    return _measure(values, degeneracy_groups(values), amps * amps, target,
+    return _measure(values, degeneracy_groups(values), amps * amps,
                     "dense", n)
 
 
 def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
-             target: NodeId, route: str, dense_order: int,
+             route: str, dense_order: int,
              quotient: Quotient | None = None) -> SpectralSums:
     """:class:`SpectralSums` from L's ascending eigenvalues, their group
     labels and the target weight |a_k|^2 of each.  A search needs a
@@ -447,7 +446,7 @@ def _measure(values: np.ndarray, group_index: np.ndarray, amp_sq: np.ndarray,
     for arr in (group_vals, mults, group_amp_sq):
         arr.flags.writeable = False
     return SpectralSums(
-        n=n, target=target, xi1=xi1, xi2=xi2,
+        n=n, xi1=xi1, xi2=xi2,
         max_amp_sq=float(per_mode.max()),
         group_eigenvalues=group_vals, multiplicities=mults,
         group_amp_sq=group_amp_sq, route=route, dense_order=dense_order,

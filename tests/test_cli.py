@@ -332,7 +332,7 @@ def test_verify_report(tmp_path, capsys):
     assert data["n"] == 27
     assert data["checks"]
     out = capsys.readouterr().out
-    assert "s_psi0_sq_below_one" in out
+    assert "s_psi0_sq_above_floor" in out
 
 
 @pytest.mark.parametrize("check", [
@@ -365,6 +365,23 @@ def test_oracle_report_reads_the_size_flag(check, flag, size, tolerance,
                             "details"]
     assert report["tolerance"] == tolerance
     assert list(report["details"].items()) == list(details.items())
+
+
+def test_an_oracle_check_above_its_tolerance_exits_3(capsys, monkeypatch):
+    from ctqwlab import cli
+
+    monkeypatch.setitem(cli._ORACLES, "dsg-zeta",
+                        ("g", 4, 1e-10, lambda g: 1.0, {}))
+    assert run("oracle", "--check", "dsg-zeta") == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "check": "dsg-zeta", "passed": False, "max_error": 1.0,
+        "tolerance": 1e-10, "details": {"g": 4}}
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NumericalError", "exit_code": 3,
+        "message": "oracle check dsg-zeta failed: max error 1 > 1e-10"}
 
 
 def test_dsg_spectrum_oracle_computes_no_eigenvectors(capsys, request):
@@ -410,6 +427,30 @@ def test_exit_code_3_when_no_crossing(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "NoTransitionError"
+
+
+def test_exit_code_3_when_no_crossing_below_the_ceiling(tmp_path, capsys):
+    from ctqwlab.graphs import Family, GraphSpec, build
+    from ctqwlab.spectra import target_measure
+
+    ceiling = target_measure(build(GraphSpec(Family.DSG, g=3)), 0).xi1 / 4
+    assert run("critgamma", "--family", "dsg", "--g", "3",
+               "--gamma-ceiling", repr(ceiling), "--out", tmp_path) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NoTransitionError", "exit_code": 3,
+        "message": f"dsg_g3: no overlap crossing below "
+                   f"gamma_ceiling={ceiling}"}
+
+
+def test_no_subcommand_exits_2(capsys):
+    assert main([]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "exit_code": 2,
+        "message": "the following arguments are required: command"}
 
 
 @pytest.mark.parametrize("window", [
@@ -855,6 +896,16 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert blocker.read_text() == "x"
     assert sorted(p.name for p in tmp_path.rglob("*")) == [
         "file", "spectrum_dsg_g2.csv", "taken"]
+
+
+def test_a_write_failing_without_an_os_error_leaves_no_file(tmp_path):
+    """An error other than OSError, here a text that UTF-8 cannot encode,
+    propagates as it is, and the temporary file is removed."""
+    from ctqwlab.cli import _write_atomic
+
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(tmp_path / "out.txt", "\ud800")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

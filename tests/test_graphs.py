@@ -410,7 +410,9 @@ def test_spec_validation_rejects(kwargs):
     (lambda: GraphSpec.from_dict({"g": 3}), "graph spec needs a 'family' key"),
     (lambda: GraphSpec.from_json('{"family": "product", "factors": 3}'),
      "'factors' must be an array"),
-], ids=["product_of_ints", "not_a_dict", "no_family", "factors_not_array"])
+    (lambda: GraphSpec(family="moebius"), "unknown graph family: 'moebius'"),
+], ids=["product_of_ints", "not_a_dict", "no_family", "factors_not_array",
+        "unknown_family"])
 def test_spec_refusals_name_their_reason(make, message):
     with pytest.raises(ConfigError) as info:
         make()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ctqwlab.errors import ConfigError
 from ctqwlab.oracles import (
-    CompleteOracleParams,
     complete_success,
     decimation_identity_residuals,
     dsg_exact_spectrum,
@@ -35,10 +34,15 @@ def dsg_zeta_asymptotic(g: int) -> tuple[float, float]:
 
 @given(st.integers(2, 500), st.floats(1e-6, 1e3))
 def test_frequency_identity(n, gamma):
-    params = CompleteOracleParams.create(n, gamma)
-    a = n * gamma - 1.0
-    assert math.isclose(params.b**2, a**2 + 4.0 * gamma, rel_tol=1e-12)
-    assert math.isclose(params.period, 2.0 * math.pi / params.b,
+    """pi(t) has period 2 pi / b, b = sqrt((N gamma - 1)^2 + 4 gamma), and
+    peaks at half of it."""
+    b = math.sqrt((n * gamma - 1.0) ** 2 + 4.0 * gamma)
+    period = 2.0 * math.pi / b
+    times = np.linspace(0.0, period, 7)
+    assert np.allclose(complete_success(n, gamma, times + period),
+                       complete_success(n, gamma, times), rtol=0, atol=1e-12)
+    peak = (1.0 + 4.0 * gamma * (n - 1) / b**2) / n
+    assert math.isclose(complete_success(n, gamma, period / 2.0), peak,
                         rel_tol=1e-12)
 
 
@@ -74,12 +78,12 @@ def test_large_n_limit():
 
 
 def test_oracle_params_validation():
-    with pytest.raises(ConfigError):
-        CompleteOracleParams.create(1, 0.1)
-    with pytest.raises(ConfigError):
-        CompleteOracleParams.create(8, 0.0)
-    with pytest.raises(ConfigError):
-        CompleteOracleParams.create(8, float("nan"))
+    with pytest.raises(ConfigError, match="complete-graph oracle needs n >= 2"):
+        complete_success(1, 0.1, 0.0)
+    with pytest.raises(ConfigError, match="gamma must be positive and finite"):
+        complete_success(8, 0.0, 0.0)
+    with pytest.raises(ConfigError, match="gamma must be positive and finite"):
+        complete_success(8, float("nan"), 0.0)
 
 
 # ----------------------------------------------------- exact fractal spectrum
@@ -149,3 +153,8 @@ def test_spectrum_rejects_bad_generation():
         dsg_exact_spectrum(0)
     with pytest.raises(ConfigError):
         dsg_zeta_closed(0)
+
+
+def test_decimation_residuals_reject_generation_zero():
+    with pytest.raises(ConfigError, match="dsg spectrum needs g >= 1"):
+        decimation_identity_residuals(0)
