@@ -30,6 +30,7 @@ from .engine import (
     CriticalGamma,
     SearchProblem,
     critical_gamma,
+    default_time_grid,
     measure_overlaps,
     oscillation_period,
     overlap_sweep_csv,
@@ -407,7 +408,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _complete_error(n: int) -> float:
     graph = build(GraphSpec(Family.COMPLETE, n=n))
-    times = np.linspace(0.0, 4.0 * math.pi * math.sqrt(n), 64)
+    times = default_time_grid(n, 64)
     gammas = [scale / n for scale in (0.5, 1.0, 1.7, 2.0)]
     grid = success_grid(graph, 0, gammas, times)
     return max(float(np.max(np.abs(probs - complete_success(n, gamma, times))))

@@ -5,8 +5,8 @@ Two exactly solvable cases are covered:
 * the complete graph, where the search Hamiltonian reduces to a 2x2 block
   and the success probability has an explicit sinusoidal form;
 * the corner-glued triangle fractal (dsg), whose Laplacian spectrum is
-  generated exactly by the decimation map lam -> (5 +/- sqrt(25 - 4*lam))/2,
-  yielding closed forms for the inverse-eigenvalue sums.
+  generated exactly by decimation, one array pass per generation, and
+  yields closed forms for the inverse-eigenvalue sums.
 
 Everything here is implemented independently of the spectral engine so the
 two routes can disagree when one of them is wrong.
@@ -62,9 +62,12 @@ class ExactSpectrum:
         return np.repeat(self.eigenvalues, self.multiplicities)
 
 
-def _decimation_children(lam: float) -> tuple[float, float]:
-    disc = sqrt(25.0 - 4.0 * lam)
-    return (5.0 - disc) / 2.0, (5.0 + disc) / 2.0
+def _decimation_children(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) roots of mu * (5 - mu) = lam, with upper = (5 + sqrt(25
+    - 4*lam))/2 and lower = lam / upper, the roots' product over upper; the
+    form (5 - sqrt(25 - 4*lam))/2 cancels and loses small lam's precision."""
+    upper = (5.0 + np.sqrt(25.0 - 4.0 * lam)) / 2.0
+    return lam / upper, upper
 
 
 def dsg_exact_spectrum(g: int) -> ExactSpectrum:
@@ -72,33 +75,23 @@ def dsg_exact_spectrum(g: int) -> ExactSpectrum:
 
     Generation 1 is the triangle with spectrum {0, 3, 3}.  Each following
     generation keeps the simple eigenvalue 0, maps every nonzero eigenvalue
-    lam to the decimation pair (5 +/- sqrt(25 - 4*lam))/2 with inherited
-    multiplicity, and adds fresh eigenvalues 3 and 5 with multiplicities
-    (3^(g-1) + 3)/2 and (3^(g-1) - 1)/2.
+    to its two `_decimation_children` with inherited multiplicity, and adds
+    fresh eigenvalues 3 and 5 with multiplicities (3^(g-1) + 3)/2 and
+    (3^(g-1) - 1)/2.  Equal values merge once, at the end, by exact float
+    equality.  Each eigenvalue holds to about 1e-15 relative through g = 18.
     """
     if g < 1:
         raise ConfigError("dsg spectrum needs g >= 1")
-    pairs: list[tuple[float, int]] = [(0.0, 1), (3.0, 2)]
+    values, mults = np.array([3.0]), np.array([2], dtype=np.int64)
     for gen in range(2, g + 1):
-        children: list[tuple[float, int]] = [(0.0, 1)]
-        for lam, mult in pairs:
-            if lam == 0.0:
-                continue
-            lo, hi = _decimation_children(lam)
-            children.append((lo, mult))
-            children.append((hi, mult))
-        children.append((3.0, (3 ** (gen - 1) + 3) // 2))
-        children.append((5.0, (3 ** (gen - 1) - 1) // 2))
-        pairs = children
-    merged: dict[float, int] = {}
-    for lam, mult in pairs:
-        merged[lam] = merged.get(lam, 0) + mult
-    values = np.array(sorted(merged), dtype=np.float64)
-    mults = np.array([merged[v] for v in values.tolist()], dtype=np.int64)
-    spectrum = ExactSpectrum(eigenvalues=values, multiplicities=mults)
-    if spectrum.total != 3**g:
-        raise AssertionError("decimation bookkeeping lost eigenvalues")
-    return spectrum
+        fresh = 3 ** (gen - 1)
+        values = np.concatenate([*_decimation_children(values), [3.0, 5.0]])
+        mults = np.concatenate([mults, mults,
+                                [(fresh + 3) // 2, (fresh - 1) // 2]])
+    values, inverse = np.unique(np.append(0.0, values), return_inverse=True)
+    merged = np.zeros(values.size, dtype=np.int64)
+    np.add.at(merged, inverse, np.append(1, mults))
+    return ExactSpectrum(eigenvalues=values, multiplicities=merged)
 
 
 def decimation_identity_residuals(g: int) -> tuple[float, float]:
@@ -107,20 +100,11 @@ def decimation_identity_residuals(g: int) -> tuple[float, float]:
     (25 - 2*lam)/lam^2 over every nonzero eigenvalue of generation g.
     Residuals are scaled by the right-hand sides, which grow like 1/lam
     for the near-zero part of the spectrum."""
-    if g < 1:
-        raise ConfigError("dsg spectrum needs g >= 1")
-    spectrum = dsg_exact_spectrum(g)
-    worst1 = worst2 = 0.0
-    for lam in spectrum.eigenvalues.tolist():
-        if lam == 0.0:
-            continue
-        lo, hi = _decimation_children(lam)
-        rhs1 = 5.0 / lam
-        rhs2 = (25.0 - 2.0 * lam) / lam**2
-        worst1 = max(worst1, abs(1.0 / lo + 1.0 / hi - rhs1) / abs(rhs1))
-        worst2 = max(worst2, abs(1.0 / lo**2 + 1.0 / hi**2 - rhs2)
-                     / abs(rhs2))
-    return worst1, worst2
+    lam = dsg_exact_spectrum(g).eigenvalues[1:]
+    lo, hi = _decimation_children(lam)
+    rhs1, rhs2 = 5.0 / lam, (25.0 - 2.0 * lam) / lam**2
+    return (float(np.max(np.abs(1.0 / lo + 1.0 / hi - rhs1) / rhs1)),
+            float(np.max(np.abs(1.0 / lo**2 + 1.0 / hi**2 - rhs2) / rhs2)))
 
 
 def dsg_zeta_closed(g: int) -> tuple[float, float]:
@@ -130,20 +114,22 @@ def dsg_zeta_closed(g: int) -> tuple[float, float]:
     zeta1 = (-3 - 4*3^g + 7*5^g) / 30
     zeta2 = (-13 - 14*3^g + 21*5^g + 6*25^g) / 900
 
-    Evaluated in exact integer arithmetic before the final division.
+    Evaluated in exact integer arithmetic before the final division;
+    ConfigError from g = 220 on, where zeta2's numerator overflows a float.
     """
     if g < 1:
         raise ConfigError("dsg zeta needs g >= 1")
     z1_num = -3 - 4 * 3**g + 7 * 5**g
     z2_num = -13 - 14 * 3**g + 21 * 5**g + 6 * 25**g
-    return z1_num / 30.0, z2_num / 900.0
+    try:
+        return z1_num / 30.0, z2_num / 900.0
+    except OverflowError:
+        raise ConfigError(f"dsg zeta at g = {g} overflows a float") from None
 
 
 def dsg_zeta_direct(g: int) -> tuple[float, float]:
     """Same sums evaluated directly from the exact spectrum, as an
     independent route for equivalence tests."""
     spectrum = dsg_exact_spectrum(g)
-    nonzero = spectrum.eigenvalues != 0.0
-    lam = spectrum.eigenvalues[nonzero]
-    mult = spectrum.multiplicities[nonzero].astype(np.float64)
+    lam, mult = spectrum.eigenvalues[1:], spectrum.multiplicities[1:]
     return float(np.sum(mult / lam)), float(np.sum(mult / lam**2))

@@ -356,6 +356,8 @@ def test_oracle_krylov_check(capsys):
     ("dsg-zeta", "--g", 3, 1e-10, {"g": 3}),
     ("decimation", "--g", 3, 1e-9, {"g": 3}),
     ("krylov-vs-spectral", "--g", 2, 1e-12, {"g": 2, "gamma": 1.0}),
+    ("dsg-zeta", "--g", 12, 1e-10, {"g": 12}),
+    ("decimation", "--g", 12, 1e-9, {"g": 12}),
 ])
 def test_oracle_report_reads_the_size_flag(check, flag, size, tolerance,
                                            details, capsys):
@@ -490,6 +492,8 @@ def test_exit_code_2_on_a_bad_coupling_window(window, tmp_path, capsys):
       "--gamma-max", "1"),
      "gamma=1e-310 is too small: the lowest visible pole gamma*lam=8e-310 "
      "is subnormal"),
+    (("oracle", "--check", "dsg-zeta", "--g", "300"),
+     "dsg zeta at g = 300 overflows a float"),
     (("critgamma", "--family", "dsg", "--g", "6..3"),
      "--g must be an integer or a range like 3..6, got '6..3'"),
     (("critgamma", "--family", "dsg", "--g", "x"),

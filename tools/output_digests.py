@@ -17,8 +17,10 @@ last ``critgamma`` on the T-fractal at g = 8 (1,598 cells), whose two
 confirmations solve the quotient H of a tree, ``critgamma`` on complete
 graphs of 2, 3 and 4 nodes, a sweep whose first size fails, and
 ``critgamma`` on the Cayley tree at g = 12 under a guard of 50, below its
-91 cells, and ``overlaps`` on the complete graph of 8 nodes from a
-coupling of 1e-310, whose secular poles are subnormal.
+91 cells, ``overlaps`` on the complete graph of 8 nodes from a
+coupling of 1e-310, whose secular poles are subnormal, the ``dsg-zeta``
+and ``decimation`` oracle checks at g = 14, past their default sizes, and
+``dsg-zeta`` at g = 300, whose closed form overflows a float.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.  Its standard error, when
@@ -93,7 +95,10 @@ LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
         ("critgamma", "--family", "cayleytree", "--g", "12",
          "--dense-guard", "50"),
         ("overlaps", "--family", "complete", "--n", "8", "--gamma-min",
-         "1e-310", "--gamma-max", "1"))
+         "1e-310", "--gamma-max", "1"),
+        ("oracle", "--check", "dsg-zeta", "--g", "14"),
+        ("oracle", "--check", "decimation", "--g", "14"),
+        ("oracle", "--check", "dsg-zeta", "--g", "300"))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
