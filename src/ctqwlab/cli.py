@@ -416,6 +416,7 @@ def _complete_error(n: int) -> float:
 
 
 def _dsg_spectrum_error(g: int) -> float:
+    check_dense_guard(3 ** g, "dense eigendecomposition")  # dense at every g
     graph = build(GraphSpec(Family.DSG, g=g))
     values = laplacian_spectrum(graph)[0]
     return float(np.max(np.abs(values - dsg_exact_spectrum(g).expand())))
@@ -431,6 +432,7 @@ def _decimation_error(g: int) -> float:
 
 
 def _krylov_error(g: int, gamma: float) -> float:
+    check_dense_guard(3 ** g, "dense eigendecomposition")  # dense at every g
     spec = GraphSpec(Family.DSG, g=g)
     graph = build(spec)
     target = default_target(spec)

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Generation g holds 3 * 2^(g-1) - 1 distinct values: 0.5 GB peak at g = 22.
+DSG_MAX_G = 22
+
 # -- complete graph -----------------------------------------------------------
 
 
@@ -79,9 +82,12 @@ def dsg_exact_spectrum(g: int) -> ExactSpectrum:
     fresh eigenvalues 3 and 5 with multiplicities (3^(g-1) + 3)/2 and
     (3^(g-1) - 1)/2.  Equal values merge once, at the end, by exact float
     equality.  Each eigenvalue holds to about 1e-15 relative through g = 18.
+    ConfigError unless 1 <= g <= ``DSG_MAX_G``, before any array is formed.
     """
     if g < 1:
         raise ConfigError("dsg spectrum needs g >= 1")
+    if g > DSG_MAX_G:
+        raise ConfigError(f"dsg spectrum needs g <= {DSG_MAX_G}, not {g}")
     values, mults = np.array([3.0]), np.array([2], dtype=np.int64)
     for gen in range(2, g + 1):
         fresh = 3 ** (gen - 1)

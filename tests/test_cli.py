@@ -402,6 +402,28 @@ def test_dsg_spectrum_oracle_computes_no_eigenvectors(capsys, request):
     assert run("oracle", "--check", "dsg-spectrum", "--dense-guard", "50") == 4
 
 
+@pytest.mark.parametrize("check", ["dsg-spectrum", "krylov-vs-spectral"])
+def test_dense_dsg_oracles_refuse_before_the_build(check, monkeypatch,
+                                                   capsys):
+    """Both checks end in a dense solve of order N = 3^g, so the guard on
+    N refuses them before the graph is built: g = 5 (N = 243) under a
+    guard of 100 exits 4 with no call to build."""
+    from ctqwlab import cli
+
+    built, real = [], cli.build
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build", spy)
+    assert run("oracle", "--check", check, "--g", 5,
+               "--dense-guard", 100) == 4
+    assert built == []
+    assert "problem size 243 exceeds dense guard 100" in \
+        capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     cases = [
         ("generate", "--family", "moebius", "--n", "8"),
@@ -494,6 +516,10 @@ def test_exit_code_2_on_a_bad_coupling_window(window, tmp_path, capsys):
      "is subnormal"),
     (("oracle", "--check", "dsg-zeta", "--g", "300"),
      "dsg zeta at g = 300 overflows a float"),
+    (("oracle", "--check", "decimation", "--g", "23"),
+     "dsg spectrum needs g <= 22, not 23"),
+    (("oracle", "--check", "dsg-zeta", "--g", "23"),
+     "dsg spectrum needs g <= 22, not 23"),
     (("critgamma", "--family", "dsg", "--g", "6..3"),
      "--g must be an integer or a range like 3..6, got '6..3'"),
     (("critgamma", "--family", "dsg", "--g", "x"),

@@ -59,21 +59,11 @@ from dense_oracles import (
     full_solve_overlaps,
     hamiltonian_decomposition,
 )
+from graph_cases import forced_quotient, gnp, star
 
 
 def _graph(family, **kw):
     return build(GraphSpec(family=family, **kw))
-
-
-def _random_graph(seed, n, p):
-    """Seeded connected graph: a random recursive tree (node i hangs from a
-    uniform earlier node) plus G(n, p) edges; p = 0 leaves the tree."""
-    rng = np.random.default_rng(seed)
-    tree = {(int(rng.integers(0, i)), i) for i in range(1, n)}
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < p
-    extra = set(zip(iu[keep].tolist(), ju[keep].tolist()))
-    return Graph.from_edges(n, sorted(tree | extra))
 
 
 def _family_case(**kw):
@@ -205,18 +195,14 @@ def test_overlap_sweep_csv_shape():
     assert gammas == [0.05, 0.125, 0.3]
 
 
-def _star(n):
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
 SECULAR_CASES = [
     # G(n, p) graphs: K = N, every Laplacian eigenvalue simple
-    pytest.param(lambda: _random_graph(31, 40, 0.1), 3, id="gnp_40_seed31"),
-    pytest.param(lambda: _random_graph(32, 90, 0.05), 8, id="gnp_90_seed32"),
+    pytest.param(lambda: gnp(31, 40, 0.1), 3, id="gnp_40_seed31"),
+    pytest.param(lambda: gnp(32, 90, 0.05), 8, id="gnp_90_seed32"),
     _family_case(family=Family.CHAIN, L=50, periodic=False),
     _family_case(family=Family.CHAIN, L=50, periodic=True),
-    pytest.param(lambda: _star(12), 0, id="star12_hub"),
-    pytest.param(lambda: _star(12), 5, id="star12_leaf"),
+    pytest.param(lambda: star(12), 0, id="star12_hub"),
+    pytest.param(lambda: star(12), 5, id="star12_leaf"),
     _family_case(family=Family.COMPLETE, n=12),
     _family_case(family=Family.COMPLETE, n=64),
     _family_case(family=Family.DSG, g=3),
@@ -250,19 +236,8 @@ def test_overlaps_inside_a_large_laplacian_cluster(gamma):
     """The hub of the 12-node star (10-fold eigenvalue 1): LAPACK's evr on
     an index subset has stopped with an internal error at these couplings;
     overlaps then answers from a full solve."""
-    problem = SearchProblem(_star(12), 0, gamma)
+    problem = SearchProblem(star(12), 0, gamma)
     _assert_same_record(overlaps(problem), full_solve_overlaps(problem))
-
-
-def _forced_quotient(graph, target):
-    """The quotient measure of the partition found whatever its cell
-    count."""
-    from ctqwlab import spectra
-
-    cells = spectra._refine(graph.adjacency, target, graph.n)
-    counts = spectra._certify(graph.adjacency, cells, target)
-    with dense_guard(None):
-        return spectra._quotient_measure(graph, target, cells, counts)
 
 
 def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
@@ -274,7 +249,7 @@ def test_overlaps_falls_back_to_a_full_solve_then_raises(monkeypatch):
     dense = SearchProblem(_graph(Family.DSG, g=3), 0, 0.7)
     tree = GraphSpec(Family.TFRACTAL, g=4)
     quotient = SearchProblem(build(tree), default_target(tree), 20.0)
-    sums = _forced_quotient(quotient.graph, quotient.target)
+    sums = forced_quotient(quotient.graph, quotient.target)
     windows = [(dense, lambda: overlaps(dense)),
                (quotient, lambda: _independent_overlaps(quotient, sums))]
     real = engine.sla.eigh
@@ -509,9 +484,9 @@ def test_cached_measure_still_checks_the_dense_guard(decompositions):
     pytest.param(lambda: _graph(Family.TORUS, L=4, d=2), id="torus4x4"),
     pytest.param(lambda: _graph(Family.DSG, g=3), id="dsg3"),
     pytest.param(lambda: _graph(Family.CAYLEY_TREE, g=4), id="tree4"),
-    pytest.param(lambda: _random_graph(11, 30, 0.1), id="gnp_30_seed11"),
-    pytest.param(lambda: _random_graph(12, 50, 0.05), id="gnp_50_seed12"),
-    pytest.param(lambda: _random_graph(13, 70, 0.0), id="tree_70_seed13"),
+    pytest.param(lambda: gnp(11, 30, 0.1), id="gnp_30_seed11"),
+    pytest.param(lambda: gnp(12, 50, 0.05), id="gnp_50_seed12"),
+    pytest.param(lambda: gnp(13, 70, 0.0), id="tree_70_seed13"),
 ])
 def test_measure_groups_match_a_per_group_loop(make_graph):
     """The vectorized group pass of spectral_sums agrees with summing each
@@ -544,9 +519,9 @@ ORACLE_CASES = [
     _family_case(family=Family.PRODUCT, factors=(
         GraphSpec(family=Family.DSG, g=2),
         GraphSpec(family=Family.CHAIN, L=4, periodic=False))),
-    pytest.param(lambda: _random_graph(21, 40, 0.1), 3, id="gnp_40_seed21"),
-    pytest.param(lambda: _random_graph(22, 60, 0.05), 7, id="gnp_60_seed22"),
-    pytest.param(lambda: _random_graph(23, 80, 0.0), 11, id="tree_80_seed23"),
+    pytest.param(lambda: gnp(21, 40, 0.1), 3, id="gnp_40_seed21"),
+    pytest.param(lambda: gnp(22, 60, 0.05), 7, id="gnp_60_seed22"),
+    pytest.param(lambda: gnp(23, 80, 0.0), 11, id="tree_80_seed23"),
 ]
 
 
@@ -642,9 +617,9 @@ ROOT_CASES = [
     *(_family_case(family=Family.TFRACTAL, g=g) for g in (3, 4, 5)),
     *(_family_case(family=Family.CAYLEY_TREE, g=g) for g in range(3, 8)),
     *(_family_case(family=Family.TORUS, L=L, d=2) for L in (8, 16)),
-    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
-    pytest.param(lambda: _random_graph(6, 80, 0.05), 26, id="gnp_80_seed6"),
-    pytest.param(lambda: _random_graph(7, 120, 0.03), 40, id="gnp_120_seed7"),
+    pytest.param(lambda: gnp(5, 40, 0.1), 13, id="gnp_40_seed5"),
+    pytest.param(lambda: gnp(6, 80, 0.05), 26, id="gnp_80_seed6"),
+    pytest.param(lambda: gnp(7, 120, 0.03), 40, id="gnp_120_seed7"),
     _family_case(family=Family.CHAIN, L=60, periodic=False),
     _family_case(family=Family.CHAIN, L=60, periodic=True),
 ]
@@ -677,7 +652,7 @@ def test_critical_gamma_matches_a_fine_bisection(make_graph, target):
 @pytest.mark.parametrize("make_graph,target", [
     _family_case(family=Family.DSG, g=4),
     _family_case(family=Family.TFRACTAL, g=4),
-    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
+    pytest.param(lambda: gnp(5, 40, 0.1), 13, id="gnp_40_seed5"),
 ])
 def test_critical_gamma_reports_the_measure_root(make_graph, target):
     """gamma is the measure's root r, strictly inside the confirmation pair
@@ -803,7 +778,7 @@ def test_critical_gamma_widens_the_confirmation_to_the_measure_roundoff(
     _family_case(family=Family.TFRACTAL, g=3),  # K = N/2
     _family_case(family=Family.CHAIN, L=40, periodic=True),  # K = N/2 + 1
     _family_case(family=Family.CHAIN, L=40, periodic=False),  # K = N
-    pytest.param(lambda: _random_graph(5, 40, 0.1), 13, id="gnp_40_seed5"),
+    pytest.param(lambda: gnp(5, 40, 0.1), 13, id="gnp_40_seed5"),
 ])
 def test_critical_gamma_takes_the_measure_route_for_any_k(make_graph, target,
                                                           monkeypatch):
@@ -929,9 +904,9 @@ def test_miller_bessel_series_matches_scipy_jv():
 
 
 @pytest.mark.parametrize("make_graph,target,gamma,times", [
-    pytest.param(lambda: _random_graph(31, 40, 0.1), 3, None, None,
+    pytest.param(lambda: gnp(31, 40, 0.1), 3, None, None,
                  id="gnp_40_seed31"),
-    pytest.param(lambda: _star(12), 0, None, None, id="star12_hub"),
+    pytest.param(lambda: star(12), 0, None, None, id="star12_hub"),
     pytest.param(lambda: _graph(Family.CHAIN, L=50, periodic=False), 0, None,
                  None, id="open_chain_L50"),
     pytest.param(lambda: _graph(Family.DSG, g=3), 4, 1.0,
@@ -985,10 +960,10 @@ MEASURE_CASES = [
     pytest.param(lambda: cartesian_product(
         _graph(Family.DSG, g=2), _graph(Family.CHAIN, L=4, periodic=False)),
         5, id="product_dsg_g2_chain_L4_open"),
-    pytest.param(lambda: _random_graph(1, 60, 0.08), 3, id="gnp_60_seed1"),
-    pytest.param(lambda: _random_graph(2, 90, 0.05), 17, id="gnp_90_seed2"),
-    pytest.param(lambda: _random_graph(3, 120, 0.1), 0, id="gnp_120_seed3"),
-    pytest.param(lambda: _random_graph(4, 80, 0.0), 41, id="tree_80_seed4"),
+    pytest.param(lambda: gnp(1, 60, 0.08), 3, id="gnp_60_seed1"),
+    pytest.param(lambda: gnp(2, 90, 0.05), 17, id="gnp_90_seed2"),
+    pytest.param(lambda: gnp(3, 120, 0.1), 0, id="gnp_120_seed3"),
+    pytest.param(lambda: gnp(4, 80, 0.0), 41, id="tree_80_seed4"),
 ]
 
 

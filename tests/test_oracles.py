@@ -163,6 +163,9 @@ def test_zeta_asymptotics():
 def test_spectrum_rejects_bad_generation():
     with pytest.raises(ConfigError):
         dsg_exact_spectrum(0)
+    # Above g = 22, before the arrays that double with each generation.
+    with pytest.raises(ConfigError, match="dsg spectrum needs g <= 22, not 23"):
+        dsg_exact_spectrum(23)
     with pytest.raises(ConfigError):
         dsg_zeta_closed(0)
 

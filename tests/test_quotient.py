@@ -21,11 +21,9 @@ from ctqwlab.errors import (
     ConfigError,
     NoTransitionError,
     NumericalError,
-    dense_guard,
 )
 from ctqwlab.graphs import (
     Family,
-    Graph,
     GraphSpec,
     build,
     cartesian_product,
@@ -37,6 +35,7 @@ from ctqwlab.spectra import (
     spectral_sums,
     target_measure,
 )
+from graph_cases import forced_quotient, gnp, star
 
 
 def _case(family, target=None, **kw):
@@ -45,24 +44,9 @@ def _case(family, target=None, **kw):
     return pytest.param(lambda: build(spec), w, id=f"{spec.label}_w{w}")
 
 
-def _star(n):
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
 def _product():
     return cartesian_product(build(GraphSpec(Family.COMPLETE, n=4)),
                              build(GraphSpec(Family.CHAIN, L=7)))
-
-
-def _gnp(seed, n, p):
-    """Seeded connected G(n, p): a random recursive tree plus G(n, p)
-    edges."""
-    rng = np.random.default_rng(seed)
-    tree = {(int(rng.integers(0, i)), i) for i in range(1, n)}
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < p
-    return Graph.from_edges(n, sorted(tree | set(zip(iu[keep].tolist(),
-                                                       ju[keep].tolist()))))
 
 
 QUOTIENT_CASES = [
@@ -73,8 +57,8 @@ QUOTIENT_CASES = [
     _case(Family.TORUS, L=5, d=3),
     _case(Family.COMPLETE, n=12),
     _case(Family.COMPLETE, n=64),
-    pytest.param(lambda: _star(12), 0, id="star12_hub"),
-    pytest.param(lambda: _star(12), 5, id="star12_leaf"),
+    pytest.param(lambda: star(12), 0, id="star12_hub"),
+    pytest.param(lambda: star(12), 5, id="star12_leaf"),
     pytest.param(_product, 0, id="K4xC7"),
     # N/2 + 1 cells: target_measure keeps the dense route, the quotient
     # is still exact.
@@ -82,19 +66,10 @@ QUOTIENT_CASES = [
 ]
 
 
-def _forced_quotient(graph, target):
-    """The quotient measure whatever its cell count."""
-    cells = spectra._refine(graph.adjacency, target, graph.n)
-    counts = spectra._certify(graph.adjacency, cells, target)
-    assert counts is not None
-    with dense_guard(None):
-        return spectra._quotient_measure(graph, target, cells, counts)
-
-
 @pytest.mark.parametrize("make_graph,target", QUOTIENT_CASES)
 def test_quotient_measure_matches_the_dense_measure(make_graph, target):
     graph = make_graph()
-    got = _forced_quotient(graph, target)
+    got = forced_quotient(graph, target)
     want = spectral_sums(laplacian_decomposition(graph), target)
     assert got.multiplicities.tolist() == want.multiplicities.tolist()
     assert np.abs(got.group_eigenvalues - want.group_eigenvalues).max() \
@@ -143,9 +118,9 @@ def test_cell_counts_of_the_benchmark_families():
 @pytest.mark.parametrize("make_graph,target", [
     *(_case(Family.DSG, w, g=g) for g in (2, 3, 4, 5) for w in (0, None)),
     _case(Family.DSG, 4, g=3),
-    pytest.param(lambda: _gnp(5, 40, 0.1), 13, id="gnp_40_seed5"),
-    pytest.param(lambda: _gnp(6, 80, 0.05), 26, id="gnp_80_seed6"),
-    pytest.param(lambda: _gnp(7, 200, 0.02), 0, id="gnp_200_seed7"),
+    pytest.param(lambda: gnp(5, 40, 0.1), 13, id="gnp_40_seed5"),
+    pytest.param(lambda: gnp(6, 80, 0.05), 26, id="gnp_80_seed6"),
+    pytest.param(lambda: gnp(7, 200, 0.02), 0, id="gnp_200_seed7"),
     _case(Family.CHAIN, 0, L=40),
     _case(Family.CHAIN, 0, L=40, periodic=False),
 ])
@@ -256,7 +231,7 @@ def test_quotient_record_matches_dense_overlaps(make_graph, target):
     """The quotient H's levels, with L's hidden levels merged into E1's
     group, against the dense window solve at 25 couplings."""
     graph = make_graph()
-    sums = _forced_quotient(graph, target)
+    sums = forced_quotient(graph, target)
     multiplicities = set()
     for gamma in np.geomspace(1e-3, 1e3, 25) * sums.xi1:
         problem = SearchProblem(graph, target, float(gamma))
@@ -362,7 +337,7 @@ def test_quotient_route_solves_nothing_through_the_engine(
 @pytest.mark.parametrize("make_graph,target", [
     _case(Family.DSG, 0, g=3),
     _case(Family.TORUS, 0, L=4, d=2),
-    pytest.param(lambda: _star(12), 0, id="star12_hub"),
+    pytest.param(lambda: star(12), 0, id="star12_hub"),
     _case(Family.CAYLEY_TREE, 0, g=4),
     _case(Family.TFRACTAL, 0, g=4),
 ])
@@ -382,7 +357,7 @@ def test_routes_agree_on_a_group_of_poles_and_hidden_levels(
         assert want.e1_multiplicity == graph.n - 1
     for got in (measure_overlaps(problem),
                 _independent_overlaps(problem,
-                                      _forced_quotient(graph, target))):
+                                      forced_quotient(graph, target))):
         assert (got.e1_multiplicity, got.degenerate_e1) == \
             (want.e1_multiplicity, want.degenerate_e1)
         for field in ("s_psi0_sq", "s_psi1_sq", "w_psi0_sq", "w_psi1_sq"):

@@ -26,6 +26,7 @@ from ctqwlab.spectra import (
     spectrum_csv,
     target_measure,
 )
+from graph_cases import gnp
 
 
 def _spec(family, **kw):
@@ -104,19 +105,9 @@ def test_solvers_return_scipy_evd_bit_for_bit():
             assert np.array_equal(array, ref)
 
 
-def test_eigh_rejects_nonsymmetric():
-    m = np.arange(9.0).reshape(3, 3)
-    with pytest.raises(ConfigError):
-        eigh(m)
-    for shape in ((3, 4), (2, 3, 4), (3,)):
-        with pytest.raises(ConfigError, match="eigh needs a square matrix"):
-            eigh(np.zeros(shape))
-
-
 def test_eigh_solves_a_stack_and_checks_every_slice():
     """A (2, 3, n, n) stack gives each slice's own decomposition, and so its
-    group labels, bit for bit; one asymmetric slice, or one past the guard
-    on n, refuses the whole stack."""
+    group labels, bit for bit; a stack past the guard on n is refused."""
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 3, 6, 6))
     stack = a + np.swapaxes(a, -1, -2)
@@ -131,11 +122,48 @@ def test_eigh_solves_a_stack_and_checks_every_slice():
         assert np.array_equal(vectors[index], one_vectors)
         assert np.array_equal(labels[index], degeneracy_groups(one_values))
     assert labels[1, 2].tolist() == [0, 1, 1, 2, 3, 3]
-    stack[0, 1, 0, 5] += 1e-6
-    with pytest.raises(ConfigError, match="not symmetric"):
-        eigh(stack)
     with pytest.raises(DenseGuardError), dense_guard(10):
         eigh(np.zeros((4, 20, 20)))
+
+
+def test_eigh_inputs_are_symmetric_bit_for_bit(monkeypatch):
+    """eigh checks no symmetry, so its two builders must form it: the
+    quotient Laplacian (-M_ij / sqrt(s_i s_j), M_ij = s_i counts_ij an
+    exact integer equal to M_ji) and the success stacks (gamma diag(lam)
+    - z z^T, z_i z_j and z_j z_i one IEEE product).  On fresh graphs of
+    every route of the measure, every matrix either hands to eigh is
+    square, float64 and equal to its transpose bit for bit."""
+    from ctqwlab import engine, spectra
+    from ctqwlab.engine import success_grid
+
+    calls = {"quotient": 0, "success": 0}
+
+    def spy(builder, real):
+        def checked(matrix):
+            assert matrix.dtype == np.float64 and matrix.ndim >= 2
+            assert matrix.shape[-1] == matrix.shape[-2]
+            assert np.array_equal(
+                matrix.view(np.uint64),
+                np.swapaxes(matrix, -1, -2).view(np.uint64))
+            calls[builder] += 1
+            return real(matrix)
+        return checked
+
+    monkeypatch.setattr(spectra, "eigh", spy("quotient", spectra.eigh))
+    monkeypatch.setattr(engine, "eigh", spy("success", engine.eigh))
+    cases = [(build(spec), default_target(spec), route) for spec, route in (
+        (_spec(Family.DSG, g=4), "dense"),
+        (_spec(Family.TORUS, L=6, d=2), "quotient"),
+        (_spec(Family.COMPLETE, n=12), "quotient"),
+        (_spec(Family.TFRACTAL, g=5), "tree"),
+        (_spec(Family.CAYLEY_TREE, g=6), "tree"),
+    )]
+    cases.append((gnp(5, 40, 0.1), 13, "dense"))
+    times = np.linspace(0.0, 30.0, 16)
+    for graph, target, route in cases:
+        assert target_measure(graph, target).route.split()[0] == route
+        success_grid(graph, target, [0.05, 0.2, 0.7, 2.0], times)
+    assert calls["quotient"] >= 1 and calls["success"] >= 1
 
 
 def test_eigh_dense_guard():

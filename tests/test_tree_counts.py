@@ -4,6 +4,7 @@ eigvalsh and against the leaf-to-root eigenvalue counts of
 blocks against the dense measure, and the command line on trees past the
 dense guard."""
 
+import functools
 import json
 import time
 
@@ -13,6 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import tree_oracles
+from graph_cases import path, star
 from ctqwlab import spectra
 from ctqwlab.cli import main
 from ctqwlab.engine import critical_gamma
@@ -54,14 +56,6 @@ def _prufer_tree(seed, n):
     return Graph.from_edges(n, edges)
 
 
-def _star(n):
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
-def _path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def _symmetric_tree(seed):
     """A seeded random tree of depth at most 4 in which each vertex has up
     to two kinds of child subtree (the root at least one), each kind
@@ -99,10 +93,17 @@ TREES = [
       for s, n in ((1, 12), (2, 40), (3, 97), (4, 200), (5, 333))),
     *(pytest.param(lambda s=s: _symmetric_tree(s), id=f"symmetric_s{s}")
       for s in range(1, 6)),
-    pytest.param(lambda: _star(9), id="star9"),
-    pytest.param(lambda: _path(30), id="path30"),
+    pytest.param(lambda: star(9), id="star9"),
+    pytest.param(lambda: path(30), id="path30"),
     *(pytest.param(lambda s=s: build(s), id=s.label) for s in SHIPPED),
 ]
+
+
+@functools.cache
+def _eigvalsh(make_graph):
+    """eigvalsh(L) of one TREES case, solved once for the tests that share
+    it."""
+    return sla.eigvalsh(make_graph().laplacian())
 
 
 def _levels(cells, counts, target):
@@ -131,7 +132,7 @@ def test_counts_match_eigvalsh(make_graph):
     division by zero, at exact subtree eigenvalues and at the quotient's
     eigenvalues, where the zero-pivot rule runs."""
     graph = make_graph()
-    values = sla.eigvalsh(graph.laplacian())
+    values = _eigvalsh(make_graph)
     top = 2.0 * graph.degrees.max() + 1.0
     x = np.random.default_rng(graph.n).uniform(-0.5, top, 300)
     generic = x[np.abs(values[:, None] - x).min(axis=0) > 1e-8]
@@ -156,9 +157,9 @@ def test_counts_match_eigvalsh(make_graph):
 
 
 @pytest.mark.parametrize("graph,x,count", [
-    (_star(9), 1.0, 1),         # 0, 1 (x7), 9: every leaf pivot is 0
-    (_path(30), 1.0, 10),       # 2 - 2 cos(pi j / 30) < 1 for j < 10
-    (_path(30), 3.0, 20),
+    (star(9), 1.0, 1),          # 0, 1 (x7), 9: every leaf pivot is 0
+    (path(30), 1.0, 10),        # 2 - 2 cos(pi j / 30) < 1 for j < 10
+    (path(30), 3.0, 20),
     (build(GraphSpec(Family.CAYLEY_TREE, g=6)), 1.0, None),
     (build(GraphSpec(Family.TFRACTAL, g=4)), 1.0, None),
 ])
@@ -208,7 +209,7 @@ def test_block_spectra_match_eigvalsh(make_graph):
     root and through ``laplacian_spectrum``, which roots a tree at its
     centre and takes the evr route when no partition halves N."""
     graph = make_graph()
-    want = sla.eigvalsh(graph.laplacian())
+    want = _eigvalsh(make_graph)
     for got in (*_block_spectra(graph), laplacian_spectrum(graph)[0]):
         assert np.abs(got - want).max() <= 1e-12
         assert degeneracy_groups(got).tolist() == \
@@ -216,9 +217,9 @@ def test_block_spectra_match_eigvalsh(make_graph):
 
 
 def test_the_centre_is_the_middle_of_a_longest_path():
-    assert spectra._centre(_path(30)) in (14, 15)
-    assert spectra._centre(_path(31)) == 15
-    assert spectra._centre(_star(9)) == 0
+    assert spectra._centre(path(30)) in (14, 15)
+    assert spectra._centre(path(31)) == 15
+    assert spectra._centre(star(9)) == 0
     for spec in SHIPPED[2:]:
         assert spectra._centre(build(spec)) == 0
     assert spectra._centre(build(GraphSpec(Family.TORUS, L=6, d=2))) is None
@@ -262,7 +263,7 @@ def test_only_trees_count():
     for graph, tree in ((build(GraphSpec(Family.TORUS, L=6, d=2)), False),
                         (build(GraphSpec(Family.COMPLETE, n=12)), False),
                         (build(GraphSpec(Family.CAYLEY_TREE, g=4)), True),
-                        (_star(12), True)):
+                        (star(12), True)):
         assert target_measure(graph, 0).route.startswith("tree") == tree
 
 

@@ -19,8 +19,9 @@ graphs of 2, 3 and 4 nodes, a sweep whose first size fails, and
 ``critgamma`` on the Cayley tree at g = 12 under a guard of 50, below its
 91 cells, ``overlaps`` on the complete graph of 8 nodes from a
 coupling of 1e-310, whose secular poles are subnormal, the ``dsg-zeta``
-and ``decimation`` oracle checks at g = 14, past their default sizes, and
-``dsg-zeta`` at g = 300, whose closed form overflows a float.
+and ``decimation`` oracle checks at g = 14, past their default sizes,
+``dsg-zeta`` at g = 300, whose closed form overflows a float, and
+``decimation`` at g = 23, one generation past the exact spectrum's limit.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.  Its standard error, when
@@ -98,7 +99,8 @@ LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
          "1e-310", "--gamma-max", "1"),
         ("oracle", "--check", "dsg-zeta", "--g", "14"),
         ("oracle", "--check", "decimation", "--g", "14"),
-        ("oracle", "--check", "dsg-zeta", "--g", "300"))
+        ("oracle", "--check", "dsg-zeta", "--g", "300"),
+        ("oracle", "--check", "decimation", "--g", "23"))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
