@@ -5,6 +5,7 @@ library itself only raises these types.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
@@ -51,12 +52,19 @@ def dense_guard(limit: int | None) -> Iterator[None]:
         _LIMIT.reset(token)
 
 
+def _size_text(n: int) -> str:
+    """``n`` in decimal up to 30 digits, else as ``10^x.xxx``: Python
+    writes no int of more than 4,300 digits in decimal, and a float holds
+    none above about 1.8e308."""
+    return str(n) if n < 10**30 else f"10^{math.log10(n):.3f}"
+
+
 def check_dense_guard(n: int, what: str) -> None:
     """Raise :class:`DenseGuardError` if ``n`` exceeds the dense guard in
-    force (:func:`dense_guard`)."""
+    force (:func:`dense_guard`); the message gives ``n`` however large."""
     guard = _LIMIT.get()
     if guard is not None and n > guard:
         raise DenseGuardError(
-            f"{what}: problem size {n} exceeds dense guard {guard}; "
-            f"raise the guard explicitly to proceed"
+            f"{what}: problem size {_size_text(n)} exceeds dense guard "
+            f"{guard}; raise the guard explicitly to proceed"
         )

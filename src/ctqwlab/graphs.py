@@ -8,7 +8,8 @@ downstream eigensolves are reproducible.  Families:
                     guard, as its edge array grows as n^2.
 * ``chain``      -- one-dimensional lattice of L sites (ring when periodic).
 * ``torus``      -- d-dimensional hypercubic lattice, L sites per axis,
-                    periodic by default.
+                    periodic by default; from d = 2 on, the product of a
+                    chain and the torus of d - 1 dimensions.
 * ``dsg``        -- triangle-based fractal built by gluing three copies of
                     the previous generation at their corner nodes; N = 3^g.
 * ``tfractal``   -- tree fractal built by splitting every edge at its
@@ -18,13 +19,14 @@ downstream eigensolves are reproducible.  Families:
 * ``cayleytree`` -- rooted tree, three branches at the root, two children
                     per interior node, g shells; N = 3*2^g - 2.
 * ``product``    -- Cartesian product of two member graphs; node (i, j) of
-                    factors with sizes (Na, Nb) is numbered i*Nb + j.
+                    factors with sizes (Na, Nb) is numbered i*Nb + j, and
+                    the graph keeps its factors for their spectra.
 """
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import log
 from typing import Callable
@@ -205,10 +207,15 @@ class GraphSpec:
 class Graph:
     """Immutable simple undirected graph stored as a CSR adjacency matrix.
     Every ``Graph`` has a node and is connected, however it was built: one
-    breadth-first search from node 0 checks it on construction."""
+    breadth-first search from node 0 checks it on construction.
+
+    ``factors`` holds the two factor graphs of a :func:`cartesian_product`,
+    whose Laplacian spectrum is the sums of theirs; every other graph,
+    one read back from an edge list among them, has None."""
 
     n: int
     adjacency: sp.csr_matrix
+    factors: tuple["Graph", "Graph"] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -236,18 +243,7 @@ class Graph:
             raise ConfigError("edge endpoint out of range")
         if np.any(arr[:, 0] == arr[:, 1]):
             raise ConfigError("self-loops are not allowed")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        # The conversion sums repeated entries, so a duplicate edge, in
-        # either orientation, leaves the upper triangle an entry short.
-        # A negative n is left for the node-count check on construction.
-        upper = sp.csr_matrix((np.ones(len(arr)), (lo, hi)),
-                              shape=(max(n, 0),) * 2)
-        if upper.nnz != len(arr):
-            raise ConfigError("duplicate edges are not allowed")
-        # The transpose comes out sorted, so the sum of the two triangles is
-        # canonical: row-major with sorted columns.
-        return cls(n=n, adjacency=upper + upper.T)
+        return cls(n=n, adjacency=_adjacency(n, arr))
 
     # -- structure ----------------------------------------------------------
 
@@ -333,6 +329,23 @@ class Graph:
         return cls.from_edges(n, edges)
 
 
+def _adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    """The canonical CSR adjacency of (E, 2) in-range, loop-free edges:
+    row-major with sorted columns; ConfigError on a duplicate edge."""
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    # The conversion sums repeated entries, so a duplicate edge, in either
+    # orientation, leaves the upper triangle an entry short.  A negative n
+    # is left for the node-count check on construction.
+    upper = sp.csr_matrix((np.ones(len(edges)), (lo, hi)),
+                          shape=(max(n, 0),) * 2)
+    if upper.nnz != len(edges):
+        raise ConfigError("duplicate edges are not allowed")
+    # The transpose comes out sorted, so the sum of the two triangles is
+    # canonical.
+    return upper + upper.T
+
+
 # -- builders ----------------------------------------------------------------
 
 
@@ -343,20 +356,14 @@ def _complete_edges(n: int) -> np.ndarray:
     return np.column_stack(np.triu_indices(n, k=1)).astype(np.int64)
 
 
-def _lattice_edges(L: int, d: int, periodic: bool) -> np.ndarray:
-    """Row-major lattice: along each axis, node x links to x + stride for
-    every site but the last, and the wrap edge links the first site to the
-    last.  At L=2 the wrap edge repeats the forward one, so it is left out."""
-    idx = np.arange(L**d, dtype=np.int64).reshape((L,) * d)
-    parts = []
-    for axis in range(d):
-        stride = L ** (d - 1 - axis)
-        lo = idx.take(np.arange(L - 1), axis=axis).ravel()
-        parts.append(np.column_stack([lo, lo + stride]))
-        if periodic and L > 2:
-            first = idx.take(0, axis=axis).ravel()
-            parts.append(np.column_stack([first, first + (L - 1) * stride]))
-    return np.concatenate(parts)
+def _chain_edges(L: int, periodic: bool) -> np.ndarray:
+    """Site x links to x + 1, and the wrap edge links site 0 to site L - 1.
+    At L=2 the wrap edge repeats the forward one, so it is left out."""
+    x = np.arange(L - 1, dtype=np.int64)
+    edges = np.column_stack([x, x + 1])
+    if periodic and L > 2:
+        edges = np.concatenate([edges, [[0, L - 1]]])
+    return edges
 
 
 def _dsg_edges(g: int) -> np.ndarray:
@@ -450,12 +457,13 @@ _RECORDS: dict[Family, _Record] = {
         dimensions=lambda s: (None, None), label=lambda s: f"complete_n{s.n}"),
     Family.CHAIN: _Record(
         sizes=(("L", 2),), boundary=True, node_count=lambda s: s.L,
-        edges=lambda s: _lattice_edges(s.L, 1, s.periodic), target=lambda s: 0,
+        edges=lambda s: _chain_edges(s.L, s.periodic), target=lambda s: 0,
         dimensions=lambda s: (1.0, 1.0),
         label=lambda s: f"chain_L{s.L}{_open(s)}"),
     Family.TORUS: _Record(
         sizes=(("L", 2), ("d", 1)), boundary=True, node_count=lambda s: s.L**s.d,
-        edges=lambda s: _lattice_edges(s.L, s.d, s.periodic),
+        # d >= 2 is built as a product in build(); this is the chain.
+        edges=lambda s: _chain_edges(s.L, s.periodic),
         target=lambda s: 0,  # every node of a torus is equivalent
         dimensions=lambda s: (float(s.d), float(s.d)),
         label=lambda s: f"torus_d{s.d}_L{s.L}{_open(s)}"),
@@ -478,19 +486,27 @@ _RECORDS: dict[Family, _Record] = {
 
 
 def build(spec: GraphSpec) -> Graph:
-    """Materialize a spec into a validated :class:`Graph`."""
+    """Materialize a spec into a validated :class:`Graph`.  A torus of
+    d >= 2 dimensions is the product of a chain and the torus of d - 1,
+    numbered row-major: its first axis is the chain's."""
     if spec.family is Family.PRODUCT:
         a, b = spec.factors  # type: ignore[misc]
         return cartesian_product(build(a), build(b))
+    if spec.family is Family.TORUS and spec.d >= 2:  # type: ignore[operator]
+        rest = replace(spec, d=spec.d - 1)  # type: ignore[operator]
+        return cartesian_product(build(replace(spec, d=1)), build(rest))
     return Graph.from_edges(spec.node_count, _RECORDS[spec.family].edges(spec))
 
 
 def cartesian_product(a: Graph, b: Graph) -> Graph:
-    """Cartesian product with node (i, j) -> i * b.n + j.
+    """Cartesian product with node (i, j) -> i * b.n + j, which records
+    ``a`` and ``b`` as its :attr:`Graph.factors`.
 
     Degrees add across factors and the product Laplacian spectrum is the
-    pairwise-sum composition of the factor spectra.  Any size is built: the
-    dense guard is checked at the solve, not here.
+    sums of one eigenvalue of each factor (Cvetkovic, Doob & Sachs,
+    *Spectra of Graphs*, 1980), which :func:`spectra.laplacian_spectrum`
+    reads from the factors.  Any size is built: the dense guard is checked
+    at the solve, not here.
     """
     n = a.n * b.n
     ea = a.edge_array()
@@ -502,7 +518,7 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
     ub = (i[:, None] * b.n + eb[:, 0][None, :]).ravel()
     vb = (i[:, None] * b.n + eb[:, 1][None, :]).ravel()
     edges = np.column_stack([np.concatenate([ua, ub]), np.concatenate([va, vb])])
-    return Graph.from_edges(n, edges)
+    return Graph(n=n, adjacency=_adjacency(n, edges), factors=(a, b))
 
 
 # -- target placement ---------------------------------------------------------

@@ -29,8 +29,11 @@ the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
   space that holds |w> and |s>, so the symmetrised quotient
   Lq = D - S^-1/2 M S^-1/2 carries the target's whole measure.  When the
   partition at least halves N, Lq is solved with eigenvectors, and L's
-  eigenvalues give the multiplicities.  They come from ``eigvalsh(L)``,
-  with the dense guard on N.
+  eigenvalues give the multiplicities.  They come from
+  :func:`laplacian_spectrum`: on a Cartesian product, a torus of d >= 2
+  among them, the sums of its factors' eigenvalues, with no N x N array;
+  otherwise ``eigvalsh(L)``, with the dense guard on N.  Either way the
+  measure itself is refused on N above the guard.
 * *Tree.*  The same, but on a tree (N - 1 edges: every ``Graph`` is
   connected) L's eigenvalues come from Lq alone: each branching cell's
   principal block of Lq gives eigenvalues of L of a known multiplicity
@@ -38,7 +41,8 @@ the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
   applies to the number of cells, read before any (m, m) array is formed;
   above the guard on N, one breadth-first search first refuses a tree too
   deep for that.  The same blocks, around the tree's centre, give
-  :func:`laplacian_spectrum` on trees.
+  :func:`laplacian_spectrum` on trees, a product's tree factors among
+  them.
 * *Dense.*  Otherwise L is decomposed with eigenvectors, in its own memory,
   by LAPACK's divide-and-conquer driver ``evd`` (Gu & Eisenstat, SIMAX 16,
   172, 1995), several times faster than scipy's default ``evr`` on the
@@ -125,12 +129,19 @@ def laplacian_decomposition(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 def laplacian_spectrum(graph: Graph) -> tuple[np.ndarray, str]:
     """Eigenvalues of L, ascending, and the route they came from.
 
-    On a tree, rooted at its centre, whose equitable partition has at most
-    N/2 cells: from the quotient's blocks (:func:`_tree_spectrum`), the
-    dense guard on the cell count (:func:`equitable_partition`), route
-    ``tree cells=m``.  Otherwise values only (LAPACK ``evr``) in the
-    memory of a fresh L, the guard on N, route ``dense``.
+    On a Cartesian product (:attr:`Graph.factors`): every sum of one
+    eigenvalue of each factor, each factor's from its own route, sorted;
+    no N x N array is formed and the guard is checked only at the factors'
+    own solves; route ``product``.  On a tree, rooted at its centre, whose
+    equitable partition has at most N/2 cells: from the quotient's blocks
+    (:func:`_tree_spectrum`), the dense guard on the cell count
+    (:func:`equitable_partition`), route ``tree cells=m``.  Otherwise
+    values only (LAPACK ``evr``) in the memory of a fresh L, the guard on
+    N, route ``dense``.
     """
+    if graph.factors is not None:
+        a, b = (laplacian_spectrum(factor)[0] for factor in graph.factors)
+        return np.sort(np.add.outer(a, b), axis=None), "product"
     centre = _centre(graph)
     if centre is not None:
         _refuse_deep_trees(graph, centre)
@@ -308,7 +319,8 @@ def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
     """The measure from the quotient's eigenpairs, on L's eigenvalues: from
     the quotient's blocks on a tree (:func:`_tree_spectrum`, route ``tree
     cells=m``, the guard on the number of cells m), else from
-    ``eigvalsh(L)`` (route ``quotient cells=m``, the guard on N).  Each
+    :func:`laplacian_spectrum` (route ``quotient cells=m``; the factors'
+    sums on a product, else ``eigvalsh(L)`` with the guard on N).  Each
     eigenvalue of Lq must lie within the grouping tolerance of one of L,
     and no group may receive more of them than its multiplicity; otherwise
     NumericalError."""
@@ -370,8 +382,9 @@ class SpectralSums:
     multiplicities: np.ndarray     # int64 per group
     group_amp_sq: np.ndarray       # summed |a_k|^2 per group; first 1/N
     # "dense", or "quotient cells=m" or "tree cells=m" on the m-cell
-    # quotient (L's eigenvalues from eigvalsh(L) or from its blocks), and
-    # the order of the route's largest dense solve: m on a tree, else N.
+    # quotient (L's eigenvalues from laplacian_spectrum or from its
+    # blocks), and the order of the route's largest dense solve: m on a
+    # tree, else N.
     route: str
     dense_order: int
     # The equitable quotient the weights came from; None on the dense route.

@@ -105,6 +105,9 @@ def test_spectrum_names_the_route_on_stdout_only(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("route=tree cells=234\n")
     assert run("spectrum", "--family", "torus", "--L", "4", "--d", "2",
                "--out", tmp_path) == 0
+    assert capsys.readouterr().out.endswith("route=product\n")
+    assert run("spectrum", "--family", "dsg", "--g", "3",
+               "--out", tmp_path) == 0
     assert capsys.readouterr().out.endswith("route=dense\n")
     for path in tmp_path.iterdir():
         assert "route" not in path.read_text()
@@ -661,6 +664,23 @@ def test_exit_code_3_when_verify_fails(tmp_path, capsys):
             if c["satisfied"] is False] == ["s_psi1_sq_above_floor"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "dsg", "--g", "10000"),
+    ("oracle", "--check", "dsg-spectrum", "--g", "10000"),
+], ids=["generate", "oracle"])
+def test_a_size_of_thousands_of_digits_exits_4(tmp_path, capsys, argv):
+    """3^10000 nodes has 4,772 digits, past the 4,300 that Python writes
+    in decimal: the guard's message gives it from its logarithm."""
+    assert run(*argv, "--out", tmp_path) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DenseGuardError"
+    assert "problem size 10^4771.213 exceeds dense guard 6000" in \
+        payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_4_dense_guard_flag(tmp_path, capsys):
     code = run("spectrum", "--family", "complete", "--n", "64",
                "--dense-guard", "10", "--out", tmp_path)
@@ -669,21 +689,11 @@ def test_exit_code_4_dense_guard_flag(tmp_path, capsys):
     assert err["error"] == "DenseGuardError"
 
 
-def test_a_product_past_the_guard_builds_silently(tmp_path, capsys,
-                                                  monkeypatch):
+def test_a_product_past_the_guard_builds_silently(tmp_path, capsys):
     """``spectrum --dense-guard 0`` on an 80 x 80 open-chain product
     (6,400 nodes, above the default guard) writes nothing to stderr, with
-    warnings turned into errors.  The solve, a dense 6,400-node eigvalsh
-    of about 17 s on two cores, is stood in for: it warns of nothing."""
-    from ctqwlab import cli, errors
-
-    solved = []
-
-    def spectrum(graph):
-        solved.append((graph.n, errors._LIMIT.get()))
-        return np.zeros(graph.n), "dense"
-
-    monkeypatch.setattr(cli, "laplacian_spectrum", spectrum)
+    warnings turned into errors: the 6,400 sums of the two chains'
+    eigenvalues, ascending from 0."""
     chain = {"family": "chain", "L": 80, "periodic": False}
     spec = json.dumps({"family": "product", "factors": [chain, chain]})
     with warnings.catch_warnings():
@@ -692,8 +702,12 @@ def test_a_product_past_the_guard_builds_silently(tmp_path, capsys,
                    "--out", tmp_path) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.endswith("route=dense\n")
-    assert solved == [(6400, None)]
+    assert out.endswith("route=product\n")
+    [path] = tmp_path.iterdir()
+    values = np.array([float(row.split(",")[1])
+                       for row in path.read_text().splitlines()[1:]])
+    assert values.size == 6400
+    assert abs(values[0]) <= 1e-12 and np.all(np.diff(values) >= 0)
 
 
 def test_dense_guard_env_var(tmp_path, capsys, monkeypatch):

@@ -148,6 +148,28 @@ def test_k2_times_k2_is_four_cycle():
     assert prod.edge_count == 4
 
 
+def test_only_products_record_their_factors():
+    """A product keeps its two factors; a torus of d >= 2 is the product of
+    a chain and the torus of d - 1, and every other graph, one read back
+    from an edge list among them, keeps none."""
+    a = build(GraphSpec(Family.DSG, g=2))
+    b = build(GraphSpec(Family.CHAIN, L=3))
+    assert cartesian_product(a, b).factors == (a, b)
+    torus = build(GraphSpec(Family.TORUS, L=4, d=3, periodic=False))
+    chain, rest = torus.factors
+    assert chain.factors is None and chain.n == 4
+    assert [f.n for f in rest.factors] == [4, 4]
+    assert all(f.factors is None for f in rest.factors)
+    assert np.array_equal(
+        chain.edge_array(),
+        build(GraphSpec(Family.CHAIN, L=4, periodic=False)).edge_array())
+    for spec in (GraphSpec(Family.TORUS, L=5, d=1), GraphSpec(Family.DSG, g=3),
+                 GraphSpec(Family.CHAIN, L=5),
+                 GraphSpec(Family.TFRACTAL, g=2)):
+        assert build(spec).factors is None
+    assert Graph.from_edge_list(torus.to_edge_list()).factors is None
+
+
 def test_product_degree_additivity():
     a = build(GraphSpec(Family.DSG, g=2))
     b = build(GraphSpec(Family.TORUS, L=3, d=1))
@@ -212,7 +234,9 @@ def test_edge_list_round_trip(spec):
 
 
 # sha256 of to_edge_list(), recorded before the recursive builders were
-# vectorized; they pin each builder's node numbering.
+# vectorized, and the tori's before a torus was built as the product of a
+# chain and a torus of one dimension less; they pin each builder's node
+# numbering.
 @pytest.mark.parametrize("spec,digest", [
     (GraphSpec(Family.DSG, g=5),
      "a8f7cbf6151d1280868f157e8b59b70bfd4e8ed7a72326ee6f830b79c2b840aa"),
@@ -226,6 +250,15 @@ def test_edge_list_round_trip(spec):
         GraphSpec(Family.DSG, g=3), GraphSpec(Family.CHAIN, L=4,
                                               periodic=False))),
      "885b117336e65dc3c54e714e5ff7608641c58a8bcaaede17736ab8b234d53419"),
+    # L = 2: the wrap edge would repeat the forward edge on every axis.
+    (GraphSpec(Family.TORUS, L=2, d=3),
+     "f619409defd5af93fc635b528e1c0679b4fe5cef4a8b24db78bfa799d795d022"),
+    (GraphSpec(Family.TORUS, L=5, d=3),
+     "aec5e642861ce5f3faf4fb38c83eb6e6b7dee9ee0a4715cc90e65ca117471f10"),
+    (GraphSpec(Family.TORUS, L=4, d=2, periodic=False),
+     "67dc521d0a01acc594939ef343490679ba30fc132ab175cd7663ff9a334bdb91"),
+    (GraphSpec(Family.TORUS, L=3, d=4),
+     "c9470d56626112884aee99bd0424c0ca28993a8679d2d960385ffb613da4ece0"),
 ], ids=lambda x: x.label if isinstance(x, GraphSpec) else "")
 def test_recursive_builder_numbering_is_pinned(spec, digest):
     text = build(spec).to_edge_list()

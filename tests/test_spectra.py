@@ -22,6 +22,7 @@ from ctqwlab.spectra import (
     eigh,
     fit_alpha,
     laplacian_decomposition,
+    laplacian_spectrum,
     spectral_sums,
     spectrum_csv,
     target_measure,
@@ -231,6 +232,62 @@ def test_product_spectrum_is_minkowski_sum():
     vb = np.linalg.eigvalsh(b.laplacian())
     want = np.sort(np.add.outer(va, vb).ravel())
     assert np.allclose(got, want, atol=1e-9)
+
+
+_PRODUCTS = [
+    *(_spec(Family.TORUS, L=L, d=d, periodic=periodic)
+      for L in (2, 3, 5, 6) for d in (2, 3, 4) for periodic in (True, False)),
+    _spec(Family.PRODUCT, factors=(_spec(Family.DSG, g=3),
+                                   _spec(Family.CHAIN, L=4, periodic=False))),
+    _spec(Family.PRODUCT, factors=(_spec(Family.TFRACTAL, g=3),
+                                   _spec(Family.CHAIN, L=5))),
+]
+
+
+@pytest.mark.parametrize("spec", _PRODUCTS, ids=lambda spec: spec.label)
+def test_product_route_matches_eigvalsh(spec):
+    """A product's spectrum, the sums of its factors', agrees with
+    eigvalsh(L) within 1e-12 lam_max and in its degeneracy groups."""
+    graph = build(spec)
+    values, route = laplacian_spectrum(graph)
+    want = np.linalg.eigvalsh(graph.laplacian())
+    assert route == "product"
+    assert np.abs(values - want).max() <= 1e-12 * want[-1]
+    assert np.array_equal(degeneracy_groups(values), degeneracy_groups(want))
+
+
+def test_a_torus_measure_forms_only_its_factors_laplacians(monkeypatch):
+    """The measure of a torus, and its critical coupling, form the L x L
+    Laplacians of its ring factors and no N x N one."""
+    from ctqwlab.engine import critical_gamma
+
+    formed = []
+    real = Graph.laplacian_sparse
+
+    def spy(self):
+        formed.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "laplacian_sparse", spy)
+    for L, d in ((6, 3), (9, 2)):
+        graph = build(_spec(Family.TORUS, L=L, d=d))
+        assert target_measure(graph, 0).route.startswith("quotient")
+        critical_gamma(graph, 0)
+        assert formed == [L] * d
+        formed.clear()
+
+
+@pytest.mark.parametrize("L", [8, 16, 24, 32])
+def test_torus_critical_gamma_matches_the_dense_spectrum(L):
+    """critical_gamma on the product route against the same torus read
+    back from its edge list, which has no factors and takes eigvalsh(L)."""
+    from ctqwlab.engine import critical_gamma
+
+    graph = build(_spec(Family.TORUS, L=L, d=2))
+    plain = Graph.from_edge_list(graph.to_edge_list())
+    got, want = critical_gamma(graph, 0), critical_gamma(plain, 0)
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0)
+    assert got.xi1 == pytest.approx(want.xi1, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])

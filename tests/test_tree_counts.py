@@ -302,7 +302,7 @@ def test_each_route_is_named():
     assert target_measure(torus, 0).route == f"quotient cells={cells}"
     assert target_measure(cayley, leaf).route == f"tree cells={tree_cells}"
     assert laplacian_spectrum(dsg)[1] == "dense"
-    assert laplacian_spectrum(torus)[1] == "dense"
+    assert laplacian_spectrum(torus)[1] == "product"
     assert laplacian_spectrum(cayley)[1] == "tree cells=4"
     # The even path's centre sees 21 cells, more than N/2.
     values, route = laplacian_spectrum(chain)

@@ -20,8 +20,11 @@ graphs of 2, 3 and 4 nodes, a sweep whose first size fails, and
 91 cells, ``overlaps`` on the complete graph of 8 nodes from a
 coupling of 1e-310, whose secular poles are subnormal, the ``dsg-zeta``
 and ``decimation`` oracle checks at g = 14, past their default sizes,
-``dsg-zeta`` at g = 300, whose closed form overflows a float, and
-``decimation`` at g = 23, one generation past the exact spectrum's limit.
+``dsg-zeta`` at g = 300, whose closed form overflows a float,
+``decimation`` at g = 23, one generation past the exact spectrum's limit,
+``spectrum`` of the 100 x 100 torus (N = 10,000), whose values are the
+sums of its factors' under the default guard, and ``generate`` of the dsg
+at g = 10000, whose node count has 4,772 digits.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.  Its standard error, when
@@ -100,7 +103,9 @@ LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
         ("oracle", "--check", "dsg-zeta", "--g", "14"),
         ("oracle", "--check", "decimation", "--g", "14"),
         ("oracle", "--check", "dsg-zeta", "--g", "300"),
-        ("oracle", "--check", "decimation", "--g", "23"))
+        ("oracle", "--check", "decimation", "--g", "23"),
+        ("spectrum", "--family", "torus", "--L", "100", "--d", "2"),
+        ("generate", "--family", "dsg", "--g", "10000"))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
