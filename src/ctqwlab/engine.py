@@ -839,8 +839,11 @@ def verify_bounds(graph: Graph, target: NodeId,
     1 + 1e-9).  At every coupling the eigenvalue identity F(E_a) = 1 and
     the residue relation |<s|psi_a>|^2 = R_a / (N E_a^2) are verified for
     the nondegenerate levels.  The levels come from an eigensolve of H on
-    the measure's route (:func:`_independent_overlaps`).
+    the measure's route (:func:`_independent_overlaps`).  An empty
+    ``gammas`` is a ConfigError, raised before the measure.
     """
+    if gammas is not None and len(gammas) == 0:
+        raise ConfigError("bound audit needs a nonempty coupling list")
     sums = target_measure(graph, target)
     xi1, xi2 = sums.xi1, sums.xi2
     n = graph.n

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import ConfigError, check_dense_guard
+from .errors import ConfigError, _size_text, check_dense_guard
 
 NodeId = int
 
@@ -196,11 +196,15 @@ class GraphSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GraphSpec":
+        """The spec of a JSON text; ConfigError on invalid JSON, on an
+        invalid spec and on one nested past the interpreter's recursion
+        limit."""
         try:
-            data = json.loads(text)
+            return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid graph spec JSON: {exc}") from exc
-        return cls.from_dict(data)
+        except RecursionError:
+            raise ConfigError("graph spec nests too deep to read") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +224,10 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError("graph needs at least one node")
+        if self.adjacency.shape != (self.n, self.n):
+            rows, cols = self.adjacency.shape
+            raise ConfigError(f"adjacency of shape {rows} x {cols} does not "
+                              f"fit a graph of {self.n} nodes")
         if csgraph.breadth_first_order(self.adjacency, 0,
                                        return_predecessors=False).size != self.n:
             ncomp = csgraph.connected_components(self.adjacency, directed=False,
@@ -488,7 +496,13 @@ _RECORDS: dict[Family, _Record] = {
 def build(spec: GraphSpec) -> Graph:
     """Materialize a spec into a validated :class:`Graph`.  A torus of
     d >= 2 dimensions is the product of a chain and the torus of d - 1,
-    numbered row-major: its first axis is the chain's."""
+    numbered row-major: its first axis is the chain's.  A spec of more
+    nodes than int64 ids can number, 2^63 - 1, is a ConfigError before
+    anything is built."""
+    n = spec.node_count
+    if n > np.iinfo(np.int64).max:
+        raise ConfigError(f"{_size_text(n)} nodes are more than int64 node "
+                          f"ids can number (2^63 - 1)")
     if spec.family is Family.PRODUCT:
         a, b = spec.factors  # type: ignore[misc]
         return cartesian_product(build(a), build(b))

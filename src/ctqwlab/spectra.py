@@ -27,9 +27,11 @@ the guard reads on a cached measure, in :attr:`SpectralSums.dense_order`.
   Graph Theory*, ch. 9) by hashed colour refinement and certifies it in
   integer arithmetic.  Its cell-indicator vectors span an L-invariant
   space that holds |w> and |s>, so the symmetrised quotient
-  Lq = D - S^-1/2 M S^-1/2 carries the target's whole measure.  When the
-  partition at least halves N, Lq is solved with eigenvectors, and L's
-  eigenvalues give the multiplicities.  They come from
+  Lq = D - S^-1/2 M S^-1/2 carries the target's whole measure.  One
+  function, :func:`_root_quotient`, takes a graph from a root to its Lq:
+  the target here, a tree's centre in :func:`laplacian_spectrum`.  When
+  the partition at least halves N, Lq is solved with eigenvectors, and
+  L's eigenvalues give the multiplicities.  They come from
   :func:`laplacian_spectrum`: on a Cartesian product, a torus of d >= 2
   among them, the sums of its factors' eigenvalues, with no N x N array;
   otherwise ``eigvalsh(L)``, with the dense guard on N.  Either way the
@@ -133,26 +135,21 @@ def laplacian_spectrum(graph: Graph) -> tuple[np.ndarray, str]:
     eigenvalue of each factor, each factor's from its own route, sorted;
     no N x N array is formed and the guard is checked only at the factors'
     own solves; route ``product``.  On a tree, rooted at its centre, whose
-    equitable partition has at most N/2 cells: from the quotient's blocks
-    (:func:`_tree_spectrum`), the dense guard on the cell count
-    (:func:`equitable_partition`), route ``tree cells=m``.  Otherwise
-    values only (LAPACK ``evr``) in the memory of a fresh L, the guard on
-    N, route ``dense``.
+    equitable partition has at most N/2 cells: from the blocks of the
+    centre's quotient (:func:`_root_quotient`, :func:`_tree_spectrum`),
+    the dense guard on the depth and the cell count, route ``tree
+    cells=m``.  Otherwise values only (LAPACK ``evr``) in the memory of a
+    fresh L, the guard on N, route ``dense``.
     """
     if graph.factors is not None:
         a, b = (laplacian_spectrum(factor)[0] for factor in graph.factors)
         return np.sort(np.add.outer(a, b), axis=None), "product"
     centre = _centre(graph)
-    if centre is not None:
-        _refuse_deep_trees(graph, centre)
-        partition = equitable_partition(graph, centre)
-        if partition is not None:
-            cells, counts = partition
-            sizes = np.bincount(cells)
-            lq = _quotient_laplacian(counts, sizes)
-            values = _tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
-                                    int(cells[centre]))
-            return values, f"tree cells={sizes.size}"
+    quotient = None if centre is None else _root_quotient(graph, centre)
+    if quotient is not None:
+        lq, sizes, cell = quotient
+        return (_tree_spectrum(lq, sla.eigvalsh(lq), sizes, cell),
+                f"tree cells={sizes.size}")
     check_dense_guard(graph.n, "dense eigendecomposition")
     return sla.eigvalsh(graph.laplacian().T, driver="evr", overwrite_a=True,
                         check_finite=False), "dense"
@@ -268,26 +265,28 @@ def _quotient_laplacian(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return lq
 
 
-def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
-                   sizes: np.ndarray, cell: int) -> np.ndarray:
+def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, sizes: np.ndarray,
+                   cell: int) -> np.ndarray:
     """L's N eigenvalues, ascending, on a tree, from the principal blocks of
     its quotient Lq (eigenvalues ``lq_values``).
 
-    ``counts`` and ``sizes`` describe an equitable partition of the tree
-    with a vertex alone in cell ``cell``.  Its cells refine the distance
-    from that vertex and each other cell C has one parent cell P, so the
-    cells form a tree, and each vertex of P has |C| / |P| children in C.
-    The subtrees below those children carry one quotient: T_C, the
-    principal block of Lq on C and the cells below it.  T_C's eigenvectors,
-    lifted into the subtrees of one parent vertex with coefficients that
-    sum to 0, vanish at that vertex and are eigenvectors of L.  So each
-    eigenvalue of T_C is one of L with multiplicity |C| - |P|, and with
-    Lq's own these make N (Rojo & Robbiano, LAA 427, 138, 2007, on Bethe
-    trees).  A depth-first order of the cells makes each T_C a contiguous
-    block; only cells with |C| > |P| are solved, and a one-cell block is
-    its diagonal.  NumericalError unless the blocks give N eigenvalues,
-    none above Lq's largest, with a simple zero mode."""
-    order, pred = csgraph.depth_first_order(sp.csr_matrix(counts), cell,
+    Lq and ``sizes`` come from an equitable partition of the tree with a
+    vertex alone in cell ``cell``; off the diagonal, Lq_ij is nonzero
+    exactly where cells i and j are adjacent.  The cells refine the
+    distance from that vertex and each other cell C has one parent cell P,
+    so the cells form a tree, walked on that pattern, and each vertex of P
+    has |C| / |P| children in C.  The subtrees below those children carry
+    one quotient: T_C, the principal block of Lq on C and the cells below
+    it.  T_C's eigenvectors, lifted into the subtrees of one parent vertex
+    with coefficients that sum to 0, vanish at that vertex and are
+    eigenvectors of L.  So each eigenvalue of T_C is one of L with
+    multiplicity |C| - |P|, and with Lq's own these make N (Rojo &
+    Robbiano, LAA 427, 138, 2007, on Bethe trees).  A depth-first order of
+    the cells makes each T_C a contiguous block; only cells with
+    |C| > |P| are solved, and a one-cell block is its diagonal.
+    NumericalError unless the blocks give N eigenvalues, none above Lq's
+    largest, with a simple zero mode."""
+    order, pred = csgraph.depth_first_order(sp.csr_matrix(lq), cell,
                                             directed=False)
     m = order.size
     position = np.empty(m, dtype=np.int64)
@@ -314,23 +313,22 @@ def _tree_spectrum(lq: np.ndarray, lq_values: np.ndarray, counts: np.ndarray,
     return values
 
 
-def _quotient_measure(graph: Graph, target: NodeId, cells: np.ndarray,
-                      counts: np.ndarray) -> SpectralSums:
-    """The measure from the quotient's eigenpairs, on L's eigenvalues: from
-    the quotient's blocks on a tree (:func:`_tree_spectrum`, route ``tree
-    cells=m``, the guard on the number of cells m), else from
-    :func:`laplacian_spectrum` (route ``quotient cells=m``; the factors'
-    sums on a product, else ``eigvalsh(L)`` with the guard on N).  Each
+def _quotient_measure(graph: Graph, lq: np.ndarray, sizes: np.ndarray,
+                      cell: int) -> SpectralSums:
+    """The measure from the eigenpairs of the target's quotient (Lq, the
+    cell sizes and the target's cell, as :func:`_root_quotient` returns
+    them), on L's eigenvalues: from the quotient's blocks on a tree
+    (:func:`_tree_spectrum`, route ``tree cells=m``, the guard on the
+    number of cells m), else from :func:`laplacian_spectrum` (route
+    ``quotient cells=m``; the factors' sums on a product, else
+    ``eigvalsh(L)`` with the guard on N).  Each
     eigenvalue of Lq must lie within the grouping tolerance of one of L,
     and no group may receive more of them than its multiplicity; otherwise
     NumericalError."""
     tree = _is_tree(graph)
-    sizes = np.bincount(cells)
-    cell = int(cells[target])
-    lq = _quotient_laplacian(counts, sizes)
     quo_values, quo_vectors = eigh(lq)
     if tree:
-        values = _tree_spectrum(lq, quo_values, counts, sizes, cell)
+        values = _tree_spectrum(lq, quo_values, sizes, cell)
     else:
         values = laplacian_spectrum(graph)[0]
     groups = degeneracy_groups(values)
@@ -463,12 +461,12 @@ _MEASURES: weakref.WeakKeyDictionary[Graph, dict[NodeId, SpectralSums]] = \
 
 def target_measure(graph: Graph, target: NodeId) -> SpectralSums:
     """The target's Laplacian spectral measure, computed once per ``Graph``
-    object and target: from the equitable quotient when
-    :func:`equitable_partition` finds one of at most N/2 cells, else from
-    the dense decomposition of L.  A new measure is refused on N before the
-    refinement unless the graph is a tree shallow enough from the target
-    (:func:`_refuse_deep_trees`), then on the partition's cell count and
-    at each dense solve of its route.  A cached one is checked again on
+    object and target: from the target's quotient (:func:`_root_quotient`)
+    when :func:`equitable_partition` finds one of at most N/2 cells, else
+    from the dense decomposition of L.  A new measure is refused on N
+    before the refinement unless the graph is a tree shallow enough from
+    the target, then on the partition's cell count and at each dense solve
+    of its route.  A cached one is checked again on
     :attr:`SpectralSums.dense_order`."""
     per_graph = _MEASURES.setdefault(graph, {})
     sums = per_graph.get(target)
@@ -477,12 +475,11 @@ def target_measure(graph: Graph, target: NodeId) -> SpectralSums:
         return sums
     if not (0 <= target < graph.n):
         raise ConfigError(f"target {target} out of range for {graph.n} nodes")
-    _refuse_deep_trees(graph, target)
-    partition = equitable_partition(graph, target)
-    if partition is None:
+    quotient = _root_quotient(graph, target)
+    if quotient is None:
         sums = spectral_sums(laplacian_decomposition(graph), target)
     else:
-        sums = _quotient_measure(graph, target, *partition)
+        sums = _quotient_measure(graph, *quotient)
     per_graph[target] = sums
     return sums
 
@@ -493,23 +490,32 @@ def _is_tree(graph: Graph) -> bool:
     return graph.edge_count == graph.n - 1
 
 
-def _refuse_deep_trees(graph: Graph, root: NodeId) -> None:
-    """Above the guard, refuse on N before any refinement unless the graph
-    is a tree whose farthest node from ``root`` lies fewer than guard steps
-    away (one shortest-path search).  An equitable partition with the root
-    alone in its cell refines the distance from it, so it has more cells
-    than that depth, and on any other tree more than the guard."""
+def _root_quotient(graph: Graph, root: NodeId
+                   ) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The quotient seen from ``root``: (Lq, the cell sizes, the root's
+    cell) of :func:`equitable_partition`, or None where it finds none.
+
+    Above the guard, refused on N before any refinement unless the graph is
+    a tree whose farthest node from the root lies fewer than guard steps
+    away (one breadth-first search).  A partition with the root alone in
+    its cell refines the distance from it, so it has more cells than that
+    depth, and on any other tree more than the guard."""
     try:
         check_dense_guard(graph.n, "dense eigendecomposition")
     except DenseGuardError as refusal:
         if not _is_tree(graph):
             raise
-        depth = csgraph.shortest_path(graph.adjacency, method="D",
-                                      unweighted=True, indices=root).max()
         try:
-            check_dense_guard(int(depth) + 1, "the tree's depth")
+            check_dense_guard(int(graph.bfs_distances(root).max()) + 1,
+                              "the tree's depth")
         except DenseGuardError:
             raise refusal from None
+    partition = equitable_partition(graph, root)
+    if partition is None:
+        return None
+    cells, counts = partition
+    sizes = np.bincount(cells)
+    return _quotient_laplacian(counts, sizes), sizes, int(cells[root])
 
 
 def _centre(graph: Graph) -> NodeId | None:

@@ -33,5 +33,7 @@ def forced_quotient(graph, target):
     cells = spectra._refine(graph.adjacency, target, graph.n)
     counts = spectra._certify(graph.adjacency, cells, target)
     assert counts is not None
+    sizes = np.bincount(cells)
+    lq = spectra._quotient_laplacian(counts, sizes)
     with dense_guard(None):
-        return spectra._quotient_measure(graph, target, cells, counts)
+        return spectra._quotient_measure(graph, lq, sizes, int(cells[target]))

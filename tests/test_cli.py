@@ -681,6 +681,35 @@ def test_a_size_of_thousands_of_digits_exits_4(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (("spectrum", "--family", "torus", "--L", 2, "--d", 5000), 2,
+     "10^1505.150 nodes are more than int64 node ids can number"),
+    (("generate", "--family", "torus", "--L", 2, "--d", 5000), 4,
+     "generate torus_d5000_L2: problem size 10^1505.150 exceeds"),
+    (("generate", "--spec-file", "nested.json"), 2,
+     "graph spec nests too deep to read"),
+], ids=["spectrum-torus", "generate-torus", "generate-nested"])
+def test_a_spec_past_the_recursion_limit_exits_with_one_line(
+        argv, code, message, tmp_path, capsys, monkeypatch):
+    """``build`` recurses once per torus dimension and the JSON reader once
+    per nesting, so both runs of exit 2 used to end in a RecursionError
+    traceback.  The 2^5000-node torus is refused before it is built, on
+    int64 node ids, and ``generate`` refuses it on the guard first; 3,000
+    nested products are refused as the spec is read."""
+    chain = '{"family": "chain", "L": 2}'
+    (tmp_path / "nested.json").write_text(
+        '{"family": "product", "factors": [' * 3000 + chain
+        + f", {chain}]}}" * 3000)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*argv, "--out", out) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["message"]
+    assert not list(out.iterdir())
+
+
 def test_exit_code_4_dense_guard_flag(tmp_path, capsys):
     code = run("spectrum", "--family", "complete", "--n", "64",
                "--dense-guard", "10", "--out", tmp_path)

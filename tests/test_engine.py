@@ -1433,6 +1433,14 @@ def test_verify_bounds_clean_on_generic_target():
     assert d["n"] == g.n and len(d["checks"]) == len(report.checks)
 
 
+def test_verify_bounds_refuses_an_empty_coupling_list(monkeypatch):
+    """Before the measure; it used to report no checks, all satisfied."""
+    monkeypatch.setattr(engine, "target_measure", _no_measure)
+    for gammas in ([], np.array([])):
+        with pytest.raises(ConfigError, match="nonempty coupling list"):
+            verify_bounds(_graph(Family.DSG, g=3), 0, gammas=gammas)
+
+
 def test_verify_bounds_skips_floor_on_degenerate_axis():
     g = _graph(Family.CAYLEY_TREE, g=3)
     report = verify_bounds(g, 0)

@@ -501,6 +501,18 @@ def test_every_graph_is_connected_however_it_is_built():
     assert Graph(n=3, adjacency=adjacency[:3, :3].tocsr()).edge_count == 3
 
 
+@pytest.mark.parametrize("n,shape", [(3, (4, 4)), (5, (4, 4)), (4, (3, 4))])
+def test_a_graph_refuses_an_adjacency_of_another_size(n, shape):
+    """Before the connectivity search, naming both sizes.  The path on
+    nodes 0, 1, 2 fits each shape; at n = 3 in a 4 x 4 adjacency it would
+    pass that search."""
+    rows, cols = [0, 1, 1, 2], [1, 0, 2, 1]
+    adjacency = sp.csr_matrix((np.ones(4), (rows, cols)), shape=shape)
+    match = rf"shape {shape[0]} x {shape[1]} does not fit a graph of {n} "
+    with pytest.raises(ConfigError, match=match):
+        Graph(n=n, adjacency=adjacency)
+
+
 @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_from_edges_matches_coo_reference(n, p, seed):
     """G(n, p) edges, shuffled and each in a random orientation, against a

@@ -199,7 +199,7 @@ def _block_spectra(graph):
         counts = spectra._certify(graph.adjacency, cells, root)
         sizes = np.bincount(cells)
         lq = spectra._quotient_laplacian(counts, sizes)
-        yield spectra._tree_spectrum(lq, sla.eigvalsh(lq), counts, sizes,
+        yield spectra._tree_spectrum(lq, sla.eigvalsh(lq), sizes,
                                      int(cells[root]))
 
 
@@ -385,12 +385,12 @@ def test_tree_measure_matches_the_dense_measure(spec, every):
     graph = build(spec)
     dec = laplacian_decomposition(graph)
     for target in _targets(spec, every):
-        partition = equitable_partition(graph, target)
+        partition = spectra._root_quotient(graph, target)
         if partition is None:
             assert every
             continue
         with dense_guard(None):
-            got = spectra._quotient_measure(graph, target, *partition)
+            got = spectra._quotient_measure(graph, *partition)
         want = spectral_sums(dec, target)
         assert got.route == f"tree cells={partition[1].shape[0]}"
         assert got.multiplicities.tolist() == want.multiplicities.tolist()

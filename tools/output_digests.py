@@ -23,8 +23,11 @@ and ``decimation`` oracle checks at g = 14, past their default sizes,
 ``dsg-zeta`` at g = 300, whose closed form overflows a float,
 ``decimation`` at g = 23, one generation past the exact spectrum's limit,
 ``spectrum`` of the 100 x 100 torus (N = 10,000), whose values are the
-sums of its factors' under the default guard, and ``generate`` of the dsg
-at g = 10000, whose node count has 4,772 digits.
+sums of its factors' under the default guard, ``generate`` of the dsg
+at g = 10000, whose node count has 4,772 digits, ``spectrum`` of the
+torus of L = 2 in d = 5000 dimensions, past the 2^63 - 1 nodes int64 ids
+can number, and ``generate`` from an inline ``--spec`` that nests 3,000
+products, too deep for the JSON reader.
 Operation i writes into ``OUT/<i>``, and its standard output, without the
 ``wrote <path>`` lines, into ``OUT/<i>/stdout.txt``, so printed summaries
 and route labels are digested with the artifacts.  Its standard error, when
@@ -105,7 +108,11 @@ LAST = (("critgamma", "--family", "tfractal", "--g", "8"),
         ("oracle", "--check", "dsg-zeta", "--g", "300"),
         ("oracle", "--check", "decimation", "--g", "23"),
         ("spectrum", "--family", "torus", "--L", "100", "--d", "2"),
-        ("generate", "--family", "dsg", "--g", "10000"))
+        ("generate", "--family", "dsg", "--g", "10000"),
+        ("spectrum", "--family", "torus", "--L", "2", "--d", "5000"),
+        ("generate", "--spec", '{"family": "product", "factors": [' * 3000
+         + '{"family": "chain", "L": 2}'
+         + ', {"family": "chain", "L": 2}]}' * 3000))
 
 
 def operations(seed: int) -> list[tuple[str, ...]]:
@@ -141,7 +148,10 @@ def main() -> int:
         if errors.getvalue():
             (out / "stderr.txt").write_text(
                 errors.getvalue().replace(str(args.out), "<OUT>"))
-        print(f"exit {code}  {i:02d}  {' '.join(argv)}", file=sys.stderr)
+        line = " ".join(argv)
+        if len(line) > 200:
+            line = f"{line[:200]}... ({len(line)} characters)"
+        print(f"exit {code}  {i:02d}  {line}", file=sys.stderr)
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out).as_posix()}")
